@@ -55,6 +55,7 @@ from .errors import (
     DuplicateLabel,
     EmptyInput,
     EmptySet,
+    MalformedInput,
     MarginalMismatch,
     OutOfRange,
     ParseError,

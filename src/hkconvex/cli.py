@@ -19,7 +19,7 @@ import json
 import sys
 
 from .convex import ConvexSet, check_monad_laws, monad_mult, oplus, plus_p
-from .core import Dist, FiniteMetricSpace, as_fraction, format_fraction
+from .core import Dist, FiniteMetricSpace, as_fraction, format_fraction, json_field
 from .deduction import (
     check_derivation,
     derivation_from_json_dict,
@@ -53,7 +53,7 @@ def _load_dist(space: FiniteMetricSpace, path: str) -> Dist:
 def _generator_entries(data):
     if isinstance(data, list):
         return data
-    return data["generators"]
+    return json_field(data, "generators", "convex set")
 
 
 def _load_dists(space: FiniteMetricSpace, path: str) -> list[Dist]:
@@ -171,7 +171,8 @@ def _cmd_oplus(args) -> int:
 
 def _cmd_plusp(args) -> int:
     space = _load_space(args.space)
-    result = plus_p(args.p, _load_set(space, args.left), _load_set(space, args.right))
+    p = as_fraction(args.p)
+    result = plus_p(p, _load_set(space, args.left), _load_set(space, args.right))
     _emit(result.to_json_dict())
     return 0
 

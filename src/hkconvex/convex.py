@@ -14,6 +14,7 @@ exercises unit and associativity on pseudo-random instances.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 from . import linprog
@@ -22,12 +23,17 @@ from .core import (
     FiniteMetricSpace,
     convex_combine,
     dirac,
+    json_field,
     pushforward,
 )
-from .errors import BadProbability, EmptyInput, SpaceMismatch
+from .errors import BadProbability, EmptyInput, SpaceMismatch, TooLarge
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Largest number of base choices one weighted Minkowski sum may enumerate;
+# each choice is a generator that re-basing then tests with a hull LP.
+MINKOWSKI_PRODUCT_CAP = 1024
 
 
 def _coordinates(dists: Sequence[Dist]) -> list:
@@ -75,8 +81,24 @@ def unique_base(generators: Sequence[Dist]) -> tuple[Dist, ...]:
             distinct.append(g)
     if len(distinct) == 1:
         return (distinct[0],)
+    # top[item] = (largest weight on item, its only holder or None on a tie).
+    top: dict = {}
+    for g in distinct:
+        for item, w in g.items():
+            best = top.get(item)
+            if best is None or w > best[0]:
+                top[item] = (w, g)
+            elif w == best[0]:
+                top[item] = (w, None)
+    # Sound without an LP: every mixture of the other generators weighs at
+    # most their largest weight on the item, which is strictly below g's,
+    # so g is not in the hull of the others.
+    certified = {g for _, g in top.values() if g is not None}
     kept = []
     for i, g in enumerate(distinct):
+        if g in certified:
+            kept.append(g)
+            continue
         others = distinct[:i] + distinct[i + 1 :]
         inside, _ = in_hull(g, others)
         if not inside:
@@ -143,7 +165,8 @@ class ConvexSet:
 
     @classmethod
     def from_json_dict(cls, space: FiniteMetricSpace, data) -> "ConvexSet":
-        gens = [Dist.from_json_dict(space, entry) for entry in data["generators"]]
+        entries = json_field(data, "generators", "convex set")
+        gens = [Dist.from_json_dict(space, entry) for entry in entries]
         return cls(space, gens)
 
 
@@ -179,6 +202,9 @@ def _wms_mixtures(phi: Dist) -> list[Dist]:
     for item in sets:
         if not isinstance(item, ConvexSet):
             raise SpaceMismatch("weighted Minkowski sum needs set-valued support")
+    count = prod(len(s.base) for s in sets)
+    if count > MINKOWSKI_PRODUCT_CAP:
+        raise TooLarge("weighted Minkowski product", count, MINKOWSKI_PRODUCT_CAP)
     choices: list[list[Dist]] = [[]]
     for s in sets:
         choices = [chosen + [g] for chosen in choices for g in s.base]

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import (
     AxiomViolation,
     DuplicateLabel,
+    MalformedInput,
     MarginalMismatch,
     OutOfRange,
     SpaceMismatch,
@@ -37,8 +38,18 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise MalformedInput(f"expected a rational, got {value!r}") from None
+    raise MalformedInput(f"expected an exact rational, got {type(value).__name__}")
+
+
+def json_field(data, key: str, what: str):
+    """data[key] of a JSON object, or MalformedInput naming the missing field."""
+    if not isinstance(data, Mapping) or key not in data:
+        raise MalformedInput(f"{what} object missing field {key!r}")
+    return data[key]
 
 
 def format_fraction(value: Fraction) -> str:
@@ -132,8 +143,8 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FiniteMetricSpace":
-        points = data["points"]
-        dist = {(x, y): v for x, y, v in data["dist"]}
+        points = json_field(data, "points", "space")
+        dist = {(x, y): v for x, y, v in json_field(data, "dist", "space")}
         return cls(points, dist)
 
 

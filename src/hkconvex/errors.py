@@ -68,6 +68,10 @@ class TooLarge(DomainError):
         super().__init__(f"{what} of size {actual} exceeds cap {limit}")
 
 
+class MalformedInput(DomainError):
+    """Input data of the wrong shape: a missing field or a bad rational."""
+
+
 class EmptySet(DomainError):
     def __init__(self, detail: str = "empty set where a nonempty one is required"):
         super().__init__(detail)

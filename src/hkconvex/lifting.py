@@ -8,7 +8,9 @@ a base point because the distance to a convex set is a convex function,
 so one exact projection program per base point computes the distance
 over the full sets, not merely between the bases. `hk_sampled` replaces
 each convex set by the finite grid of base mixtures with a fixed
-denominator and is used to sandwich `hk_distance` in tests.
+denominator; it is a test oracle, bounded above by the Hausdorff
+distance between the bases but neither a bound on `hk_distance` over
+every space nor monotone in the denominator.
 """
 
 from __future__ import annotations
@@ -137,8 +139,9 @@ def hk_sampled(
 
     Every base element appears in its own grid, and mixing optimal
     responses shows each directed grid value never exceeds the directed
-    value computed between the bases alone. Used as a sampling oracle to
-    sandwich hk_distance in tests.
+    value computed between the bases alone. It is not monotone in the
+    denominator: a finer grid on the right side can lower the directed
+    infimum below a coarser grid's value.
     """
     if grid_denominator < 1:
         raise OutOfRange("grid denominator", grid_denominator)

@@ -1,10 +1,13 @@
 """Exact two-phase primal simplex over rationals.
 
-Solves  min c.x  subject to  A.x = b, x >= 0  with dense Fraction
-tableaus. Bland's smallest-index rule is used for both the entering and
-the leaving variable, which rules out cycling, so termination is
-unconditional. Problem sizes in this library are tiny (tens of columns),
-so the dense tableau is the right tool.
+Solves  min c.x  subject to  A.x = b, x >= 0  on Fraction tableaus.
+Bland's smallest-index rule is used for both the entering and the
+leaving variable, which rules out cycling, so termination is
+unconditional. Rows are stored as full lists (problems here have tens of
+columns), but a pivot touches only the nonzero columns of the pivot row:
+the hull and projection systems solved here are mostly zeros, and
+skipping v - f*0 leaves every entry, and so every pivot and solution,
+exactly as a dense update would.
 """
 
 from __future__ import annotations
@@ -33,15 +36,19 @@ class LPResult:
 
 
 def _pivot(rows: list[list[Fraction]], obj: list[Fraction], r: int, c: int) -> None:
-    piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
+    prow = rows[r]
+    piv = prow[c]
+    if piv != 1:
+        prow = rows[r] = [v / piv if v else v for v in prow]
+    nonzero = [(j, p) for j, p in enumerate(prow) if p]
     for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [v - f * p for v, p in zip(row, rows[r])]
-    if obj[c] != 0:
-        f = obj[c]
-        for j, p in enumerate(rows[r]):
+        f = row[c]
+        if i != r and f:
+            for j, p in nonzero:
+                row[j] -= f * p
+    f = obj[c]
+    if f:
+        for j, p in nonzero:
             obj[j] -= f * p
 
 

@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 from hkconvex import ConvexSet, Dist, FiniteMetricSpace
 from hkconvex.terms import Gen, Oplus, PlusP
 
-LETTERS = "abcd"
+LETTERS = "abcdef"
 
 
 def probabilities() -> st.SearchStrategy[Fraction]:

@@ -200,3 +200,36 @@ def test_output_is_byte_stable(capsys, space_file, files):
         main(["base", "--space", space_file, "--set", s1])
         outs.add(capsys.readouterr().out)
     assert len(outs) == 1
+
+
+def test_bad_rational_weight_is_a_domain_error(capsys, space_file, files):
+    bad = files("bad.json", {"generators": [{"a": "x"}]})
+    good = files("good.json", {"generators": [{"a": "1"}]})
+    code, out = run(capsys, "hk", "--space", space_file, "--left", bad, "--right", good)
+    assert code == 1
+    assert out["error"] == "MalformedInput"
+    assert "'x'" in out["detail"]
+    floating = files("float.json", {"generators": [{"a": 0.5, "b": 0.5}]})
+    code, out = run(capsys, "base", "--space", space_file, "--set", floating)
+    assert code == 1
+    assert out["error"] == "MalformedInput"
+    code, out = run(capsys, "plusp", "--space", space_file, "--p", "x", "--left", good, "--right", good)
+    assert code == 1
+    assert out["error"] == "MalformedInput"
+
+
+def test_space_without_dist_is_a_domain_error(capsys, files):
+    space = files("space.json", {"points": ["a", "b"]})
+    code, out = run(capsys, "validate-space", "--space", space)
+    assert code == 1
+    assert out == {"error": "MalformedInput", "detail": "space object missing field 'dist'"}
+
+
+def test_set_without_generators_is_a_domain_error(capsys, space_file, files):
+    s = files("s.json", {"gens": [{"a": "1"}]})
+    code, out = run(capsys, "base", "--space", space_file, "--set", s)
+    assert code == 1
+    assert out == {
+        "error": "MalformedInput",
+        "detail": "convex set object missing field 'generators'",
+    }

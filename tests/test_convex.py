@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -9,6 +10,7 @@ from hkconvex import (
     ConvexSet,
     Dist,
     EmptyInput,
+    TooLarge,
     check_monad_laws,
     convex_combine,
     dirac,
@@ -23,6 +25,7 @@ from hkconvex import (
     unique_base,
     wms,
 )
+from hkconvex.convex import MINKOWSKI_PRODUCT_CAP
 
 F = Fraction
 
@@ -196,3 +199,75 @@ def test_wms_of_dirac_over_one_set_is_that_set(bundle):
     s = ConvexSet(space, [d])
     phi = Dist(space, {s: 1})
     assert wms(phi) == s
+
+
+def _base_by_lp_only(generators):
+    # reference: one hull LP per distinct generator against all the others
+    distinct = list(dict.fromkeys(generators))
+    if len(distinct) == 1:
+        return tuple(distinct)
+    kept = [
+        g
+        for i, g in enumerate(distinct)
+        if not in_hull(g, distinct[:i] + distinct[i + 1 :])[0]
+    ]
+    return tuple(sorted(kept, key=Dist.sort_key))
+
+
+@st.composite
+def _generator_lists(draw):
+    # small integer weights make tied maximal coordinates common; drawing
+    # from a pool with replacement repeats generators; set-valued items
+    # give distributions one level up the tower
+    space = draw(sts.spaces(max_points=3))
+    items = list(space.points)
+    if draw(st.booleans()):
+        inner = sts.convex_sets(space, max_base=2)
+        items = draw(st.lists(inner, min_size=1, max_size=3, unique=True))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, min(3, len(items))))
+        support = draw(
+            st.lists(st.sampled_from(items), min_size=k, max_size=k, unique=True)
+        )
+        raw = draw(st.lists(st.integers(1, 2), min_size=k, max_size=k))
+        pool.append(Dist(space, {x: F(w, sum(raw)) for x, w in zip(support, raw)}))
+    gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    if len(items) >= 3 and draw(st.booleans()):
+        # d and e share their top weight w on x; their midpoint is interior
+        # and ties with both there, and comes first
+        x, y, z = draw(st.permutations(items))[:3]
+        w = draw(st.sampled_from([F(1, 2), F(2, 3), F(3, 4)]))
+        d = Dist(space, {x: w, y: 1 - w})
+        e = Dist(space, {x: w, z: 1 - w})
+        gens = [convex_combine([(F(1, 2), d), (F(1, 2), e)])] + gens + [d, e]
+    return gens + gens[:1]
+
+
+@given(_generator_lists())
+def test_unique_base_matches_lp_only_reference(gens):
+    assert unique_base(gens) == _base_by_lp_only(gens)
+
+
+def test_unique_base_ties_go_to_the_lp(x3):
+    # every coordinate's largest weight is shared by two generators, so no
+    # generator is certified without an LP; all three are still extreme
+    ab, ac, bc = _mid(x3, "a", "b"), _mid(x3, "a", "c"), _mid(x3, "b", "c")
+    assert unique_base([bc, ab, ac, ab]) == (ab, ac, bc)
+    # the centre ties at its top weight 1/2 on a and is inside the hull
+    centre = Dist(x3, {"a": F(1, 2), "b": F(1, 4), "c": F(1, 4)})
+    assert unique_base([centre, ab, ac]) == (ab, ac)
+
+
+def test_minkowski_product_over_the_cap_is_refused(x2):
+    # eleven distinct segments of two base points each: 2**11 choices
+    segments = [
+        ConvexSet(x2, [dirac(x2, "a"), _mid(x2, "a", "b", F(1, k))]) for k in range(2, 13)
+    ]
+    assert 2 ** len(segments) > MINKOWSKI_PRODUCT_CAP
+    phi = Dist(x2, {s: F(1, len(segments)) for s in segments})
+    with pytest.raises(TooLarge) as exc:
+        wms(phi)
+    assert exc.value.actual == 2 ** len(segments)
+    with pytest.raises(TooLarge):
+        monad_mult(ConvexSet(x2, [phi]))

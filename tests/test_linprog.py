@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+from hypothesis import given
+
+import strategies as sts
+from hkconvex import kantorovich
 from hkconvex.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_point, solve_lp
 
 F = Fraction
@@ -53,3 +57,18 @@ def test_feasible_point_on_equalities():
 
 def test_feasible_point_none_when_infeasible():
     assert feasible_point([[F(1)]], [F(-2)]) is None
+
+
+@given(sts.space_with_dists(2, max_points=6, max_support=6))
+def test_solve_lp_matches_transport_simplex(bundle):
+    # the Kantorovich LP over the two supports: one variable per cell, one
+    # equality per marginal; mostly zeros, so it exercises sparse pivots
+    space, mu, nu = bundle
+    xs, ys = mu.support, nu.support
+    cells = [(x, y) for x in xs for y in ys]
+    rows = [[F(int(cx == x)) for cx, _ in cells] for x in xs]
+    rows += [[F(int(cy == y)) for _, cy in cells] for y in ys]
+    rhs = [mu.weight(x) for x in xs] + [nu.weight(y) for y in ys]
+    res = solve_lp([space.d(x, y) for x, y in cells], rows, rhs)
+    assert res.status == OPTIMAL
+    assert res.value == kantorovich(space, mu, nu).value
