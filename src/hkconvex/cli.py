@@ -19,12 +19,12 @@ import json
 import sys
 
 from .convex import ConvexSet, check_monad_laws, monad_mult, oplus, plus_p
-from .core import Dist, FiniteMetricSpace, as_fraction, format_fraction, json_field
+from .core import Dist, FiniteMetricSpace, as_fraction, format_fraction, json_list
 from .deduction import (
     check_derivation,
     derivation_from_json_dict,
     derivation_to_json_dict,
-    equation_from_json_dict,
+    equations_from_json_list,
 )
 from .errors import DomainError, ParseError
 from .lifting import directed_hausdorff, hk_directed, hk_distance
@@ -53,7 +53,7 @@ def _load_dist(space: FiniteMetricSpace, path: str) -> Dist:
 def _generator_entries(data):
     if isinstance(data, list):
         return data
-    return json_field(data, "generators", "convex set")
+    return json_list(data, "generators", "convex set")
 
 
 def _load_dists(space: FiniteMetricSpace, path: str) -> list[Dist]:
@@ -192,8 +192,10 @@ def _cmd_derive(args) -> int:
 
 def _cmd_check(args) -> int:
     space = _load_space(args.space)
-    gamma = tuple(equation_from_json_dict(e) for e in _load_json(args.gamma))
-    proof = derivation_from_json_dict(_load_json(args.proof))
+    # One table for both files: each distinct term text is read once.
+    table: dict = {}
+    gamma = equations_from_json_list(_load_json(args.gamma), "hypotheses", table)
+    proof = derivation_from_json_dict(_load_json(args.proof), table)
     result = check_derivation(space, gamma, proof)
     _emit({"ok": result.ok, "path": list(result.path), "reason": result.reason})
     if not result.ok:

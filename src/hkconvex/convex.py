@@ -21,9 +21,10 @@ from . import linprog
 from .core import (
     Dist,
     FiniteMetricSpace,
+    as_fraction,
     convex_combine,
     dirac,
-    json_field,
+    json_list,
     pushforward,
 )
 from .errors import BadProbability, EmptyInput, SpaceMismatch, TooLarge
@@ -165,7 +166,7 @@ class ConvexSet:
 
     @classmethod
     def from_json_dict(cls, space: FiniteMetricSpace, data) -> "ConvexSet":
-        entries = json_field(data, "generators", "convex set")
+        entries = json_list(data, "generators", "convex set")
         gens = [Dist.from_json_dict(space, entry) for entry in entries]
         return cls(space, gens)
 
@@ -184,7 +185,7 @@ def oplus(left: ConvexSet, right: ConvexSet) -> ConvexSet:
 
 def plus_p(p, left: ConvexSet, right: ConvexSet) -> ConvexSet:
     """Pointwise mixture { p*d + (1-p)*e : d in left, e in right }."""
-    p = Fraction(p)
+    p = as_fraction(p)
     if not 0 < p < 1:
         raise BadProbability(p)
     if left.space != right.space:

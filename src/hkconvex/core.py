@@ -52,6 +52,14 @@ def json_field(data, key: str, what: str):
     return data[key]
 
 
+def json_list(data, key: str, what: str) -> list:
+    """json_field(data, key, what), which must be a list."""
+    value = json_field(data, key, what)
+    if not isinstance(value, (list, tuple)):
+        raise MalformedInput(f"{what} field {key!r} must be a list, got {value!r}")
+    return value
+
+
 def format_fraction(value: Fraction) -> str:
     return str(value)
 
@@ -143,8 +151,18 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FiniteMetricSpace":
-        points = json_field(data, "points", "space")
-        dist = {(x, y): v for x, y, v in json_field(data, "dist", "space")}
+        points = json_list(data, "points", "space")
+        dist = {}
+        for entry in json_list(data, "dist", "space"):
+            if not (
+                isinstance(entry, (list, tuple))
+                and len(entry) == 3
+                and isinstance(entry[0], str)
+                and isinstance(entry[1], str)
+            ):
+                raise MalformedInput(f"space dist entry {entry!r} is not [x, y, distance]")
+            x, y, v = entry
+            dist[(x, y)] = v
         return cls(points, dist)
 
 
@@ -255,6 +273,8 @@ class Dist:
 
     @classmethod
     def from_json_dict(cls, space: FiniteMetricSpace, data: Mapping) -> "Dist":
+        if not isinstance(data, Mapping):
+            raise MalformedInput(f"distribution {data!r} is not an object of weights")
         return cls(space, dict(data))
 
 

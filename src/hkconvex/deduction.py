@@ -315,62 +315,108 @@ def metric_hypotheses(space: FiniteMetricSpace) -> tuple[QuantEquation, ...]:
     return tuple(eqs)
 
 
-def equation_to_json_dict(eq: QuantEquation) -> dict:
+def equation_to_json_dict(eq: QuantEquation, printed: dict | None = None) -> dict:
+    """The equation as JSON; `printed` is passed to `print_term` (see there)."""
     return {
-        "l": print_term(eq.left),
-        "r": print_term(eq.right),
+        "l": print_term(eq.left, printed),
+        "r": print_term(eq.right, printed),
         "eps": format_fraction(eq.eps),
     }
 
 
-def equation_from_json_dict(obj: dict) -> QuantEquation:
-    try:
-        left = parse_term(obj["l"])
-        right = parse_term(obj["r"])
-        eps = as_fraction(obj["eps"])
-    except KeyError as exc:
-        raise ParseError(f"equation object missing field {exc}", 0) from None
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object, got {type(value).__name__}", 0)
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON list, got {type(value).__name__}", 0)
+    return value
+
+
+def _field(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise ParseError(f"{what} object missing field {key!r}", 0)
+    return obj[key]
+
+
+def _term(text, table: dict | None) -> Term:
+    if not isinstance(text, str):
+        raise ParseError(f"term must be a string, got {type(text).__name__}", 0)
+    return parse_term(text, table)
+
+
+def equation_from_json_dict(obj: dict, table: dict | None = None) -> QuantEquation:
+    """Read one equation; `table` is passed to `parse_term` (see there)."""
+    obj = _json_object(obj, "equation")
+    left = _term(_field(obj, "l", "equation"), table)
+    right = _term(_field(obj, "r", "equation"), table)
+    eps = as_fraction(_field(obj, "eps", "equation"))
     return QuantEquation(left, right, eps)
 
 
-def derivation_to_json_dict(d: Derivation) -> dict:
+def equations_from_json_list(
+    items, what: str, table: dict | None = None
+) -> tuple[QuantEquation, ...]:
+    """Read a list of equations; `what` names the list in errors."""
+    return tuple(equation_from_json_dict(eq, table) for eq in _json_list(items, what))
+
+
+def derivation_to_json_dict(d: Derivation, printed: dict | None = None) -> dict:
+    """The derivation as JSON, printing each term object once.
+
+    The derivation keeps every term it holds alive during the call, so
+    one `print_term` memo keyed by object id serves the whole document.
+    """
+    if printed is None:
+        printed = {}
     out: dict = {
         "rule": d.rule,
-        "conclusion": equation_to_json_dict(d.conclusion),
+        "conclusion": equation_to_json_dict(d.conclusion, printed),
     }
     if d.premises:
-        out["premises"] = [derivation_to_json_dict(p) for p in d.premises]
+        out["premises"] = [derivation_to_json_dict(p, printed) for p in d.premises]
     if d.axiom is not None:
         out["axiom"] = d.axiom
     if d.subst is not None:
-        out["subst"] = {var: print_term(t) for var, t in d.subst}
+        out["subst"] = {var: print_term(t, printed) for var, t in d.subst}
     if d.theta is not None:
-        out["theta"] = [equation_to_json_dict(eq) for eq in d.theta]
+        out["theta"] = [equation_to_json_dict(eq, printed) for eq in d.theta]
     if d.hypotheses:
-        out["hypotheses"] = [equation_to_json_dict(eq) for eq in d.hypotheses]
+        out["hypotheses"] = [equation_to_json_dict(eq, printed) for eq in d.hypotheses]
     return out
 
 
-def derivation_from_json_dict(obj: dict) -> Derivation:
-    try:
-        rule = obj["rule"]
-        conclusion = equation_from_json_dict(obj["conclusion"])
-    except KeyError as exc:
-        raise ParseError(f"derivation object missing field {exc}", 0) from None
+def derivation_from_json_dict(obj: dict, table: dict | None = None) -> Derivation:
+    """Read a derivation document, every term through one shared `table`.
+
+    Equal subterms anywhere in the document become one object, so the
+    checker's equality tests mostly stop at identity. Input of the wrong
+    shape raises ParseError.
+    """
+    if table is None:
+        table = {}
+    obj = _json_object(obj, "derivation")
+    rule = _field(obj, "rule", "derivation")
+    conclusion = equation_from_json_dict(_field(obj, "conclusion", "derivation"), table)
     premises = tuple(
-        derivation_from_json_dict(p) for p in obj.get("premises", [])
+        derivation_from_json_dict(p, table)
+        for p in _json_list(obj.get("premises", []), "premises")
     )
     subst = None
     if "subst" in obj:
         subst = tuple(
-            sorted((var, parse_term(text)) for var, text in obj["subst"].items())
+            sorted(
+                (var, _term(text, table))
+                for var, text in _json_object(obj["subst"], "subst").items()
+            )
         )
     theta = None
     if "theta" in obj:
-        theta = tuple(equation_from_json_dict(eq) for eq in obj["theta"])
-    hypotheses = tuple(
-        equation_from_json_dict(eq) for eq in obj.get("hypotheses", [])
-    )
+        theta = equations_from_json_list(obj["theta"], "theta", table)
+    hypotheses = equations_from_json_list(obj.get("hypotheses", []), "hypotheses", table)
     return Derivation(
         rule=rule,
         conclusion=conclusion,

@@ -10,6 +10,7 @@ Concrete syntax is s-expressions: "(oplus a b)", "(p+ 1/2 a b)".
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,32 +48,32 @@ class PlusP:
 Term = Gen | Oplus | PlusP
 
 
-def print_term(term: Term) -> str:
+def print_term(term: Term, printed: dict[int, str] | None = None) -> str:
+    """Concrete syntax of a term.
+
+    `printed` memoizes the text of each term object by id, so a term
+    shared across many calls is printed once. Pass one only while every
+    term it has seen is alive: the id of a collected object can be reused.
+    """
+    if printed is not None:
+        text = printed.get(id(term))
+        if text is not None:
+            return text
     if isinstance(term, Gen):
         return term.label
     if isinstance(term, Oplus):
-        return f"(oplus {print_term(term.left)} {print_term(term.right)})"
-    return f"(p+ {format_fraction(term.p)} {print_term(term.left)} {print_term(term.right)})"
+        text = f"(oplus {print_term(term.left, printed)} {print_term(term.right, printed)})"
+    else:
+        text = (
+            f"(p+ {format_fraction(term.p)} "
+            f"{print_term(term.left, printed)} {print_term(term.right, printed)})"
+        )
+    if printed is not None:
+        printed[id(term)] = text
+    return text
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i))
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-    return tokens
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def _parse_fraction(token: str, position: int) -> Fraction:
@@ -83,20 +84,39 @@ def _parse_fraction(token: str, position: int) -> Fraction:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    """Recursive descent over the tokens of one text, sharing through `table`.
+
+    `table` maps a text to the term it parses to. Each generator token and
+    each parenthesised subterm that parses is entered under its exact
+    source slice; a subterm whose slice is already there is returned from
+    the table and its tokens are skipped. The grammar is context-free, so
+    a slice always parses to the same term, and errors are raised exactly
+    where a full reading would raise them.
+    """
+
+    def __init__(self, text: str, table: dict):
+        self.text = text
+        self.table = table
+        matches = list(_TOKEN.finditer(text))
+        self.tokens = [m.group() for m in matches]
+        self.starts = [m.start() for m in matches]
+        # close[i] is the index of the ')' matching a '(' at index i, else -1.
+        self.close = [-1] * len(self.tokens)
+        opened = []
+        for i, tok in enumerate(self.tokens):
+            if tok == "(":
+                opened.append(i)
+            elif tok == ")" and opened:
+                self.close[opened.pop()] = i
         self.pos = 0
         self.end = len(text)
 
-    def peek(self) -> tuple[str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def take(self) -> tuple[str, int]:
-        tok = self.peek()
-        if tok is None:
+        pos = self.pos
+        if pos >= len(self.tokens):
             raise ParseError("unexpected end of input", self.end)
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return self.tokens[pos], self.starts[pos]
 
     def expect(self, text: str) -> None:
         tok, at = self.take()
@@ -104,33 +124,64 @@ class _Parser:
             raise ParseError(f"expected {text!r}, got {tok!r}", at)
 
     def term(self) -> Term:
+        index = self.pos
         tok, at = self.take()
+        table = self.table
         if tok == ")":
             raise ParseError("unexpected ')'", at)
         if tok != "(":
-            return Gen(tok)
+            term = table.get(tok)
+            if term is None:
+                term = table[tok] = Gen(tok)
+            return term
+        # A subterm that parses ends at its matching ')', so an unmatched
+        # '(' cannot be in the table and needs no key.
+        close = self.close[index]
+        key = self.text[at : self.starts[close] + 1] if close >= 0 else None
+        term = table.get(key)
+        if term is not None:
+            self.pos = close + 1
+            return term
         head, head_at = self.take()
         if head == "oplus":
             left = self.term()
             right = self.term()
             self.expect(")")
-            return Oplus(left, right)
-        if head == "p+":
+            term = Oplus(left, right)
+        elif head == "p+":
             ptok, pat = self.take()
             p = _parse_fraction(ptok, pat)
             left = self.term()
             right = self.term()
             self.expect(")")
-            return PlusP(p, left, right)
-        raise ParseError(f"expected 'oplus' or 'p+', got {head!r}", head_at)
+            term = PlusP(p, left, right)
+        else:
+            raise ParseError(f"expected 'oplus' or 'p+', got {head!r}", head_at)
+        table[key] = term
+        return term
 
 
-def parse_term(text: str) -> Term:
-    parser = _Parser(text)
+def parse_term(text: str, table: dict[str, Term] | None = None) -> Term:
+    """Parse one term; equal subterms within `table`'s scope are one object.
+
+    `table` maps texts to their terms and grows with every successful
+    parse (the whole text, each parenthesised subterm and each generator).
+    Passing one table to many calls reads each distinct subterm once and
+    shares it; without a table the sharing is confined to this text.
+    """
+    if table is None:
+        table = {}
+    else:
+        term = table.get(text)
+        if term is not None:
+            return term
+    parser = _Parser(text, table)
     term = parser.term()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(f"trailing input {trailing[0]!r}", trailing[1])
+    if parser.pos < len(parser.tokens):
+        raise ParseError(
+            f"trailing input {parser.tokens[parser.pos]!r}", parser.starts[parser.pos]
+        )
+    table[text] = term
     return term
 
 

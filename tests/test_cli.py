@@ -1,6 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hkconvex.cli import main
 
@@ -233,3 +240,110 @@ def test_set_without_generators_is_a_domain_error(capsys, space_file, files):
         "error": "MalformedInput",
         "detail": "convex set object missing field 'generators'",
     }
+
+
+# Fuzzing: malformed space, set, hypothesis and proof files. Each document
+# is either arbitrary JSON or a valid document with one entry replaced or
+# removed, so that the wrong shapes reach every reader.
+
+SET = {"generators": [{"a": "1"}, {"b": "1/2", "c": "1/2"}]}
+
+
+def _write(folder: str, **docs) -> dict:
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = os.path.join(folder, name + ".json")
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+    return paths
+
+
+def _valid_proof() -> dict:
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as folder:
+        paths = _write(folder, space=X3, left=SET, right={"generators": [{"c": "1"}]})
+        with contextlib.redirect_stdout(out):
+            assert main(["derive", "--space", paths["space"], "--left", paths["left"],
+                         "--right", paths["right"]]) == 0
+    return json.loads(out.getvalue())
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=5)
+    | st.sampled_from(["a", "b", "1/2", "0", "x", "(oplus a b)", "(p+ 1/2 a", "Refl"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["points", "dist", "generators", "rule", "conclusion",
+                         "premises", "subst", "theta", "hypotheses", "axiom",
+                         "l", "r", "eps", "a", "b"]) | st.text(max_size=3),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=8,
+)
+
+
+def _slots(doc, holder, key):
+    """(container, key) of every value in doc, the document itself first."""
+    yield holder, key
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _slots(v, doc, k)
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _slots(v, doc, i)
+
+
+@st.composite
+def malformed(draw, valid):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(JSON_VALUES)
+    root = [copy.deepcopy(valid)]
+    slots = list(_slots(root[0], root, 0))
+    holder, key = slots[draw(st.integers(0, len(slots) - 1))]
+    if holder is not root and draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = draw(JSON_VALUES)
+    return root[0]
+
+
+def _run_quietly(argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+PROOF = _valid_proof()
+
+
+@given(
+    space=malformed(X3),
+    cset=malformed(SET),
+    gamma=malformed(PROOF["hypotheses"]),
+    proof=malformed(PROOF),
+)
+def test_malformed_files_get_a_json_reply(space, cset, gamma, proof):
+    with tempfile.TemporaryDirectory() as folder:
+        good = _write(folder, space=X3, set=SET, gamma=PROOF["hypotheses"], proof=PROOF)
+        bad = _write(folder, bad_space=space, bad_set=cset, bad_gamma=gamma, bad_proof=proof)
+        runs = [
+            ["validate-space", "--space", bad["bad_space"]],
+            ["base", "--space", bad["bad_space"], "--set", good["set"]],
+            ["base", "--space", good["space"], "--set", bad["bad_set"]],
+            ["check", "--space", good["space"], "--gamma", bad["bad_gamma"],
+             "--proof", good["proof"]],
+            ["check", "--space", good["space"], "--gamma", good["gamma"],
+             "--proof", bad["bad_proof"]],
+        ]
+        for argv in runs:
+            code, out, err = _run_quietly(argv)
+            assert code in (0, 1), argv
+            assert out.endswith("\n") and out.count("\n") == 1, argv
+            json.loads(out)
+            assert "Traceback" not in err

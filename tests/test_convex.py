@@ -10,6 +10,7 @@ from hkconvex import (
     ConvexSet,
     Dist,
     EmptyInput,
+    MalformedInput,
     TooLarge,
     check_monad_laws,
     convex_combine,
@@ -100,6 +101,15 @@ def test_plus_p_rejects_endpoint_probabilities(x3):
     for bad in (0, 1, F(3, 2)):
         with pytest.raises(BadProbability):
             plus_p(bad, s, s)
+
+
+def test_plus_p_rejects_floats_and_takes_exact_strings(x3):
+    s = monad_unit(x3, "a")
+    t = monad_unit(x3, "b")
+    for bad in (0.1, 0.5, "x"):
+        with pytest.raises(MalformedInput):
+            plus_p(bad, s, t)
+    assert plus_p("1/4", s, t) == plus_p(F(1, 4), s, t)
 
 
 def test_wms_golden(x3):

@@ -8,6 +8,7 @@ from hkconvex import (
     AXIOMS,
     Derivation,
     OutOfRange,
+    ParseError,
     QuantEquation,
     check_derivation,
     derivation_from_json_dict,
@@ -239,6 +240,75 @@ def test_derivation_json_round_trip(x3):
     back = derivation_from_json_dict(derivation_to_json_dict(d))
     assert back == d
     assert check_derivation(x3, (), back).ok
+
+
+def test_derivation_json_shares_equal_terms():
+    doc = derivation_to_json_dict(
+        Derivation(
+            "Triang",
+            eq("(oplus a b)", "(oplus b c)", "1/2"),
+            (
+                Derivation("Assum", eq("(oplus a b)", "(oplus b b)", "1/2")),
+                Derivation("Assum", eq("(oplus b b)", "(oplus b c)", 0)),
+            ),
+        )
+    )
+    back = derivation_from_json_dict(doc)
+    first, second = back.premises
+    assert back.conclusion.left is first.conclusion.left
+    assert first.conclusion.right is second.conclusion.left
+    assert back.conclusion.right.left is first.conclusion.right.left
+    assert derivation_to_json_dict(back) == doc
+
+
+def test_derivation_json_prints_each_term_in_full():
+    shared = parse_term("(p+ 1/2 (oplus a b) c)")
+    d = Derivation(
+        "Max",
+        QuantEquation(shared, shared, F(1, 2)),
+        (Derivation("Refl", QuantEquation(shared, shared, F(0))),),
+        theta=(QuantEquation(shared.left, shared, F(1)),),
+    )
+    doc = derivation_to_json_dict(d)
+    text = "(p+ 1/2 (oplus a b) c)"
+    assert doc["conclusion"] == {"l": text, "r": text, "eps": "1/2"}
+    assert doc["premises"][0]["conclusion"] == {"l": text, "r": text, "eps": "0"}
+    assert doc["theta"] == [{"l": "(oplus a b)", "r": text, "eps": "1"}]
+
+
+CONCLUSION = {"l": "a", "r": "a", "eps": "0"}
+
+
+@pytest.mark.parametrize(
+    "doc,detail",
+    [
+        (5, "derivation must be a JSON object, got int"),
+        ({"rule": "Refl"}, "derivation object missing field 'conclusion'"),
+        ({"rule": "Refl", "conclusion": "a"}, "equation must be a JSON object, got str"),
+        ({"rule": "Refl", "conclusion": {"l": "a", "eps": "0"}},
+         "equation object missing field 'r'"),
+        ({"rule": "Refl", "conclusion": {"l": 5, "r": "a", "eps": "0"}},
+         "term must be a string, got int"),
+        ({"rule": "Symm", "conclusion": CONCLUSION, "premises": [5]},
+         "derivation must be a JSON object, got int"),
+        ({"rule": "Symm", "conclusion": CONCLUSION, "premises": {}},
+         "premises must be a JSON list, got dict"),
+        ({"rule": "Subst", "conclusion": CONCLUSION, "subst": []},
+         "subst must be a JSON object, got list"),
+        ({"rule": "Subst", "conclusion": CONCLUSION, "subst": {"x": ["a"]}},
+         "term must be a string, got list"),
+        ({"rule": "Cut", "conclusion": CONCLUSION, "theta": "a"},
+         "theta must be a JSON list, got str"),
+        ({"rule": "Refl", "conclusion": CONCLUSION, "hypotheses": {"l": "a"}},
+         "hypotheses must be a JSON list, got dict"),
+        ({"rule": "Refl", "conclusion": CONCLUSION, "hypotheses": [[]]},
+         "equation must be a JSON object, got list"),
+    ],
+)
+def test_wrong_shapes_are_parse_errors(doc, detail):
+    with pytest.raises(ParseError) as exc:
+        derivation_from_json_dict(doc)
+    assert str(exc.value) == f"{detail} (at offset 0)"
 
 
 def test_unknown_rule_rejected(x3):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies as sts
 from hkconvex import (
@@ -128,6 +129,108 @@ def test_axiom_identities_modulo_theory(x3):
 def test_parse_print_round_trip(bundle):
     _, t = bundle
     assert parse_term(print_term(t)) == t
+
+
+def _spaced(text: str, pads: list[str]) -> str:
+    """text with pads[i] inserted before its i-th token; parens stay tokens."""
+    out = []
+    k = 0
+    for i, c in enumerate(text):
+        if c in "()" or (c != " " and (i == 0 or text[i - 1] in " ()")):
+            out.append(pads[k % len(pads)])
+            k += 1
+        out.append(c)
+    return "".join(out) + pads[k % len(pads)]
+
+
+@given(
+    st.lists(sts.space_with_terms(1, max_depth=4), min_size=1, max_size=6),
+    st.lists(st.sampled_from(["", " ", "\t", "\n ", "\u00a0", "\u2003"]), min_size=1),
+)
+@settings(max_examples=40)
+def test_shared_table_parses_like_a_fresh_one(bundles, pads):
+    shared: dict = {}
+    for _, t in bundles:
+        for text in (print_term(t), _spaced(print_term(t), pads)):
+            alone = parse_term(text)
+            fresh = parse_term(text, {})
+            again = parse_term(text, shared)
+            assert alone == fresh == again == t
+            assert print_term(again) == print_term(t)
+            assert parse_term(text, shared) is again
+
+
+def _subterms(term):
+    yield term
+    if not isinstance(term, Gen):
+        yield from _subterms(term.left)
+        yield from _subterms(term.right)
+
+
+@given(sts.space_with_terms(2, max_depth=4))
+@settings(max_examples=40)
+def test_equal_subterms_share_one_object(bundle):
+    _, t, s = bundle
+    table: dict = {}
+    parsed = [parse_term(print_term(u), table) for u in (t, s, Oplus(t, s))]
+    seen: dict = {}
+    for root in parsed:
+        for sub in _subterms(root):
+            assert seen.setdefault(sub, sub) is sub
+
+
+def test_subterm_texts_enter_the_table():
+    table: dict = {}
+    t = parse_term("(oplus (p+ 1/2 a b) (p+ 1/2 a b))", table)
+    assert t.left is t.right
+    assert table["(p+ 1/2 a b)"] is t.left
+    assert table["a"] is t.left.left
+    assert parse_term("(oplus c (p+ 1/2 a b))", table).right is t.left
+
+
+# Malformed inputs and what the parser reports: exception type, message and
+# offset. A shared table must not change any of them.
+MALFORMED = [
+    ("(oplus a", ParseError, "unexpected end of input (at offset 8)", 8),
+    (")", ParseError, "unexpected ')' (at offset 0)", 0),
+    ("(foo a b)", ParseError, "expected 'oplus' or 'p+', got 'foo' (at offset 1)", 1),
+    ("(p+ x a b)", ParseError, "expected a rational, got 'x' (at offset 4)", 4),
+    ("(p+ 1/2 a b) c", ParseError, "trailing input 'c' (at offset 13)", 13),
+    ("", ParseError, "unexpected end of input (at offset 0)", 0),
+    ("(oplus a b))", ParseError, "trailing input ')' (at offset 11)", 11),
+    ("(p+ 3/2 a b)", BadProbability,
+     "probability must lie strictly between 0 and 1, got 3/2", None),
+    ("((a))", ParseError, "expected 'oplus' or 'p+', got '(' (at offset 1)", 1),
+    # the bad token opens, or follows, a subterm the table already holds
+    ("((oplus a b))", ParseError, "expected 'oplus' or 'p+', got '(' (at offset 1)", 1),
+    ("(p+ (oplus a b) a b)", ParseError, "expected a rational, got '(' (at offset 4)", 4),
+    ("(oplus (oplus a b) (oplus a b) c)", ParseError,
+     "expected ')', got 'c' (at offset 31)", 31),
+    ("(oplus (oplus a b c) a)", ParseError, "expected ')', got 'c' (at offset 18)", 18),
+    ("(p+ 1/2 (oplus a b)", ParseError, "unexpected end of input (at offset 19)", 19),
+    ("(oplus a b)(", ParseError, "trailing input '(' (at offset 11)", 11),
+    ("(oplus (p+ 1 a b) a)", BadProbability,
+     "probability must lie strictly between 0 and 1, got 1", None),
+]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("text,kind,message,position", MALFORMED)
+def test_malformed_terms_keep_their_errors(text, kind, message, position, shared):
+    table = None
+    if shared:
+        table = {}
+        for good in ("(oplus a b)", "(p+ 1/2 a b)", "(oplus (oplus a b) c)"):
+            parse_term(good, table)
+    before = dict(table or {})
+    with pytest.raises(kind) as exc:
+        parse_term(text, table)
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
+    assert getattr(exc.value, "position", None) == position
+    if shared:
+        assert text not in table
+        assert all(table[k] is v for k, v in before.items())
 
 
 @given(sts.space_with_terms(1))
