@@ -60,6 +60,7 @@ from .errors import (
     OutOfRange,
     ParseError,
     SpaceMismatch,
+    TooDeep,
     TooLarge,
     UnknownPoint,
     WeightsNotNormalized,

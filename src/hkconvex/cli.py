@@ -26,7 +26,7 @@ from .deduction import (
     derivation_to_json_dict,
     equations_from_json_list,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, MalformedInput, ParseError, TooDeep
 from .lifting import directed_hausdorff, hk_directed, hk_distance
 from .presentation import free_em_algebra, functor_F, roundtrip_FG, roundtrip_GF
 from .proofs import derive_hk
@@ -73,8 +73,13 @@ def _load_nested(space: FiniteMetricSpace, path: str) -> ConvexSet:
     """
     gens = []
     for entry in _generator_entries(_load_json(path)):
+        if not isinstance(entry, list):
+            raise MalformedInput(f"nested generator {entry!r} is not a list of pairs")
         weights: dict = {}
-        for set_data, raw_w in entry:
+        for pair in entry:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise MalformedInput(f"nested generator entry {pair!r} is not [set, weight]")
+            set_data, raw_w = pair
             inner = ConvexSet(
                 space,
                 [Dist.from_json_dict(space, d) for d in _generator_entries(set_data)],
@@ -289,14 +294,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: DomainError) -> int:
+    _emit(exc.payload())
+    print(str(exc), file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except DomainError as exc:
-        _emit(exc.payload())
-        print(str(exc), file=sys.stderr)
-        return 1
+        return _fail(exc)
+    except RecursionError:
+        # Every reader and checker recurses on the nesting of its input.
+        return _fail(TooDeep(sys.getrecursionlimit()))
     except FileNotFoundError as exc:
         _emit({"error": "FileNotFound", "detail": str(exc)})
         print(str(exc), file=sys.stderr)

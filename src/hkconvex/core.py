@@ -237,7 +237,9 @@ class Dist:
 
     def items(self):
         """Support/weight pairs in canonical support order."""
-        return tuple((item, self._w[item]) for item in self._support)
+        # Built from a list: tuple(<genexpr>) grows by resizing and leaves one
+        # more block per call on CPython's tuple free lists (Coupling too).
+        return tuple([(item, self._w[item]) for item in self._support])
 
     def is_ground(self) -> bool:
         return all(isinstance(item, str) for item in self._support)
@@ -369,7 +371,7 @@ class Coupling:
         return self._w.get((x, y), ZERO)
 
     def items(self):
-        return tuple(((x, y), self._w[(x, y)]) for (x, y) in self._support)
+        return tuple([((x, y), self._w[(x, y)]) for (x, y) in self._support])
 
     def __eq__(self, other) -> bool:
         return (

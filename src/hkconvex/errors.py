@@ -72,6 +72,14 @@ class MalformedInput(DomainError):
     """Input data of the wrong shape: a missing field or a bad rational."""
 
 
+class TooDeep(DomainError):
+    """Input nested deeper than the interpreter's recursion limit."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        super().__init__(f"input nested too deeply (recursion limit {limit})")
+
+
 class EmptySet(DomainError):
     def __init__(self, detail: str = "empty set where a nonempty one is required"):
         super().__init__(detail)

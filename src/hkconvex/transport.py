@@ -1,11 +1,17 @@
 """Exact optimal transport between finitely supported distributions.
 
-The solver is a primal transportation simplex over rationals: north-west
-corner start, Bland's smallest-index rule for entering and leaving cells
-(so degenerate bases cannot cycle), and exact potentials. It is generic
-over the ground cost: any callable producing Fractions works, which lets
-the same solver compute Kantorovich distances over points, over convex
-sets (with a Hausdorff-Kantorovich ground cost), and so on.
+The solver is a primal transportation simplex: north-west corner start,
+Bland's smallest-index rule for entering and leaving cells (so degenerate
+bases cannot cycle), and exact potentials. The transportation polytope is
+totally unimodular, so it runs on Python ints: masses are scaled by the
+LCM of their denominators and costs by the LCM of theirs, which keeps
+every sign and comparison and hence every pivot; the value and the plan
+are divided back once at the end. Each pivot walks the basis tree once,
+for the potentials and the parent pointers that close the entering cycle.
+It is generic over the ground cost: any callable producing rationals
+works, which lets the same solver compute Kantorovich distances over
+points, over convex sets (with a Hausdorff-Kantorovich ground cost), and
+so on.
 
 `kantorovich_bruteforce` is an independent oracle: every vertex of the
 transportation polytope is the basic solution of a spanning tree of the
@@ -17,9 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .core import Coupling, Dist, FiniteMetricSpace
+from .core import Coupling, Dist, FiniteMetricSpace, as_fraction
 from .errors import SpaceMismatch, TooLarge
 
 ZERO = Fraction(0)
@@ -38,10 +45,10 @@ class TransportResult:
         return f"TransportResult(value={self.value})"
 
 
-def _northwest_corner(supply: list[Fraction], demand: list[Fraction]):
+def _northwest_corner(supply: list[int], demand: list[int]):
     m, n = len(supply), len(demand)
     rs, rt = supply[:], demand[:]
-    x: dict[tuple[int, int], Fraction] = {}
+    x: dict[tuple[int, int], int] = {}
     basis: list[tuple[int, int]] = []
     i = j = 0
     while True:
@@ -59,56 +66,31 @@ def _northwest_corner(supply: list[Fraction], demand: list[Fraction]):
     return x, basis
 
 
-def _potentials(basis: Sequence[tuple[int, int]], cost, m: int, n: int):
-    u: list[Fraction | None] = [None] * m
-    v: list[Fraction | None] = [None] * n
-    u[0] = ZERO
-    by_row: dict[int, list[int]] = {}
-    by_col: dict[int, list[int]] = {}
+def _tree(basis: Sequence[tuple[int, int]], cost, m: int, n: int):
+    # One DFS of the basis tree from row 0. Nodes are rows 0..m-1 and
+    # columns m..m+n-1; pot[i] + pot[m + j] == cost[i][j] on basic cells.
+    adj: list[list[int]] = [[] for _ in range(m + n)]
     for (i, j) in basis:
-        by_row.setdefault(i, []).append(j)
-        by_col.setdefault(j, []).append(i)
-    stack = [("r", 0)]
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pot = [0] * (m + n)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    stack = [0]
     while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in by_row.get(k, ()):
-                if v[j] is None:
-                    v[j] = cost[k][j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in by_col.get(k, ()):
-                if u[i] is None:
-                    u[i] = cost[i][k] - v[k]
-                    stack.append(("r", i))
-    return u, v
+        a = stack.pop()
+        for b in adj[a]:
+            if b != parent[a]:
+                parent[b] = a
+                depth[b] = depth[a] + 1
+                pot[b] = (cost[a][b - m] if a < m else cost[b][a - m]) - pot[a]
+                stack.append(b)
+    return pot, parent, depth
 
 
-def _cycle(basis: Sequence[tuple[int, int]], enter: tuple[int, int]):
-    # Unique alternating cycle created by adding `enter` to the basis tree:
-    # path from the entering cell's row node to its column node.
-    adj: dict[tuple[str, int], list[tuple[tuple[str, int], tuple[int, int]]]] = {}
-    for (i, j) in basis:
-        adj.setdefault(("r", i), []).append((("c", j), (i, j)))
-        adj.setdefault(("c", j), []).append((("r", i), (i, j)))
-    start, goal = ("r", enter[0]), ("c", enter[1])
-    prev: dict = {start: None}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            break
-        for nxt, cell in adj.get(node, ()):
-            if nxt not in prev:
-                prev[nxt] = (node, cell)
-                queue.append(nxt)
-    path_cells = []
-    node = goal
-    while prev[node] is not None:
-        node, cell = prev[node]
-        path_cells.append(cell)
-    path_cells.reverse()
-    return [enter] + path_cells
+def _scaled(values: list[Fraction]) -> tuple[list[int], int]:
+    scale = lcm(*(q.denominator for q in values))
+    return [q.numerator * (scale // q.denominator) for q in values], scale
 
 
 def solve_transport(
@@ -116,38 +98,53 @@ def solve_transport(
     demand: Sequence[Fraction],
     cost: Sequence[Sequence[Fraction]],
 ):
-    """Minimize sum x[i][j]*cost[i][j] over exact transportation plans."""
+    """Minimize sum x[i][j]*cost[i][j] over exact transportation plans.
+
+    Masses and costs are exact rationals (see `core.as_fraction`); the
+    simplex itself runs on their integer multiples.
+    """
     m, n = len(supply), len(demand)
-    assert sum(supply, ZERO) == sum(demand, ZERO), "unbalanced transport"
-    x, basis = _northwest_corner(list(supply), list(demand))
-    basis_set = set(basis)
+    masses, ls = _scaled([as_fraction(q) for q in (*supply, *demand)])
+    flat, lc = _scaled([as_fraction(q) for row in cost for q in row])
+    c = [flat[i * n : (i + 1) * n] for i in range(m)]
+    assert sum(masses[:m]) == sum(masses[m:]), "unbalanced transport"
+    x, basis = _northwest_corner(masses[:m], masses[m:])
     while True:
-        u, v = _potentials(basis, cost, m, n)
-        enter = None
-        for i in range(m):
-            for j in range(n):
-                if (i, j) not in basis_set and cost[i][j] - u[i] - v[j] < 0:
-                    enter = (i, j)
-                    break
-            if enter:
-                break
+        pot, parent, depth = _tree(basis, c, m, n)
+        # Bland: the first cell in row-major order with a negative reduced
+        # cost (basic cells have reduced cost 0).
+        v = pot[m:]
+        enter = next(
+            ((i, j) for i in range(m) for j in range(n) if c[i][j] - v[j] < pot[i]),
+            None,
+        )
         if enter is None:
             break
-        cycle = _cycle(basis, enter)
-        minus = cycle[1::2]
-        theta = min(x[c] for c in minus)
-        leave = min(c for c in minus if x[c] == theta)
-        x[enter] = ZERO
-        for c in cycle[0::2]:
-            x[c] += theta
-        for c in cycle[1::2]:
-            x[c] -= theta
-        basis_set.remove(leave)
-        basis_set.add(enter)
+        # The cycle closes the tree path from row i to column j; walk the
+        # deeper end up until the two ends meet.
+        a, b = enter[0], m + enter[1]
+        head: list[tuple[int, int]] = []
+        tail: list[tuple[int, int]] = []
+        while a != b:
+            if depth[a] >= depth[b]:
+                head.append((a, parent[a] - m) if a < m else (parent[a], a - m))
+                a = parent[a]
+            else:
+                tail.append((b, parent[b] - m) if b < m else (parent[b], b - m))
+                b = parent[b]
+        path = head + tail[::-1]
+        minus = path[0::2]
+        theta = min(x[cell] for cell in minus)
+        leave = min(cell for cell in minus if x[cell] == theta)
+        x[enter] = theta
+        for cell in path[1::2]:
+            x[cell] += theta
+        for cell in minus:
+            x[cell] -= theta
         del x[leave]
-        basis = sorted(basis_set)
-    value = sum((q * cost[i][j] for (i, j), q in x.items()), ZERO)
-    plan = {cell: q for cell, q in x.items() if q > 0}
+        basis[basis.index(leave)] = enter
+    value = Fraction(sum(q * c[i][j] for (i, j), q in x.items()), ls * lc)
+    plan = {cell: Fraction(q, ls) for cell, q in x.items() if q > 0}
     return value, plan
 
 

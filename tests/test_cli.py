@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -242,11 +243,40 @@ def test_set_without_generators_is_a_domain_error(capsys, space_file, files):
     }
 
 
+def test_nested_set_of_wrong_shape_is_a_domain_error(capsys, space_file, files):
+    nested = files("nested.json", {"generators": [[["x"]]]})
+    code, out = run(capsys, "mu", "--space", space_file, "--set", nested)
+    assert code == 1
+    assert out["error"] == "MalformedInput"
+
+
+def _deep_term() -> str:
+    term = "a"
+    for _ in range(sys.getrecursionlimit() + 200):
+        term = f"(oplus {term} a)"
+    return term
+
+
+def test_tdist_on_a_too_deep_term_is_a_domain_error(capsys, space_file):
+    code, out = run(capsys, "tdist", "--space", space_file, _deep_term(), "a")
+    assert code == 1
+    assert out["error"] == "TooDeep"
+
+
+def test_check_on_a_too_deep_term_is_a_domain_error(capsys, space_file, files):
+    gamma = files("gamma.json", [{"eps": "0", "l": _deep_term(), "r": "a"}])
+    proof = files("proof.json", PROOF)
+    code, out = run(capsys, "check", "--space", space_file, "--gamma", gamma, "--proof", proof)
+    assert code == 1
+    assert out["error"] == "TooDeep"
+
+
 # Fuzzing: malformed space, set, hypothesis and proof files. Each document
 # is either arbitrary JSON or a valid document with one entry replaced or
 # removed, so that the wrong shapes reach every reader.
 
 SET = {"generators": [{"a": "1"}, {"b": "1/2", "c": "1/2"}]}
+NESTED = {"generators": [[[SET, "1/2"], [[{"c": "1"}], "1/2"]], [[SET, "1"]]]}
 
 
 def _write(folder: str, **docs) -> dict:
@@ -327,11 +357,13 @@ PROOF = _valid_proof()
     cset=malformed(SET),
     gamma=malformed(PROOF["hypotheses"]),
     proof=malformed(PROOF),
+    nested=malformed(NESTED),
 )
-def test_malformed_files_get_a_json_reply(space, cset, gamma, proof):
+def test_malformed_files_get_a_json_reply(space, cset, gamma, proof, nested):
     with tempfile.TemporaryDirectory() as folder:
         good = _write(folder, space=X3, set=SET, gamma=PROOF["hypotheses"], proof=PROOF)
-        bad = _write(folder, bad_space=space, bad_set=cset, bad_gamma=gamma, bad_proof=proof)
+        bad = _write(folder, bad_space=space, bad_set=cset, bad_gamma=gamma, bad_proof=proof,
+                     bad_nested=nested)
         runs = [
             ["validate-space", "--space", bad["bad_space"]],
             ["base", "--space", bad["bad_space"], "--set", good["set"]],
@@ -340,6 +372,7 @@ def test_malformed_files_get_a_json_reply(space, cset, gamma, proof):
              "--proof", good["proof"]],
             ["check", "--space", good["space"], "--gamma", good["gamma"],
              "--proof", bad["bad_proof"]],
+            ["mu", "--space", good["space"], "--set", bad["bad_nested"]],
         ]
         for argv in runs:
             code, out, err = _run_quietly(argv)

@@ -2,19 +2,26 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import strategies as sts
 from hkconvex import (
+    ConvexSet,
     Dist,
+    FiniteMetricSpace,
+    MalformedInput,
     SpaceMismatch,
     TooLarge,
     dirac,
+    hausdorff,
     kantorovich,
     kantorovich_bruteforce,
     kantorovich_metric,
     optimal_transport,
+    solve_transport,
     transport_cost,
 )
+from hkconvex.linprog import OPTIMAL, solve_lp
 from hkconvex.transport import BRUTEFORCE_SUPPORT_CAP
 
 F = Fraction
@@ -117,3 +124,106 @@ def test_kantorovich_bounded_by_max_ground_distance(bundle):
         space.d(x, y) for x in left.support for y in right.support
     )
     assert value <= worst
+
+
+# The simplex runs on masses scaled by the LCM of their denominators and on
+# costs scaled by the LCM of theirs; these instances make both LCMs large.
+COPRIME = (3, 5, 7, 8, 9)
+
+
+@st.composite
+def coprime_dists(draw, space: FiniteMetricSpace) -> Dist:
+    k = draw(st.integers(1, 4))
+    support = draw(st.permutations(space.points))[:k]
+    dens = draw(st.permutations(COPRIME))[: k - 1]
+    weights = {x: F(1, d) for x, d in zip(support, dens)}
+    weights[support[-1]] = 1 - sum(weights.values(), F(0))
+    return Dist(space, weights)
+
+
+@st.composite
+def coprime_instances(draw):
+    # every distance in [1/2, 1] satisfies the triangle inequality
+    points = list("abcd")
+    dist = {}
+    for i, x in enumerate(points):
+        for y in points[i + 1 :]:
+            den = draw(st.sampled_from(COPRIME))
+            dist[(x, y)] = F(draw(st.integers((den + 1) // 2, den)), den)
+    space = FiniteMetricSpace(points, dist)
+    return space, draw(coprime_dists(space)), draw(coprime_dists(space))
+
+
+def _transport_lp(supply, demand, cost):
+    m, n = len(supply), len(demand)
+    rows = [[F(int(k // n == i)) for k in range(m * n)] for i in range(m)]
+    rows += [[F(int(k % n == j)) for k in range(m * n)] for j in range(n)]
+    res = solve_lp([q for row in cost for q in row], rows, list(supply) + list(demand))
+    assert res.status == OPTIMAL
+    return res.value
+
+
+@given(coprime_instances())
+def test_solve_transport_with_coprime_denominators(bundle):
+    space, left, right = bundle
+    supply = [left.weight(x) for x in left.support]
+    demand = [right.weight(y) for y in right.support]
+    cost = [[space.d(x, y) for y in right.support] for x in left.support]
+    value, plan = solve_transport(supply, demand, cost)
+    assert value == kantorovich_bruteforce(space, left, right)
+    assert all(q > 0 for q in plan.values())
+    assert sum((q * cost[i][j] for (i, j), q in plan.items()), F(0)) == value
+    for i, q in enumerate(supply):
+        assert sum((p for (r, _), p in plan.items() if r == i), F(0)) == q
+    for j, q in enumerate(demand):
+        assert sum((p for (_, c), p in plan.items() if c == j), F(0)) == q
+
+
+@given(sts.spaces(), st.data())
+def test_transport_over_sets_with_a_kantorovich_ground_cost(space, data):
+    # items are convex sets; the ground cost is the Hausdorff distance of
+    # their bases under the Kantorovich metric, whose denominators grow
+    def mixture():
+        sets = data.draw(st.lists(sts.convex_sets(space, max_base=2), min_size=1, max_size=3))
+        dens = data.draw(st.lists(st.sampled_from(COPRIME), min_size=len(sets), max_size=len(sets)))
+        weights: dict = {}
+        for s, d in zip(sets[1:], dens):
+            weights[s] = weights.get(s, F(0)) + F(1, d * len(sets))
+        weights[sets[0]] = weights.get(sets[0], F(0)) + 1 - sum(weights.values(), F(0))
+        return Dist(space, weights)
+
+    left, right = mixture(), mixture()
+    k = kantorovich_metric(space.d)
+
+    def ground(s: ConvexSet, t: ConvexSet) -> F:
+        return hausdorff(k, s.base, t.base)
+
+    value, plan = optimal_transport(left, right, ground)
+    cost = [[ground(s, t) for t in right.support] for s in left.support]
+    supply = [left.weight(s) for s in left.support]
+    demand = [right.weight(t) for t in right.support]
+    assert value == _transport_lp(supply, demand, cost)
+    assert sum((q * ground(s, t) for (s, t), q in plan.items()), F(0)) == value
+
+
+def test_degenerate_ties_follow_blands_rule():
+    # Equal masses make every basis degenerate (tied theta) and the costs
+    # tie in many places, so several optimal plans exist. This is the one
+    # Bland's choices reach; scanning the rows or columns in another order,
+    # entering the most negative cell or leaving the largest tied cell each
+    # returns another.
+    quarter = F(1, 4)
+    halves = [[1, 1, 2, 0], [1, 2, 0, 0], [2, 2, 1, 1], [2, 0, 2, 2]]
+    value, plan = solve_transport(
+        [quarter] * 4, [quarter] * 4, [[F(k, 2) for k in row] for row in halves]
+    )
+    assert value == quarter
+    assert plan == {(0, 0): quarter, (1, 3): quarter, (2, 2): quarter, (3, 1): quarter}
+
+
+def test_solve_transport_rejects_floats():
+    with pytest.raises(MalformedInput):
+        solve_transport([0.5, 0.5], [F(1)], [[F(0)], [F(1)]])
+    with pytest.raises(MalformedInput):
+        solve_transport([F(1)], [F(1)], [[0.25]])
+    assert solve_transport([1], ["1"], [[2]]) == (2, {(0, 0): 1})
