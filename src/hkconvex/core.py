@@ -14,6 +14,7 @@ this single class, which is what the monad tower needs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -43,6 +44,17 @@ def as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise MalformedInput(f"expected a rational, got {value!r}") from None
     raise MalformedInput(f"expected an exact rational, got {type(value).__name__}")
+
+
+def scaled_ints(values: Iterable) -> tuple[list[int], int]:
+    """Integers q and the LCM s of the denominators, with values == q / s.
+
+    Ints and Fractions are used as they are; anything else goes through
+    `as_fraction`, so strings are parsed and floats raise MalformedInput.
+    """
+    values = [v if isinstance(v, (int, Fraction)) else as_fraction(v) for v in values]
+    s = lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
 
 
 def json_field(data, key: str, what: str):

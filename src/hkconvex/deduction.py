@@ -14,11 +14,12 @@ axioms at eps 0, either orientation).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FiniteMetricSpace, as_fraction, format_fraction
-from .errors import OutOfRange, ParseError
+from .errors import OutOfRange, ParseError, TooDeep
 from .terms import Gen, Oplus, PlusP, Term, parse_term, print_term, substitute
 
 ZERO = Fraction(0)
@@ -394,15 +395,21 @@ def derivation_from_json_dict(obj: dict, table: dict | None = None) -> Derivatio
 
     Equal subterms anywhere in the document become one object, so the
     checker's equality tests mostly stop at identity. Input of the wrong
-    shape raises ParseError.
+    shape raises ParseError; input nested deeper than the recursion limit
+    (premises or terms) raises TooDeep.
     """
-    if table is None:
-        table = {}
+    try:
+        return _derivation_from_json(obj, {} if table is None else table)
+    except RecursionError:
+        raise TooDeep(sys.getrecursionlimit()) from None
+
+
+def _derivation_from_json(obj: dict, table: dict) -> Derivation:
     obj = _json_object(obj, "derivation")
     rule = _field(obj, "rule", "derivation")
     conclusion = equation_from_json_dict(_field(obj, "conclusion", "derivation"), table)
     premises = tuple(
-        derivation_from_json_dict(p, table)
+        _derivation_from_json(p, table)
         for p in _json_list(obj.get("premises", []), "premises")
     )
     subst = None

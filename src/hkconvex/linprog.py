@@ -1,22 +1,37 @@
-"""Exact two-phase primal simplex over rationals.
+"""Exact two-phase primal simplex over rationals, pivoting on integers.
 
-Solves  min c.x  subject to  A.x = b, x >= 0  on Fraction tableaus.
-Bland's smallest-index rule is used for both the entering and the
-leaving variable, which rules out cycling, so termination is
-unconditional. Rows are stored as full lists (problems here have tens of
-columns), but a pivot touches only the nonzero columns of the pivot row:
-the hull and projection systems solved here are mostly zeros, and
-skipping v - f*0 leaves every entry, and so every pivot and solution,
-exactly as a dense update would.
+Solves  min c.x  subject to  A.x = b, x >= 0.  Inputs and outputs are
+Fractions (`core.scaled_ints` takes ints and Fractions as they are and
+coerces anything else, so floats are rejected); the tableau holds Python
+ints.
+
+Each row [A_i | b_i] is scaled by the LCM s_i of its denominators, and
+negated when b_i < 0, before the identity artificial columns are
+appended. The phase-1 cost of artificial i is L // s_i with L = lcm(s_i):
+the scaled artificial is s_i times the original one, so the phase-1 row
+is L times the rational one and minimises the same sum (unit costs would
+minimise another sum and pivot differently on degenerate LPs).
+
+Pivots are Edmonds/Bareiss integer-preserving steps: with pivot p and
+previous pivot d (1 at first), the pivot row stays and every other row,
+the objective included, becomes (p*T_i - T_i[c]*T_r) // d, exactly; then
+d = p. The rational tableau is T / d with d > 0 (the ratio test pivots on
+positive entries; a drive-out row with a negative pivot, whose rhs is 0,
+is negated first), so sign tests and cross-multiplied ratio tests read as
+on the rational tableau. Bland's smallest-index rule picks the entering
+and leaving variables, which rules out cycling, so termination is
+unconditional and the pivot sequence is that of the rational simplex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
+from .core import scaled_ints
+
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -35,53 +50,51 @@ class LPResult:
         return f"LPResult({self.status}, value={self.value})"
 
 
-def _pivot(rows: list[list[Fraction]], obj: list[Fraction], r: int, c: int) -> None:
-    prow = rows[r]
-    piv = prow[c]
-    if piv != 1:
-        prow = rows[r] = [v / piv if v else v for v in prow]
-    nonzero = [(j, p) for j, p in enumerate(prow) if p]
-    for i, row in enumerate(rows):
+def _pivot(tab: list[list[int]], r: int, c: int, d: int) -> int:
+    """Bareiss pivot on (r, c) of the whole tableau; returns the new d."""
+    prow = tab[r]
+    p = prow[c]
+    for i, row in enumerate(tab):
+        if i == r:
+            continue
         f = row[c]
-        if i != r and f:
-            for j, p in nonzero:
-                row[j] -= f * p
-    f = obj[c]
-    if f:
-        for j, p in nonzero:
-            obj[j] -= f * p
+        if f:
+            tab[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+        elif p != d:
+            tab[i] = [v * p // d if v else 0 for v in row]
+    return p
 
 
 def _iterate(
-    rows: list[list[Fraction]],
-    obj: list[Fraction],
-    basis: list[int],
-    allowed: int,
-) -> str:
+    tab: list[list[int]], basis: list[int], allowed: int, d: int
+) -> tuple[str, int]:
+    # tab holds the constraint rows and, last, the objective row.
     # Bland: entering = smallest column index with a negative reduced cost;
     # leaving = among minimum-ratio rows, the one whose basic variable has
     # the smallest index.
+    m = len(basis)
     while True:
+        obj = tab[m]
         enter = -1
         for j in range(allowed):
             if obj[j] < 0:
                 enter = j
                 break
         if enter < 0:
-            return OPTIMAL
+            return OPTIMAL, d
         leave = -1
-        best = None
-        for i, row in enumerate(rows):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
+        for i in range(m):
+            row = tab[i]
+            a = row[enter]
+            if a > 0:
+                b = row[-1]
+                if leave < 0 or b * best_a < best_b * a or (
+                    b * best_a == best_b * a and basis[i] < basis[leave]
                 ):
-                    best = ratio
-                    leave = i
+                    leave, best_a, best_b = i, a, b
         if leave < 0:
-            return UNBOUNDED
-        _pivot(rows, obj, leave, enter)
+            return UNBOUNDED, d
+        d = _pivot(tab, leave, enter, d)
         basis[leave] = enter
 
 
@@ -91,59 +104,68 @@ def solve_lp(
     rhs: Sequence[Fraction],
 ) -> LPResult:
     n = len(objective)
-    m = len(eq_rows)
-    rows: list[list[Fraction]] = []
+    cost, scale = scaled_ints(objective)
+    if len(rhs) != len(eq_rows):
+        raise ValueError("constraint rows and rhs differ in length")
+    tab: list[list[int]] = []
+    scales: list[int] = []
     for row, b in zip(eq_rows, rhs):
         if len(row) != n:
             raise ValueError("ragged constraint matrix")
-        r = [Fraction(v) for v in row] + [Fraction(b)]
-        if r[-1] < 0:
-            r = [-v for v in r]
-        rows.append(r)
+        r, s = scaled_ints([*row, b])
+        tab.append([-v for v in r] if r[-1] < 0 else r)
+        scales.append(s)
 
-    # Phase 1: minimize the sum of one artificial variable per row.
-    width = n + m + 1
-    for i, r in enumerate(rows):
-        body = r[:-1] + [ONE if j == i else ZERO for j in range(m)] + [r[-1]]
-        rows[i] = body
-    obj = [ZERO] * n + [ONE] * m + [ZERO]
+    # Phase 1: minimize L times the sum of the (unscaled) artificials.
+    m = len(tab)
+    total = lcm(*scales)
+    weights = [total // s for s in scales]
+    obj = [0] * n + weights + [0]
+    for i, r in enumerate(tab):
+        tab[i] = r = r[:n] + [0] * i + [1] + [0] * (m - 1 - i) + r[n:]
+        obj = [o - weights[i] * v for o, v in zip(obj, r)]
+    tab.append(obj)
     basis = [n + i for i in range(m)]
-    for r in rows:
-        obj = [o - v for o, v in zip(obj, r)]
-    status = _iterate(rows, obj, basis, n + m)
+    status, d = _iterate(tab, basis, n + m, 1)
     assert status == OPTIMAL, "phase 1 is bounded below by zero"
-    if -obj[-1] != 0:
+    if tab[-1][-1] != 0:
         return LPResult(INFEASIBLE, None, None)
 
     # Drive leftover artificial variables out of the basis; drop rows whose
-    # constraints turned out redundant.
+    # constraints turned out redundant. A negative pivot's row is negated
+    # first (its rhs is 0), which keeps d positive and the rational
+    # tableau after the pivot unchanged.
     keep: list[int] = []
     for i in range(m):
         if basis[i] < n:
             keep.append(i)
             continue
-        pivot_col = next((j for j in range(n) if rows[i][j] != 0), None)
+        row = tab[i]
+        pivot_col = next((j for j in range(n) if row[j]), None)
         if pivot_col is None:
             continue
-        _pivot(rows, obj, i, pivot_col)
+        if row[pivot_col] < 0:
+            tab[i] = [-v for v in row]
+        d = _pivot(tab, i, pivot_col, d)
         basis[i] = pivot_col
         keep.append(i)
-    rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
+    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    obj = [Fraction(v) for v in objective] + [ZERO]
-    for i, r in enumerate(rows):
-        if obj[basis[i]] != 0:
-            f = obj[basis[i]]
+    # Phase 2 on the objective scaled by the LCM of its denominators.
+    obj = [d * v for v in cost] + [0]
+    for i, r in enumerate(tab):
+        f = cost[basis[i]]
+        if f:
             obj = [o - f * v for o, v in zip(obj, r)]
-    status = _iterate(rows, obj, basis, n)
+    tab.append(obj)
+    status, d = _iterate(tab, basis, n, d)
     if status != OPTIMAL:
         return LPResult(UNBOUNDED, None, None)
     solution = [ZERO] * n
-    for i, r in enumerate(rows):
-        solution[basis[i]] = r[-1]
-    value = sum((c * x for c, x in zip(objective, solution)), ZERO)
-    return LPResult(OPTIMAL, value, solution)
+    for i, b in enumerate(basis):
+        solution[b] = Fraction(tab[i][-1], d)
+    return LPResult(OPTIMAL, Fraction(-tab[-1][-1], d * scale), solution)
 
 
 def feasible_point(

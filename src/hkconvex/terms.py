@@ -11,12 +11,13 @@ Concrete syntax is s-expressions: "(oplus a b)", "(p+ 1/2 a b)".
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .convex import ConvexSet, monad_unit, oplus, plus_p
 from .core import Dist, FiniteMetricSpace, format_fraction
-from .errors import BadProbability, ParseError
+from .errors import BadProbability, ParseError, TooDeep
 from .lifting import hk_distance
 
 ZERO = Fraction(0)
@@ -168,6 +169,7 @@ def parse_term(text: str, table: dict[str, Term] | None = None) -> Term:
     parse (the whole text, each parenthesised subterm and each generator).
     Passing one table to many calls reads each distinct subterm once and
     shares it; without a table the sharing is confined to this text.
+    A term nested deeper than the recursion limit raises TooDeep.
     """
     if table is None:
         table = {}
@@ -176,7 +178,10 @@ def parse_term(text: str, table: dict[str, Term] | None = None) -> Term:
         if term is not None:
             return term
     parser = _Parser(text, table)
-    term = parser.term()
+    try:
+        term = parser.term()
+    except RecursionError:
+        raise TooDeep(sys.getrecursionlimit()) from None
     if parser.pos < len(parser.tokens):
         raise ParseError(
             f"trailing input {parser.tokens[parser.pos]!r}", parser.starts[parser.pos]

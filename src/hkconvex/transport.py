@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .core import Coupling, Dist, FiniteMetricSpace, as_fraction
+from .core import Coupling, Dist, FiniteMetricSpace, scaled_ints
 from .errors import SpaceMismatch, TooLarge
 
 ZERO = Fraction(0)
@@ -88,11 +87,6 @@ def _tree(basis: Sequence[tuple[int, int]], cost, m: int, n: int):
     return pot, parent, depth
 
 
-def _scaled(values: list[Fraction]) -> tuple[list[int], int]:
-    scale = lcm(*(q.denominator for q in values))
-    return [q.numerator * (scale // q.denominator) for q in values], scale
-
-
 def solve_transport(
     supply: Sequence[Fraction],
     demand: Sequence[Fraction],
@@ -100,12 +94,12 @@ def solve_transport(
 ):
     """Minimize sum x[i][j]*cost[i][j] over exact transportation plans.
 
-    Masses and costs are exact rationals (see `core.as_fraction`); the
+    Masses and costs are exact rationals (see `core.scaled_ints`); the
     simplex itself runs on their integer multiples.
     """
     m, n = len(supply), len(demand)
-    masses, ls = _scaled([as_fraction(q) for q in (*supply, *demand)])
-    flat, lc = _scaled([as_fraction(q) for row in cost for q in row])
+    masses, ls = scaled_ints((*supply, *demand))
+    flat, lc = scaled_ints(q for row in cost for q in row)
     c = [flat[i * n : (i + 1) * n] for i in range(m)]
     assert sum(masses[:m]) == sum(masses[m:]), "unbalanced transport"
     x, basis = _northwest_corner(masses[:m], masses[m:])

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hkconvex import (
     OutOfRange,
     ParseError,
     QuantEquation,
+    TooDeep,
     check_derivation,
     derivation_from_json_dict,
     derivation_to_json_dict,
@@ -309,6 +311,20 @@ def test_wrong_shapes_are_parse_errors(doc, detail):
     with pytest.raises(ParseError) as exc:
         derivation_from_json_dict(doc)
     assert str(exc.value) == f"{detail} (at offset 0)"
+
+
+def test_too_deep_documents_raise_too_deep():
+    deep = "a"
+    for _ in range(sys.getrecursionlimit() + 200):
+        deep = f"(oplus {deep} a)"
+    conclusion = {"l": deep, "r": "a", "eps": "0"}
+    with pytest.raises(TooDeep):
+        derivation_from_json_dict({"rule": "Refl", "conclusion": conclusion})
+    doc = {"rule": "Refl", "conclusion": CONCLUSION}
+    for _ in range(sys.getrecursionlimit() + 200):
+        doc = {"rule": "Symm", "conclusion": CONCLUSION, "premises": [doc]}
+    with pytest.raises(TooDeep):
+        derivation_from_json_dict(doc)
 
 
 def test_unknown_rule_rejected(x3):

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import lp_reference
 import strategies as sts
-from hkconvex import kantorovich
+from hkconvex import MalformedInput, kantorovich
 from hkconvex.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_point, solve_lp
 
 F = Fraction
@@ -48,6 +51,13 @@ def test_exactness_no_drift():
     assert res.value == F(1, 7) * (F(11, 39))
 
 
+def test_rows_and_rhs_of_different_lengths_are_rejected():
+    with pytest.raises(ValueError):
+        solve_lp([F(1)], [[F(1)], [F(1)]], [F(1)])
+    with pytest.raises(ValueError):
+        solve_lp([F(1)], [[F(1)]], [F(1), F(5)])
+
+
 def test_feasible_point_on_equalities():
     point = feasible_point([[F(1), F(1), F(1)]], [F(1)])
     assert point is not None
@@ -72,3 +82,93 @@ def test_solve_lp_matches_transport_simplex(bundle):
     res = solve_lp([space.d(x, y) for x, y in cells], rows, rhs)
     assert res.status == OPTIMAL
     assert res.value == kantorovich(space, mu, nu).value
+
+
+def test_redundant_row_is_dropped():
+    # row 2 = row 0 + row 1: its artificial stays basic at zero after
+    # phase 1 with an all-zero row, so the row is dropped
+    res = solve_lp(
+        [F(0), F(2)], [[F(1), F(0)], [F(-1), F(1)], [F(0), F(1)]], [F(1), F(0), F(1)]
+    )
+    assert res.status == OPTIMAL
+    assert res.value == F(2)
+    assert res.solution == [F(1), F(1)]
+
+
+def test_negative_drive_out_pivot():
+    # phase 1 leaves an artificial basic at zero whose row's first nonzero
+    # entry is negative; driving it out pivots on that entry
+    res = solve_lp(
+        [F(-2), F(2), F(1), F(2)],
+        [[F(2), F(-1), F(2), F(1)], [F(0), F(1), F(-1), F(0)]],
+        [F(2), F(-1)],
+    )
+    assert res.status == OPTIMAL
+    assert res.value == F(1)
+    assert res.solution == [F(0), F(0), F(1), F(0)]
+
+
+def test_floats_are_rejected_and_strings_accepted():
+    with pytest.raises(MalformedInput):
+        solve_lp([0.5], [[1]], [0.1])
+    with pytest.raises(MalformedInput):
+        solve_lp([F(1)], [[F(1)]], [0.25])
+    with pytest.raises(MalformedInput):  # even when phase 1 finds it infeasible
+        solve_lp([0.5], [[F(1)]], [F(-1)])
+    res = solve_lp(["1/2"], [[1]], ["1/10"])
+    assert res.status == OPTIMAL
+    assert type(res.value) is Fraction and res.value == F(1, 20)
+    assert res.solution == [F(1, 10)]
+
+
+_ENTRY = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 5, 7])),
+)
+
+
+@st.composite
+def _lps(draw):
+    """Small LPs whose rows are often copies, multiples or sums of earlier
+    rows (redundant or, with a shifted rhs, inconsistent), so phase 1 ends
+    with artificials basic at zero and the drive-out and row-dropping
+    paths run; objectives are sometimes all zero."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 7))
+    rows, rhs = [], []
+    for i in range(m):
+        kind = draw(st.sampled_from(["new", "new", "multiple", "sum"])) if i else "new"
+        if kind == "new":
+            row, b = draw(st.lists(_ENTRY, min_size=n, max_size=n)), draw(_ENTRY)
+        elif kind == "multiple":
+            j = draw(st.integers(0, i - 1))
+            k = draw(st.sampled_from([F(1), F(-1), F(2), F(-1, 2)]))
+            row, b = [k * v for v in rows[j]], k * rhs[j]
+        else:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            row = [u + v for u, v in zip(rows[j], rows[k])]
+            b = rhs[j] + rhs[k] + draw(st.sampled_from([F(0), F(0), F(0), F(1)]))
+        rows.append(row)
+        rhs.append(b)
+    zero = draw(st.booleans())
+    objective = [F(0)] * n if zero else draw(st.lists(_ENTRY, min_size=n, max_size=n))
+    return objective, rows, rhs
+
+
+@settings(max_examples=400)
+@given(_lps())
+@example(
+    # rows of different scales: unit phase-1 costs would end at (0, 21/2, 0, 79/4)
+    (
+        [F(0)] * 4,
+        [[F(-1, 5), F(-2, 7), F(3, 5), F(0)], [F(3), F(3, 2), F(6), F(-1)]],
+        [F(-3), F(-4)],
+    )
+)
+def test_matches_the_rational_reference_simplex(lp):
+    # same Bland pivots as the Fraction-tableau kernel, so the same optimum
+    # vertex, not just the same value
+    res = solve_lp(*lp)
+    ref = lp_reference.solve_lp(*lp)
+    assert res.status == ref.status
+    assert (res.value, res.solution) == (ref.value, ref.solution)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hkconvex import (
     ConvexSet,
     Dist,
     ParseError,
+    TooDeep,
     UnknownPoint,
     dirac,
     dist_term,
@@ -257,3 +259,15 @@ def test_canonical_form_is_deterministic(bundle):
     space, t = bundle
     s = normalize(space, t)
     assert print_term(nu(space, s)) == print_term(nu(space, normalize(space, nu(space, s))))
+
+
+def test_too_deep_term_raises_too_deep():
+    text = "a"
+    for _ in range(sys.getrecursionlimit() + 200):
+        text = f"(oplus {text} a)"
+    with pytest.raises(TooDeep):
+        parse_term(text)
+    table = {}
+    with pytest.raises(TooDeep):
+        parse_term(text, table)
+    assert text not in table
