@@ -15,6 +15,7 @@ with the unique base in canonical order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -223,7 +224,11 @@ def _cmd_roundtrip(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing leaves it unchanged, and building it costs dozens of
+    add_argument calls."""
     parser = argparse.ArgumentParser(
         prog="hkconvex",
         description="Exact convex sets of distributions over finite metric spaces.",

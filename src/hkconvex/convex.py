@@ -5,6 +5,15 @@ equal to the extreme points of the generated polytope of distributions.
 Bases are kept in a canonical order, so structural equality of ConvexSets
 is exactly equality of the generated convex sets.
 
+`unique_base` scales the distinct generators once, over their joint
+support coordinates, into integer vectors with one common denominator.
+A generator is kept without an LP when one of three functionals is
+strictly largest on it, tried in this order: its coordinate's top weight,
+f = <g, .>, and f = n*g - S (g minus the mean of the others, scaled).
+Only the generators left over run a hull LP, through the phase-1-only
+`linprog.is_feasible`; membership (`in`) uses the same integer path.
+`in_hull` and `nearest_point` still return exact Fraction weights.
+
 Because Dist supports ConvexSet-valued items, the same two classes give
 distributions over sets, convex sets of those, and so on; the monad
 multiplication walks one level down this tower. `check_monad_laws`
@@ -14,7 +23,8 @@ exercises unit and associativity on pseudo-random instances.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import linprog
@@ -74,38 +84,95 @@ def in_hull(target: Dist, generators: Sequence[Dist]):
     return True, tuple(solution)
 
 
+def _int_vectors(dists: Sequence[Dist]) -> list[list[int]]:
+    """Weights of each distribution over the joint support coordinates, as
+    integers over one common denominator (so every vector sums to it)."""
+    index: dict = {}
+    for d in dists:
+        for item in d.support:
+            index.setdefault(item, len(index))
+    den = lcm(*(w.denominator for d in dists for _, w in d.items()))
+    vecs = []
+    for d in dists:
+        v = [0] * len(index)
+        for item, w in d.items():
+            v[index[item]] = w.numerator * (den // w.denominator)
+        vecs.append(v)
+    return vecs
+
+
+def _in_int_hull(target: list[int], others: list[list[int]]) -> bool:
+    """Whether `target` is a convex combination of `others`: a hull LP.
+
+    All vectors are over the same coordinates and denominator. Weights are
+    nonnegative, so a coordinate where the target is 0 forces weight 0 on
+    every vector positive there: those vectors drop out, and with them
+    every row outside the target's support.
+    """
+    zeros = [j for j, t in enumerate(target) if not t]
+    cols = [h for h in others if not any(h[j] for j in zeros)]
+    if not cols:
+        return False
+    rows = [[h[j] for h in cols] for j, t in enumerate(target) if t]
+    rhs = [t for t in target if t]
+    rows.append([1] * len(cols))
+    rhs.append(1)
+    return linprog.is_feasible(rows, rhs)
+
+
+def _strict_max(values: list[int], k: int) -> bool:
+    """Whether values[k] is strictly larger than every other entry."""
+    top = values[k]
+    return max(values) == top and values.count(top) == 1
+
+
 def unique_base(generators: Sequence[Dist]) -> tuple[Dist, ...]:
-    """Minimal generating set: distinct generators extreme in the hull."""
-    distinct: list[Dist] = []
-    for g in generators:
-        if g not in distinct:
-            distinct.append(g)
-    if len(distinct) == 1:
+    """Minimal generating set: distinct generators extreme in the hull.
+
+    A generator g is extreme when some linear functional f has
+    f(h) < f(g) for every other generator h, since every mixture of the
+    others then has f below f(g). Three such certificates, on the integer
+    weight vectors, are tried in order before g's hull LP:
+    - g alone holds the top weight on some coordinate;
+    - f = <g, .>;
+    - f = n*g - S, with S the sum of all n generators (g minus the mean
+      of the others, scaled by n - 1).
+    Each needs strict inequality: a tie certifies nothing.
+    """
+    distinct = list(dict.fromkeys(generators))
+    n = len(distinct)
+    if n == 1:
         return (distinct[0],)
-    # top[item] = (largest weight on item, its only holder or None on a tie).
-    top: dict = {}
-    for g in distinct:
-        for item, w in g.items():
-            best = top.get(item)
-            if best is None or w > best[0]:
-                top[item] = (w, g)
-            elif w == best[0]:
-                top[item] = (w, None)
-    # Sound without an LP: every mixture of the other generators weighs at
-    # most their largest weight on the item, which is strictly below g's,
-    # so g is not in the hull of the others.
-    certified = {g for _, g in top.values() if g is not None}
-    kept = []
-    for i, g in enumerate(distinct):
-        if g in certified:
-            kept.append(g)
+    space = distinct[0].space
+    if any(g.space != space for g in distinct):
+        raise SpaceMismatch()
+    vecs = _int_vectors(distinct)
+    certified = set()
+    for column in zip(*vecs):
+        top = max(column)
+        if column.count(top) == 1:
+            certified.add(column.index(top))
+    # dots[h] = <S, h>, built on first use.
+    dots = None
+    interior: set[int] = set()
+    for k, g in enumerate(vecs):
+        if k in certified:
             continue
-        others = distinct[:i] + distinct[i + 1 :]
-        inside, _ = in_hull(g, others)
-        if not inside:
-            kept.append(g)
-    # A point inside the hull of the others is a combination of extreme
-    # points only, so the independent removals leave exactly the extremes.
+        gram = [sum(map(mul, g, h)) for h in vecs]
+        if _strict_max(gram, k):
+            continue
+        if dots is None:
+            total = [sum(column) for column in zip(*vecs)]
+            dots = [sum(map(mul, total, h)) for h in vecs]
+        if _strict_max([n * a - b for a, b in zip(gram, dots)], k):
+            continue
+        # A point inside the hull of the others is a combination of extreme
+        # points only, so dropping the interior points found so far from
+        # the later LPs changes none of their answers.
+        others = [h for i, h in enumerate(vecs) if i != k and i not in interior]
+        if _in_int_hull(g, others):
+            interior.add(k)
+    kept = [g for k, g in enumerate(distinct) if k not in interior]
     kept.sort(key=Dist.sort_key)
     return tuple(kept)
 
@@ -158,8 +225,8 @@ class ConvexSet:
     def __contains__(self, dist) -> bool:
         if not isinstance(dist, Dist) or dist.space != self.space:
             return False
-        inside, _ = in_hull(dist, self.base)
-        return inside
+        vecs = _int_vectors([dist, *self.base])
+        return _in_int_hull(vecs[0], vecs[1:])
 
     def to_json_dict(self) -> dict:
         return {"generators": [g.to_json_dict() for g in self.base]}

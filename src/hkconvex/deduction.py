@@ -302,8 +302,14 @@ def check_derivation(
     gamma,
     d: Derivation,
 ) -> CheckResult:
-    """Validate every node; on failure report the path from the root."""
-    return _check_node(space, frozenset(gamma), d, ())
+    """Validate every node; on failure report the path from the root.
+
+    A derivation nested deeper than the recursion limit raises TooDeep.
+    """
+    try:
+        return _check_node(space, frozenset(gamma), d, ())
+    except RecursionError:
+        raise TooDeep(sys.getrecursionlimit()) from None
 
 
 def metric_hypotheses(space: FiniteMetricSpace) -> tuple[QuantEquation, ...]:

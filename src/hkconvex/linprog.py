@@ -21,6 +21,13 @@ is negated first), so sign tests and cross-multiplied ratio tests read as
 on the rational tableau. Bland's smallest-index rule picks the entering
 and leaving variables, which rules out cycling, so termination is
 unconditional and the pivot sequence is that of the rational simplex.
+
+`is_feasible` is the boolean entry point for callers that only need to
+know whether A.x = b, x >= 0 has a solution, with A and b already
+integers: it runs phase 1 alone, on the rows as given (no rescaling, unit
+artificial costs, no drive-out, no phase 2, no solution built). It shares
+phase 1's tableau set-up (`_phase1`) and the simplex (`_iterate`,
+`_pivot`) with `solve_lp`.
 """
 
 from __future__ import annotations
@@ -98,6 +105,26 @@ def _iterate(
         basis[leave] = enter
 
 
+def _phase1(tab: list[list[int]], n: int, weights: Sequence[int]) -> tuple[list[int], int]:
+    """Phase 1 on integer rows [A_i | b_i] with n columns and b_i >= 0, in place.
+
+    Appends the identity artificial columns and the objective row that
+    minimises sum(weights[i] * artificial_i), and runs the simplex to its
+    optimum; returns (basis, d). The system is feasible exactly when the
+    objective row's rhs, tab[-1][-1], ends at 0.
+    """
+    m = len(tab)
+    obj = [0] * n + list(weights) + [0]
+    for i, r in enumerate(tab):
+        tab[i] = r = r[:n] + [0] * i + [1] + [0] * (m - 1 - i) + r[n:]
+        obj = [o - weights[i] * v for o, v in zip(obj, r)]
+    tab.append(obj)
+    basis = [n + i for i in range(m)]
+    status, d = _iterate(tab, basis, n + m, 1)
+    assert status == OPTIMAL, "phase 1 is bounded below by zero"
+    return basis, d
+
+
 def solve_lp(
     objective: Sequence[Fraction],
     eq_rows: Sequence[Sequence[Fraction]],
@@ -119,15 +146,7 @@ def solve_lp(
     # Phase 1: minimize L times the sum of the (unscaled) artificials.
     m = len(tab)
     total = lcm(*scales)
-    weights = [total // s for s in scales]
-    obj = [0] * n + weights + [0]
-    for i, r in enumerate(tab):
-        tab[i] = r = r[:n] + [0] * i + [1] + [0] * (m - 1 - i) + r[n:]
-        obj = [o - weights[i] * v for o, v in zip(obj, r)]
-    tab.append(obj)
-    basis = [n + i for i in range(m)]
-    status, d = _iterate(tab, basis, n + m, 1)
-    assert status == OPTIMAL, "phase 1 is bounded below by zero"
+    basis, d = _phase1(tab, n, [total // s for s in scales])
     if tab[-1][-1] != 0:
         return LPResult(INFEASIBLE, None, None)
 
@@ -175,3 +194,16 @@ def feasible_point(
     n = len(eq_rows[0]) if eq_rows else 0
     result = solve_lp([ZERO] * n, eq_rows, rhs)
     return result.solution if result.status == OPTIMAL else None
+
+
+def is_feasible(eq_rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
+    """Whether A.x = b has a solution x >= 0, for integer A and b.
+
+    Phase 1 only, on the rows as given: no rescaling, no drive-out, no
+    phase 2 and no solution. Feasibility does not depend on which sum of
+    artificials phase 1 minimises, so every artificial costs 1.
+    """
+    n = len(eq_rows[0]) if eq_rows else 0
+    tab = [[-v for v in row] + [-b] if b < 0 else [*row, b] for row, b in zip(eq_rows, rhs)]
+    _phase1(tab, n, [1] * len(tab))
+    return tab[-1][-1] == 0

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .convex import ConvexSet, monad_unit, oplus, plus_p
+from .convex import ConvexSet, monad_unit, plus_p
 from .core import Dist, FiniteMetricSpace, format_fraction
 from .errors import BadProbability, ParseError, TooDeep
 from .lifting import hk_distance
@@ -206,12 +206,34 @@ def substitute(term: Term, mapping: dict[str, Term]) -> Term:
 
 
 def normalize(space: FiniteMetricSpace, term: Term) -> ConvexSet:
-    """Interpret a term in the free algebra of convex sets."""
+    """Interpret a term in the free algebra of convex sets.
+
+    A term nested deeper than the recursion limit through p+ raises
+    TooDeep; oplus nesting of any depth is walked without recursion.
+    """
+    try:
+        return _normalize(space, term)
+    except RecursionError:
+        raise TooDeep(sys.getrecursionlimit()) from None
+
+
+def _normalize(space: FiniteMetricSpace, term: Term) -> ConvexSet:
     if isinstance(term, Gen):
         return monad_unit(space, term.label)
-    if isinstance(term, Oplus):
-        return oplus(normalize(space, term.left), normalize(space, term.right))
-    return plus_p(term.p, normalize(space, term.left), normalize(space, term.right))
+    if isinstance(term, PlusP):
+        return plus_p(term.p, _normalize(space, term.left), _normalize(space, term.right))
+    # Convex union is associative and the base is canonical, so a maximal
+    # oplus spine is re-based once, over the bases of all its leaves.
+    gens = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Oplus):
+            stack.append(t.right)
+            stack.append(t.left)
+        else:
+            gens.extend(_normalize(space, t).base)
+    return ConvexSet(space, gens)
 
 
 def dist_term(dist: Dist) -> Term:

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hkconvex
+from hkconvex import cli
 from hkconvex.cli import main
 
 X3 = {
@@ -193,6 +196,37 @@ def test_usage_error_exits_2(capsys, space_file):
     with pytest.raises(SystemExit) as exc:
         main(["kantorovich", "--space", space_file])
     assert exc.value.code == 2
+
+
+def test_subcommands_in_one_process_print_what_fresh_processes_do(capsys, space_file, files):
+    da = files("da.json", {"a": "1"})
+    db = files("db.json", {"b": "1/2", "c": "1/2"})
+    s1 = files("s1.json", {"generators": [{"b": "1"}, {"a": "1"}, {"a": "1/2", "b": "1/2"}]})
+    commands = [
+        ["kantorovich", "--space", space_file, "--left", da, "--right", db],
+        ["base", "--space", space_file, "--set", s1],
+        ["validate-space", "--space", space_file],
+        ["kantorovich", "--space", space_file, "--left", db, "--right", da],
+    ]
+    in_process = []
+    for argv in commands:
+        assert main(argv) == 0
+        in_process.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        main(["base", "--space", space_file])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(commands[0]) == 0
+    assert capsys.readouterr().out == in_process[0]
+    assert cli._build_parser() is cli._build_parser()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hkconvex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, out in zip(commands, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hkconvex.cli", *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert fresh.stdout == out
 
 
 def test_missing_file_reports_error(capsys, space_file):

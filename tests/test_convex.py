@@ -72,6 +72,10 @@ def test_membership(x3):
     s = ConvexSet(x3, [dirac(x3, "a"), dirac(x3, "b")])
     assert _mid(x3, "a", "b", F(1, 3)) in s
     assert dirac(x3, "c") not in s
+    # c carries no weight of the target, so the LP runs without that vertex
+    t = ConvexSet(x3, [dirac(x3, "a"), dirac(x3, "b"), dirac(x3, "c")])
+    assert _mid(x3, "a", "b", F(1, 3)) in t
+    assert _mid(x3, "a", "c") not in ConvexSet(x3, [dirac(x3, "a"), _mid(x3, "b", "c")])
 
 
 def test_monad_unit(x3):
@@ -257,6 +261,23 @@ def _generator_lists(draw):
 @given(_generator_lists())
 def test_unique_base_matches_lp_only_reference(gens):
     assert unique_base(gens) == _base_by_lp_only(gens)
+
+
+@given(_generator_lists())
+def test_membership_matches_in_hull(gens):
+    distinct = list(dict.fromkeys(gens))
+    if len(distinct) > 1:
+        target, rest = distinct[0], distinct[1:]
+        assert (target in ConvexSet(target.space, rest)) == in_hull(target, rest)[0]
+
+
+def test_tied_functionals_certify_nothing(x2):
+    # on mid = (a + b) / 2 both separating functionals tie with the
+    # endpoints: <mid, a> = <mid, b> = <mid, mid>, and n*mid - S is 0 on all
+    # three. A tie must not keep mid; the hull LP drops it
+    a, b, mid = dirac(x2, "a"), dirac(x2, "b"), _mid(x2, "a", "b")
+    assert unique_base([mid, a, b]) == (a, b)
+    assert unique_base([a, mid, b, mid]) == (a, b)
 
 
 def test_unique_base_ties_go_to_the_lp(x3):

@@ -327,6 +327,14 @@ def test_too_deep_documents_raise_too_deep():
         derivation_from_json_dict(doc)
 
 
+def test_check_derivation_on_a_deep_premise_chain_raises_too_deep(x3):
+    d = refl("a")
+    for _ in range(sys.getrecursionlimit() + 200):
+        d = Derivation("Symm", d.conclusion, (d,))
+    with pytest.raises(TooDeep):
+        check_derivation(x3, (), d)
+
+
 def test_unknown_rule_rejected(x3):
     d = Derivation("Arch", eq("a", "a", 0))
     assert not check_derivation(x3, (), d).ok

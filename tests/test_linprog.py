@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 import lp_reference
 import strategies as sts
 from hkconvex import MalformedInput, kantorovich
-from hkconvex.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_point, solve_lp
+from hkconvex.linprog import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    feasible_point,
+    is_feasible,
+    solve_lp,
+)
 
 F = Fraction
 
@@ -172,3 +179,51 @@ def test_matches_the_rational_reference_simplex(lp):
     ref = lp_reference.solve_lp(*lp)
     assert res.status == ref.status
     assert (res.value, res.solution) == (ref.value, ref.solution)
+
+
+def test_is_feasible_reads_phase_1_only():
+    # x + y = 2, x - y = 0 has x = y = 1; a negative rhs is negated first
+    assert is_feasible([[1, 1], [1, -1]], [2, 0])
+    assert is_feasible([[-1, -1]], [-2])
+    # x + y = 2 with x, y >= 0 cannot reach x + y = -1 or 2x + 2y = 5
+    assert not is_feasible([[1, 1], [1, 1]], [2, -1])
+    assert not is_feasible([[1, 1], [2, 2]], [2, 5])
+    # a redundant row leaves an artificial basic at zero: still feasible
+    assert is_feasible([[1, 0], [0, 1], [1, 1]], [1, 2, 3])
+
+
+@st.composite
+def _int_systems(draw):
+    """Integer systems A.x = b whose rows are often copies, multiples or
+    sums of earlier rows, with the rhs sometimes shifted (inconsistent)."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 7))
+    entry = st.integers(-6, 6)
+    rows, rhs = [], []
+    for i in range(m):
+        kind = draw(st.sampled_from(["new", "new", "copy", "multiple", "sum"])) if i else "new"
+        if kind == "new":
+            row, b = draw(st.lists(entry, min_size=n, max_size=n)), draw(entry)
+        elif kind in ("copy", "multiple"):
+            j = draw(st.integers(0, i - 1))
+            k = 1 if kind == "copy" else draw(st.sampled_from([-1, 2, -3]))
+            row, b = [k * v for v in rows[j]], k * rhs[j]
+        else:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            row, b = [u + v for u, v in zip(rows[j], rows[k])], rhs[j] + rhs[k]
+        if kind != "new":
+            b += draw(st.sampled_from([0, 0, 0, 1]))
+        rows.append(row)
+        rhs.append(b)
+    return rows, rhs
+
+
+@settings(max_examples=400)
+@given(_int_systems())
+def test_is_feasible_matches_feasible_point_and_the_reference(system):
+    rows, rhs = system
+    n = len(rows[0])
+    feasible = is_feasible(rows, rhs)
+    assert feasible == (feasible_point(rows, rhs) is not None)
+    assert feasible == (lp_reference.solve_lp([0] * n, rows, rhs).status == OPTIMAL)
+

@@ -271,3 +271,31 @@ def test_too_deep_term_raises_too_deep():
     with pytest.raises(TooDeep):
         parse_term(text, table)
     assert text not in table
+
+
+def test_deep_oplus_spines_normalize_without_recursion(x3):
+    depth = sys.getrecursionlimit() + 200
+    left = right = mixed = Gen("a")
+    for i in range(depth):
+        left = Oplus(left, Gen("b"))
+        right = Oplus(Gen("b"), right)
+        mixed = Oplus(mixed, Gen("b")) if i % 2 else Oplus(Gen("c"), mixed)
+    ab = ConvexSet(x3, [dirac(x3, "a"), dirac(x3, "b")])
+    assert normalize(x3, left) == ab
+    assert normalize(x3, right) == ab
+    assert normalize(x3, mixed) == ConvexSet(x3, [dirac(x3, p) for p in "abc"])
+    assert term_equal_mod_theory(x3, left, right)
+    assert term_distance(x3, left, mixed) == F(1, 2)
+
+
+def test_deep_plus_p_nesting_raises_too_deep(x3):
+    deep = Gen("a")
+    for _ in range(sys.getrecursionlimit() + 200):
+        deep = PlusP(F(1, 2), deep, Gen("b"))
+    with pytest.raises(TooDeep):
+        normalize(x3, deep)
+    with pytest.raises(TooDeep):
+        term_distance(x3, deep, Gen("a"))
+    with pytest.raises(TooDeep):
+        term_equal_mod_theory(x3, Gen("a"), deep)
+
