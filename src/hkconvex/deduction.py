@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FiniteMetricSpace, as_fraction, format_fraction
-from .errors import OutOfRange, ParseError, TooDeep
+from .errors import MalformedInput, OutOfRange, ParseError, TooDeep
 from .terms import Gen, Oplus, PlusP, Term, parse_term, print_term, substitute
 
 ZERO = Fraction(0)
@@ -48,8 +48,13 @@ class QuantEquation:
     eps: Fraction
 
     def __post_init__(self):
-        if not (ZERO <= self.eps <= ONE):
-            raise OutOfRange("equation distance", self.eps)
+        eps = self.eps
+        if not isinstance(eps, (int, Fraction)):
+            raise MalformedInput(
+                f"equation distance must be an exact rational, got {type(eps).__name__}"
+            )
+        if not (0 <= eps.numerator <= eps.denominator):
+            raise OutOfRange("equation distance", eps)
 
     def flip(self) -> "QuantEquation":
         return QuantEquation(self.right, self.left, self.eps)
@@ -162,12 +167,25 @@ def _uses_assumption(d: Derivation) -> bool:
     return any(_uses_assumption(p) for p in d.premises)
 
 
+_PROVED = CheckResult(True)
+
+
 def _check_node(
     space: FiniteMetricSpace,
     gamma: frozenset[QuantEquation],
     d: Derivation,
     path: tuple[int, ...],
+    proved: set,
 ) -> CheckResult:
+    """Check `d` under `gamma`, skipping (node, gamma) pairs in `proved`.
+
+    Only successes are recorded, so a failure is found at the same path
+    as without the record; the key holds the gamma object itself, which
+    keeps it alive, and the node is held by the tree being checked.
+    """
+    key = (id(d), gamma)
+    if key in proved:
+        return _PROVED
     rule = d.rule
     goal = d.conclusion
     if rule not in RULES:
@@ -266,12 +284,15 @@ def _check_node(
         if d.premises[-1].conclusion != goal:
             return _fail(path, "Cut final premise must conclude the goal")
         for i, eq in enumerate(d.theta):
-            sub = _check_node(space, gamma, d.premises[i], path + (i,))
+            sub = _check_node(space, gamma, d.premises[i], path + (i,), proved)
             if not sub.ok:
                 return sub
-        return _check_node(
-            space, frozenset(d.theta), d.premises[-1], path + (len(d.theta),)
+        sub = _check_node(
+            space, frozenset(d.theta), d.premises[-1], path + (len(d.theta),), proved
         )
+        if sub.ok:
+            proved.add(key)
+        return sub
     elif rule == "Assum":
         if bad := arity(0):
             return bad
@@ -291,10 +312,11 @@ def _check_node(
             return _fail(path, f"conclusion is not an instance of axiom {d.axiom}")
 
     for i, prem in enumerate(d.premises):
-        sub = _check_node(space, gamma, prem, path + (i,))
+        sub = _check_node(space, gamma, prem, path + (i,), proved)
         if not sub.ok:
             return sub
-    return CheckResult(True)
+    proved.add(key)
+    return _PROVED
 
 
 def check_derivation(
@@ -304,10 +326,12 @@ def check_derivation(
 ) -> CheckResult:
     """Validate every node; on failure report the path from the root.
 
-    A derivation nested deeper than the recursion limit raises TooDeep.
+    A node object met again under the same hypotheses is checked once;
+    the first failing node in pre-order is reported either way. A
+    derivation nested deeper than the recursion limit raises TooDeep.
     """
     try:
-        return _check_node(space, frozenset(gamma), d, ())
+        return _check_node(space, frozenset(gamma), d, (), set())
     except RecursionError:
         raise TooDeep(sys.getrecursionlimit()) from None
 
@@ -349,26 +373,98 @@ def _field(obj: dict, key: str, what: str):
     return obj[key]
 
 
-def _term(text, table: dict | None) -> Term:
+def _term(text, table: dict) -> Term:
     if not isinstance(text, str):
         raise ParseError(f"term must be a string, got {type(text).__name__}", 0)
-    return parse_term(text, table)
+    term = table.get(text)
+    return parse_term(text, table) if term is None else term
+
+
+class _Reader:
+    """Reads equations and derivations of one document, sharing equal ones.
+
+    Terms go through `table` (see `parse_term`). Its own tables map each
+    distinct eps string to one Fraction, each equation (left and right
+    term objects, eps string) to one `QuantEquation`, and each node without
+    `subst`, `theta` or `hypotheses` (rule, conclusion object, axiom,
+    premise objects) to one `Derivation`. Every object a key names by id
+    is held by these tables or by the tree being built, so no id is reused
+    during the read.
+    """
+
+    def __init__(self, table: dict):
+        self.table = table
+        self.eps: dict[str, Fraction] = {}
+        self.equations: dict[tuple, QuantEquation] = {}
+        self.nodes: dict[tuple, Derivation] = {}
+
+    def equation(self, obj) -> QuantEquation:
+        obj = _json_object(obj, "equation")
+        left = _term(_field(obj, "l", "equation"), self.table)
+        right = _term(_field(obj, "r", "equation"), self.table)
+        text = _field(obj, "eps", "equation")
+        if not isinstance(text, str):
+            return QuantEquation(left, right, as_fraction(text))
+        key = (id(left), id(right), text)
+        eq = self.equations.get(key)
+        if eq is None:
+            eps = self.eps.get(text)
+            if eps is None:
+                eps = self.eps[text] = as_fraction(text)
+            eq = self.equations[key] = QuantEquation(left, right, eps)
+        return eq
+
+    def equations_list(self, items, what: str) -> tuple[QuantEquation, ...]:
+        return tuple(self.equation(eq) for eq in _json_list(items, what))
+
+    def derivation(self, obj) -> Derivation:
+        obj = _json_object(obj, "derivation")
+        rule = _field(obj, "rule", "derivation")
+        conclusion = self.equation(_field(obj, "conclusion", "derivation"))
+        premises = ()
+        if "premises" in obj:
+            premises = tuple(
+                self.derivation(p) for p in _json_list(obj["premises"], "premises")
+            )
+        axiom = obj.get("axiom")
+        if "subst" in obj or "theta" in obj or "hypotheses" in obj:
+            return self._annotated(obj, rule, conclusion, premises, axiom)
+        if not (isinstance(rule, str) and (axiom is None or isinstance(axiom, str))):
+            return Derivation(rule, conclusion, premises, axiom)
+        key = (rule, id(conclusion), axiom, *map(id, premises))
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = Derivation(rule, conclusion, premises, axiom)
+        return node
+
+    def _annotated(self, obj, rule, conclusion, premises, axiom) -> Derivation:
+        subst = None
+        if "subst" in obj:
+            subst = tuple(
+                sorted(
+                    (var, _term(text, self.table))
+                    for var, text in _json_object(obj["subst"], "subst").items()
+                )
+            )
+        theta = None
+        if "theta" in obj:
+            theta = self.equations_list(obj["theta"], "theta")
+        hypotheses = ()
+        if "hypotheses" in obj:
+            hypotheses = self.equations_list(obj["hypotheses"], "hypotheses")
+        return Derivation(rule, conclusion, premises, axiom, subst, theta, hypotheses)
 
 
 def equation_from_json_dict(obj: dict, table: dict | None = None) -> QuantEquation:
     """Read one equation; `table` is passed to `parse_term` (see there)."""
-    obj = _json_object(obj, "equation")
-    left = _term(_field(obj, "l", "equation"), table)
-    right = _term(_field(obj, "r", "equation"), table)
-    eps = as_fraction(_field(obj, "eps", "equation"))
-    return QuantEquation(left, right, eps)
+    return _Reader({} if table is None else table).equation(obj)
 
 
 def equations_from_json_list(
     items, what: str, table: dict | None = None
 ) -> tuple[QuantEquation, ...]:
     """Read a list of equations; `what` names the list in errors."""
-    return tuple(equation_from_json_dict(eq, table) for eq in _json_list(items, what))
+    return _Reader({} if table is None else table).equations_list(items, what)
 
 
 def derivation_to_json_dict(d: Derivation, printed: dict | None = None) -> dict:
@@ -400,42 +496,12 @@ def derivation_from_json_dict(obj: dict, table: dict | None = None) -> Derivatio
     """Read a derivation document, every term through one shared `table`.
 
     Equal subterms anywhere in the document become one object, so the
-    checker's equality tests mostly stop at identity. Input of the wrong
-    shape raises ParseError; input nested deeper than the recursion limit
-    (premises or terms) raises TooDeep.
+    checker's equality tests mostly stop at identity; so do equal
+    equations and equal subproofs, so the checker proves each once. Input
+    of the wrong shape raises ParseError; input nested deeper than the
+    recursion limit (premises or terms) raises TooDeep.
     """
     try:
-        return _derivation_from_json(obj, {} if table is None else table)
+        return _Reader({} if table is None else table).derivation(obj)
     except RecursionError:
         raise TooDeep(sys.getrecursionlimit()) from None
-
-
-def _derivation_from_json(obj: dict, table: dict) -> Derivation:
-    obj = _json_object(obj, "derivation")
-    rule = _field(obj, "rule", "derivation")
-    conclusion = equation_from_json_dict(_field(obj, "conclusion", "derivation"), table)
-    premises = tuple(
-        _derivation_from_json(p, table)
-        for p in _json_list(obj.get("premises", []), "premises")
-    )
-    subst = None
-    if "subst" in obj:
-        subst = tuple(
-            sorted(
-                (var, _term(text, table))
-                for var, text in _json_object(obj["subst"], "subst").items()
-            )
-        )
-    theta = None
-    if "theta" in obj:
-        theta = equations_from_json_list(obj["theta"], "theta", table)
-    hypotheses = equations_from_json_list(obj.get("hypotheses", []), "hypotheses", table)
-    return Derivation(
-        rule=rule,
-        conclusion=conclusion,
-        premises=premises,
-        axiom=obj.get("axiom"),
-        subst=subst,
-        theta=theta,
-        hypotheses=hypotheses,
-    )

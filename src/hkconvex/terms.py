@@ -17,10 +17,9 @@ from fractions import Fraction
 
 from .convex import ConvexSet, monad_unit, plus_p
 from .core import Dist, FiniteMetricSpace, format_fraction
-from .errors import BadProbability, ParseError, TooDeep
+from .errors import BadProbability, MalformedInput, ParseError, TooDeep
 from .lifting import hk_distance
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -42,8 +41,13 @@ class PlusP:
     right: "Term"
 
     def __post_init__(self):
-        if not (ZERO < self.p < ONE):
-            raise BadProbability(self.p)
+        p = self.p
+        if not isinstance(p, (int, Fraction)):
+            raise MalformedInput(
+                f"probability must be an exact rational, got {type(p).__name__}"
+            )
+        if not (0 < p.numerator < p.denominator):
+            raise BadProbability(p)
 
 
 Term = Gen | Oplus | PlusP
@@ -191,18 +195,39 @@ def parse_term(text: str, table: dict[str, Term] | None = None) -> Term:
 
 
 def term_labels(term: Term) -> set[str]:
+    """The generator labels of a term; one nested deeper than the
+    recursion limit raises TooDeep."""
+    try:
+        return _term_labels(term)
+    except RecursionError:
+        raise TooDeep(sys.getrecursionlimit()) from None
+
+
+def _term_labels(term: Term) -> set[str]:
     if isinstance(term, Gen):
         return {term.label}
-    return term_labels(term.left) | term_labels(term.right)
+    return _term_labels(term.left) | _term_labels(term.right)
 
 
 def substitute(term: Term, mapping: dict[str, Term]) -> Term:
-    """Replace generator leaves by terms; leaves not mapped stay put."""
+    """Replace generator leaves by terms; leaves not mapped stay put.
+
+    A term nested deeper than the recursion limit raises TooDeep.
+    """
+    try:
+        return _substitute(term, mapping)
+    except RecursionError:
+        raise TooDeep(sys.getrecursionlimit()) from None
+
+
+def _substitute(term: Term, mapping: dict[str, Term]) -> Term:
     if isinstance(term, Gen):
         return mapping.get(term.label, term)
     if isinstance(term, Oplus):
-        return Oplus(substitute(term.left, mapping), substitute(term.right, mapping))
-    return PlusP(term.p, substitute(term.left, mapping), substitute(term.right, mapping))
+        return Oplus(_substitute(term.left, mapping), _substitute(term.right, mapping))
+    return PlusP(
+        term.p, _substitute(term.left, mapping), _substitute(term.right, mapping)
+    )
 
 
 def normalize(space: FiniteMetricSpace, term: Term) -> ConvexSet:

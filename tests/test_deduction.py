@@ -8,6 +8,8 @@ import strategies as sts
 from hkconvex import (
     AXIOMS,
     Derivation,
+    FiniteMetricSpace,
+    MalformedInput,
     OutOfRange,
     ParseError,
     QuantEquation,
@@ -20,6 +22,7 @@ from hkconvex import (
     metric_hypotheses,
     term_distance,
 )
+from hkconvex.deduction import equations_from_json_list
 from hkconvex.terms import Gen, parse_term
 
 F = Fraction
@@ -39,6 +42,14 @@ def test_equation_validates_epsilon():
         QuantEquation(Gen("a"), Gen("b"), F(3, 2))
     with pytest.raises(OutOfRange):
         QuantEquation(Gen("a"), Gen("b"), F(-1, 8))
+
+
+def test_equation_rejects_inexact_epsilon():
+    with pytest.raises(MalformedInput):
+        QuantEquation(Gen("a"), Gen("b"), 0.5)
+    with pytest.raises(MalformedInput):
+        QuantEquation(Gen("a"), Gen("b"), "1/2")
+    assert str(QuantEquation(Gen("a"), Gen("b"), 1)) == "a =1 b"
 
 
 def test_refl_valid(x3):
@@ -261,6 +272,94 @@ def test_derivation_json_shares_equal_terms():
     assert first.conclusion.right is second.conclusion.left
     assert back.conclusion.right.left is first.conclusion.right.left
     assert derivation_to_json_dict(back) == doc
+
+
+def test_derivation_json_shares_equal_subproofs_and_equations(x3):
+    def hop():
+        return Derivation("Max", eq("a", "b", "1/2"), (Derivation("Assum", eq("a", "b", "1/2")),))
+
+    first, second = hop(), hop()
+    assert first == second and first is not second
+    d = Derivation("NExpOplus", eq("(oplus a a)", "(oplus b b)", "1/2"), (first, second))
+    doc = derivation_to_json_dict(d)
+    back = derivation_from_json_dict(doc)
+    assert back == d
+    assert back.premises[0] is back.premises[1]
+    # The Max node and its Assum premise conclude one equation object.
+    assert back.premises[0].conclusion is back.premises[0].premises[0].conclusion
+    assert check_derivation(x3, metric_hypotheses(x3), back).ok
+    assert derivation_to_json_dict(back) == doc
+
+
+def test_generator_labelled_like_an_eps_reads_and_checks():
+    space = FiniteMetricSpace(["1/2", "b"], {("1/2", "b"): F(1, 2)})
+    hop = Derivation("Assum", eq("1/2", "b", "1/2"))
+    d = Derivation(
+        "NExpPlusP",
+        eq("(p+ 1/2 1/2 b)", "(p+ 1/2 b b)", "1/4"),
+        (hop, Derivation("Refl", eq("b", "b", 0))),
+    )
+    gamma_doc = [equation_to_json_dict(e) for e in metric_hypotheses(space)]
+    doc = derivation_to_json_dict(d)
+    assert doc["premises"][0]["conclusion"] == {"l": "1/2", "r": "b", "eps": "1/2"}
+    table = {}
+    gamma = equations_from_json_list(gamma_doc, "hypotheses", table)
+    back = derivation_from_json_dict(doc, table)
+    assert back == d
+    assert back.premises[0].conclusion.left == Gen("1/2")
+    assert back.premises[0].conclusion.eps == F(1, 2)
+    assert back.conclusion.left.p == F(1, 2)
+    assert back.conclusion.left.left is back.premises[0].conclusion.left
+    assert check_derivation(space, gamma, back).ok
+
+
+def test_shared_failing_subproof_is_reported_at_its_first_position(x3):
+    bad = {"rule": "Assum", "conclusion": {"l": "a", "r": "b", "eps": "1/4"}}
+    doc = {
+        "rule": "NExpOplus",
+        "conclusion": {"l": "(oplus b a)", "r": "(oplus a b)", "eps": "1/4"},
+        "premises": [
+            {"rule": "Symm", "conclusion": {"l": "b", "r": "a", "eps": "1/4"},
+             "premises": [bad]},
+            bad,
+        ],
+    }
+    back = derivation_from_json_dict(doc)
+    assert back.premises[1] is back.premises[0].premises[0]
+    res = check_derivation(x3, metric_hypotheses(x3), back)
+    assert not res.ok
+    assert res.path == (0, 0)
+    assert res.reason == "Assum cites an equation outside the hypotheses"
+
+
+def test_shared_subproof_is_checked_again_under_other_hypotheses(x3):
+    # a =3/4 b is a hypothesis inside the Cut only; the same Assum node
+    # cited again outside it must fail there.
+    under_theta = {"rule": "Assum", "conclusion": {"l": "a", "r": "b", "eps": "3/4"}}
+    weaken = {
+        "rule": "Max",
+        "conclusion": {"l": "a", "r": "b", "eps": "3/4"},
+        "premises": [{"rule": "Assum", "conclusion": {"l": "a", "r": "b", "eps": "1/2"}}],
+    }
+    cut = {
+        "rule": "Cut",
+        "conclusion": {"l": "a", "r": "b", "eps": "3/4"},
+        "premises": [weaken, under_theta],
+        "theta": [{"l": "a", "r": "b", "eps": "3/4"}],
+    }
+    doc = {
+        "rule": "NExpOplus",
+        "conclusion": {"l": "(oplus a a)", "r": "(oplus b b)", "eps": "3/4"},
+        "premises": [cut, under_theta],
+    }
+    back = derivation_from_json_dict(doc)
+    assert back.premises[1] is back.premises[0].premises[1]
+    gamma = metric_hypotheses(x3)
+    assert check_derivation(x3, gamma, back.premises[0]).ok
+    res = check_derivation(x3, gamma, back)
+    assert not res.ok
+    assert res.path == (1,)
+    assert res.reason == "Assum cites an equation outside the hypotheses"
 
 
 def test_derivation_json_prints_each_term_in_full():

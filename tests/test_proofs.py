@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hkconvex import (
     metric_hypotheses,
     term_distance,
 )
+from hkconvex.convex import nearest_point
 from hkconvex.terms import Gen
 from hkconvex.proofs import (
     canon_proof,
@@ -68,6 +70,26 @@ def test_derive_hk_golden(x3):
     assert d.conclusion.eps == hk_distance(x3, s, t) == F(1)
     assert d.conclusion.left == nu(x3, s)
     assert d.conclusion.right == nu(x3, t)
+    assert check_derivation(x3, d.hypotheses, d).ok
+
+
+def test_derive_hk_projects_each_base_point_once(x3, monkeypatch):
+    s = ConvexSet(x3, [dirac(x3, "a"), Dist(x3, {"b": "1/2", "c": "1/2"})])
+    t = ConvexSet(x3, [dirac(x3, "b"), dirac(x3, "c"), Dist(x3, {"a": "1/4", "c": "3/4"})])
+    assert (len(s.base), len(t.base)) == (2, 3)
+    calls = []
+
+    def counted(space, target, hull, *args, **kwargs):
+        calls.append((target, hull))
+        return nearest_point(space, target, hull, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hkconvex") and vars(module).get("nearest_point") is nearest_point:
+            monkeypatch.setattr(module, "nearest_point", counted)
+    d = derive_hk(x3, s, t)
+    assert calls == [(g, t) for g in s.base] + [(g, s) for g in t.base]
+    monkeypatch.undo()
+    assert d.conclusion.eps == hk_distance(x3, s, t)
     assert check_derivation(x3, d.hypotheses, d).ok
 
 

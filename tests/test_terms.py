@@ -10,6 +10,7 @@ from hkconvex import (
     BadProbability,
     ConvexSet,
     Dist,
+    MalformedInput,
     ParseError,
     TooDeep,
     UnknownPoint,
@@ -52,6 +53,14 @@ def test_probability_bounds_enforced():
         parse_term("(p+ 2/2 a b)")
     with pytest.raises(BadProbability):
         PlusP(F(0), Gen("a"), Gen("b"))
+
+
+def test_probabilities_must_be_exact():
+    with pytest.raises(MalformedInput):
+        PlusP(0.25, Gen("a"), Gen("b"))
+    with pytest.raises(MalformedInput):
+        PlusP("1/4", Gen("a"), Gen("b"))
+    assert print_term(PlusP(F(1, 4), Gen("a"), Gen("b"))) == "(p+ 1/4 a b)"
 
 
 def test_term_labels():
@@ -299,3 +308,13 @@ def test_deep_plus_p_nesting_raises_too_deep(x3):
     with pytest.raises(TooDeep):
         term_equal_mod_theory(x3, Gen("a"), deep)
 
+
+
+def test_substitute_and_term_labels_raise_too_deep():
+    deep = Gen("a")
+    for _ in range(sys.getrecursionlimit() + 200):
+        deep = Oplus(deep, Gen("b"))
+    with pytest.raises(TooDeep):
+        substitute(deep, {"a": Gen("c")})
+    with pytest.raises(TooDeep):
+        term_labels(deep)
