@@ -4,8 +4,8 @@ The library models finitely generated convex sets of finitely supported
 distributions, the Hausdorff-Kantorovich metric on them, the equational
 theory of convex semilattices with its canonical term forms, a proof
 checker for quantitative deductions, and constructive derivations whose
-bounds match the computed distances exactly.  All arithmetic is over
-`fractions.Fraction`; floats never appear.
+bounds match the computed distances exactly.  All arithmetic is exact,
+over Python ints and `fractions.Fraction`; floats never appear.
 """
 
 from .convex import (

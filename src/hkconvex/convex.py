@@ -5,14 +5,20 @@ equal to the extreme points of the generated polytope of distributions.
 Bases are kept in a canonical order, so structural equality of ConvexSets
 is exactly equality of the generated convex sets.
 
-`unique_base` scales the distinct generators once, over their joint
-support coordinates, into integer vectors with one common denominator.
-A generator is kept without an LP when one of three functionals is
-strictly largest on it, tried in this order: its coordinate's top weight,
-f = <g, .>, and f = n*g - S (g minus the mean of the others, scaled).
-Only the generators left over run a hull LP, through the phase-1-only
-`linprog.is_feasible`; membership (`in`) uses the same integer path.
-`in_hull` and `nearest_point` still return exact Fraction weights.
+Arithmetic on weights runs on the ints of each Dist (see `core.Dist`).
+`unique_base` puts the distinct generators' int numerators onto one
+common denominator, over their joint support coordinates, and orders
+the generators it keeps by those ints. A generator is kept without an
+LP when one of three functionals is strictly largest on it, tried in
+this order: its coordinate's top weight, f = <g, .>, and f = n*g - S
+(g minus the mean of the others, scaled). Only the generators left over
+run a hull LP, through the phase-1-only `linprog.is_feasible`;
+membership (`in`) uses the same integer path. `plus_p` and weighted
+Minkowski sums mix through `core.convex_combine`, on ints.
+
+Fractions are still built for `in_hull` and `nearest_point`: their LP
+rows are Fraction weights, which fix the pivots and so the vertices and
+mixtures they return, and their results are exact Fraction weights.
 
 Because Dist supports ConvexSet-valued items, the same two classes give
 distributions over sets, convex sets of those, and so on; the monad
@@ -34,6 +40,7 @@ from .core import (
     as_fraction,
     convex_combine,
     dirac,
+    item_sort_key,
     json_list,
     pushforward,
 )
@@ -84,21 +91,24 @@ def in_hull(target: Dist, generators: Sequence[Dist]):
     return True, tuple(solution)
 
 
-def _int_vectors(dists: Sequence[Dist]) -> list[list[int]]:
+def _int_vectors(dists: Sequence[Dist]) -> tuple[list[list[int]], dict]:
     """Weights of each distribution over the joint support coordinates, as
-    integers over one common denominator (so every vector sums to it)."""
+    integers over one common denominator (so every vector sums to it),
+    and the coordinate index of each support item."""
     index: dict = {}
     for d in dists:
         for item in d.support:
             index.setdefault(item, len(index))
-    den = lcm(*(w.denominator for d in dists for _, w in d.items()))
+    ints = [d._ints() for d in dists]
+    den = lcm(*(d for d, _ in ints))
     vecs = []
-    for d in dists:
+    for d, num in ints:
         v = [0] * len(index)
-        for item, w in d.items():
-            v[index[item]] = w.numerator * (den // w.denominator)
+        f = den // d
+        for item, n in num.items():
+            v[index[item]] = n * f
         vecs.append(v)
-    return vecs
+    return vecs, index
 
 
 def _in_int_hull(target: list[int], others: list[list[int]]) -> bool:
@@ -146,7 +156,7 @@ def unique_base(generators: Sequence[Dist]) -> tuple[Dist, ...]:
     space = distinct[0].space
     if any(g.space != space for g in distinct):
         raise SpaceMismatch()
-    vecs = _int_vectors(distinct)
+    vecs, index = _int_vectors(distinct)
     certified = set()
     for column in zip(*vecs):
         top = max(column)
@@ -172,9 +182,16 @@ def unique_base(generators: Sequence[Dist]) -> tuple[Dist, ...]:
         others = [h for i, h in enumerate(vecs) if i != k and i not in interior]
         if _in_int_hull(g, others):
             interior.add(k)
-    kept = [g for k, g in enumerate(distinct) if k not in interior]
-    kept.sort(key=Dist.sort_key)
-    return tuple(kept)
+    # Dist.sort_key order, with each weight read off the integer vector:
+    # all share one denominator, so the ints compare as the weights do.
+    kept = [k for k in range(n) if k not in interior]
+    kept.sort(
+        key=lambda k: [
+            (item_sort_key(space, item), vecs[k][index[item]])
+            for item in distinct[k].support
+        ]
+    )
+    return tuple(distinct[k] for k in kept)
 
 
 class ConvexSet:
@@ -225,7 +242,7 @@ class ConvexSet:
     def __contains__(self, dist) -> bool:
         if not isinstance(dist, Dist) or dist.space != self.space:
             return False
-        vecs = _int_vectors([dist, *self.base])
+        vecs, _ = _int_vectors([dist, *self.base])
         return _in_int_hull(vecs[0], vecs[1:])
 
     def to_json_dict(self) -> dict:
@@ -276,10 +293,8 @@ def _wms_mixtures(phi: Dist) -> list[Dist]:
     choices: list[list[Dist]] = [[]]
     for s in sets:
         choices = [chosen + [g] for chosen in choices for g in s.base]
-    return [
-        convex_combine([(phi.weight(s), g) for s, g in zip(sets, chosen)])
-        for chosen in choices
-    ]
+    weights = [phi.weight(s) for s in sets]
+    return [convex_combine(list(zip(weights, chosen))) for chosen in choices]
 
 
 def wms(phi: Dist) -> ConvexSet:

@@ -1,7 +1,7 @@
 """Finite metric spaces, finitely supported distributions, and couplings.
 
-All scalars are exact `fractions.Fraction` values; nothing in this module
-(or anywhere else in the library) touches floating point. Distances are
+All scalars are exact rationals; nothing in this module (or anywhere
+else in the library) touches floating point. Distances are
 restricted to [0, 1] so that they compose with probabilities and with the
 capped triangle rule of the deduction calculus.
 
@@ -9,12 +9,20 @@ Distributions are immutable and hashable. Support items are either point
 labels of the ambient space or ConvexSet objects over the same space; the
 latter makes distributions-over-sets (and sets of those, and so on) reuse
 this single class, which is what the monad tower needs.
+
+A distribution's weights are int numerators over one int denominator
+(see `Dist`); `dirac`, `convex_combine` and `pushforward` mix and merge
+them on ints. `fractions.Fraction` weights appear only at the API
+boundary: the public `Dist` constructor reads them, and `weight`,
+`items`, `sort_key` and `to_json_dict` return them. Distances and
+coupling weights stay Fractions.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -29,7 +37,6 @@ from .errors import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_fraction(value) -> Fraction:
@@ -201,9 +208,20 @@ class Dist:
     Weights sum to exactly 1 and zero entries are never stored. Items are
     labels of `space` or ConvexSets over `space` (never a mixture of the
     two kinds).
+
+    Weights are exact rationals `_num[item] / _den`: one positive int
+    `_den`, the LCM of the reduced weight denominators, and a map `_num`
+    from item to positive int, in lowest terms. Equality, hashing, mixing,
+    pushforward and re-basing run on these ints.
+
+    A distribution holds one weight map until both forms are asked for.
+    `dirac`, `convex_combine` and `pushforward` build one from ints,
+    through the trusted `_from_ints`; its `weight` and `items` then build
+    Fractions per call. The public constructor keeps the Fractions it
+    validated, and derives the ints on first use.
     """
 
-    __slots__ = ("space", "_w", "_support", "_hash", "_sort_key")
+    __slots__ = ("space", "_den", "_num", "_w", "_support", "_hash", "_sort_key")
 
     def __init__(self, space: FiniteMetricSpace, weights: Mapping):
         self.space = space
@@ -216,14 +234,7 @@ class Dist:
                 continue
             if v < 0:
                 raise OutOfRange(f"weight of {item!r}", v)
-            if isinstance(item, str):
-                if item not in space:
-                    raise UnknownPoint(item)
-                kinds.add("label")
-            else:
-                if _item_space(item) != space:
-                    raise SpaceMismatch("support item over a different space")
-                kinds.add("set")
+            kinds.add(_item_kind(space, item))
             if item in w:
                 raise DuplicateLabel(str(item))
             w[item] = v
@@ -232,26 +243,61 @@ class Dist:
             raise WeightsNotNormalized(total)
         if len(kinds) > 1:
             raise SpaceMismatch("mixed label and set support items")
+        self._den = None
+        self._num = None
         self._w = w
-        self._support = tuple(sorted(w, key=lambda it: item_sort_key(space, it)))
+        self._support = _sorted_support(space, w)
         self._hash = None
         self._sort_key = None
+
+    @classmethod
+    def _from_ints(cls, space: FiniteMetricSpace, den: int, num: dict) -> "Dist":
+        """Trusted constructor: `num` maps valid items of one kind to
+        positive ints that sum to `den`; they are put in lowest terms here."""
+        g = gcd(*num.values())
+        if g != 1:
+            den //= g
+            num = {item: n // g for item, n in num.items()}
+        self = object.__new__(cls)
+        self.space = space
+        self._den = den
+        self._num = num
+        self._w = None
+        self._support = _sorted_support(space, num)
+        self._hash = None
+        self._sort_key = None
+        return self
+
+    def _ints(self) -> tuple[int, dict]:
+        """(_den, _num), derived from the Fraction weights on first use."""
+        if self._num is None:
+            w = self._w
+            den = lcm(*(v.denominator for v in w.values()))
+            self._num = {item: v.numerator * (den // v.denominator) for item, v in w.items()}
+            self._den = den
+        return self._den, self._num
 
     @property
     def support(self) -> tuple:
         return self._support
 
     def weight(self, item) -> Fraction:
-        return self._w.get(item, ZERO)
+        if self._w is not None:
+            return self._w.get(item, ZERO)
+        n = self._num.get(item)
+        return ZERO if n is None else Fraction(n, self._den)
 
-    def __getitem__(self, item) -> Fraction:
-        return self._w.get(item, ZERO)
+    __getitem__ = weight
 
     def items(self):
         """Support/weight pairs in canonical support order."""
         # Built from a list: tuple(<genexpr>) grows by resizing and leaves one
         # more block per call on CPython's tuple free lists (Coupling too).
-        return tuple([(item, self._w[item]) for item in self._support])
+        w = self._w
+        if w is not None:
+            return tuple([(item, w[item]) for item in self._support])
+        num, den = self._num, self._den
+        return tuple([(item, Fraction(num[item], den)) for item in self._support])
 
     def is_ground(self) -> bool:
         return all(isinstance(item, str) for item in self._support)
@@ -259,8 +305,7 @@ class Dist:
     def sort_key(self):
         if self._sort_key is None:
             self._sort_key = tuple(
-                (item_sort_key(self.space, item), self._w[item])
-                for item in self._support
+                (item_sort_key(self.space, item), v) for item, v in self.items()
             )
         return self._sort_key
 
@@ -268,12 +313,23 @@ class Dist:
         return (
             isinstance(other, Dist)
             and self.space == other.space
-            and self._w == other._w
+            and self._ints() == other._ints()
         )
 
     def __hash__(self) -> int:
+        # Equal to hash(frozenset(self.items())): a weight n / den hashes
+        # as n * den^-1 modulo the numeric hash modulus, which is an int
+        # below the modulus and so its own hash.
         if self._hash is None:
-            self._hash = hash(frozenset(self._w.items()))
+            den, num = self._ints()
+            try:
+                inv = pow(den, -1, _HASH_MODULUS)
+            except ValueError:
+                self._hash = hash(frozenset(self.items()))
+            else:
+                self._hash = hash(
+                    frozenset([(item, n * inv % _HASH_MODULUS) for item, n in num.items()])
+                )
         return self._hash
 
     def __repr__(self) -> str:
@@ -292,46 +348,82 @@ class Dist:
         return cls(space, dict(data))
 
 
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _item_kind(space: FiniteMetricSpace, item) -> str:
+    """'label' or 'set', after checking that the item lives over `space`."""
+    if isinstance(item, str):
+        if item not in space:
+            raise UnknownPoint(item)
+        return "label"
+    if _item_space(item) != space:
+        raise SpaceMismatch("support item over a different space")
+    return "set"
+
+
+def _sorted_support(space: FiniteMetricSpace, items) -> tuple:
+    return tuple(sorted(items, key=lambda item: item_sort_key(space, item)))
+
+
 def dirac(space: FiniteMetricSpace, item) -> Dist:
     """The point mass at a label (or at a set-valued item) of the space."""
-    return Dist(space, {item: ONE})
+    _item_kind(space, item)
+    return Dist._from_ints(space, 1, {item: 1})
 
 
 def convex_combine(pairs: Sequence[tuple]) -> Dist:
-    """Mix distributions: sum of p_i * D_i for positive p_i summing to 1."""
+    """Mix distributions: sum of p_i * D_i for positive p_i summing to 1.
+
+    Runs on ints: each D_i's numerators are scaled onto the LCM of the
+    products p_i.denominator * D_i._den, and summed.
+    """
     if not pairs:
         raise WeightsNotNormalized(ZERO)
     space = None
-    total = ZERO
-    acc: dict = {}
+    kinds = set()
+    mixed = []
     for raw_p, dist in pairs:
         p = as_fraction(raw_p)
-        if p < 0:
+        a = p.numerator
+        if a < 0:
             raise OutOfRange("mixing weight", p)
-        total += p
-        if p == 0:
+        if not a:
             continue
         if not isinstance(dist, Dist):
             raise TypeError("convex_combine mixes Dist values")
         if space is None:
             space = dist.space
-        elif dist.space != space:
+        elif dist.space is not space and dist.space != space:
             raise SpaceMismatch()
-        for item, v in dist.items():
-            acc[item] = acc.get(item, ZERO) + p * v
-    if total != 1:
-        raise WeightsNotNormalized(total)
-    return Dist(space, acc)
+        kinds.add(isinstance(dist._support[0], str))
+        den, num = dist._ints()
+        mixed.append((a, p.denominator * den, num))
+    den = lcm(*(scale for _, scale, _ in mixed))
+    acc: dict = {}
+    for a, scale, num in mixed:
+        f = a * (den // scale)
+        for item, n in num.items():
+            acc[item] = acc.get(item, 0) + f * n
+    if sum(acc.values()) != den:
+        raise WeightsNotNormalized(sum((as_fraction(p) for p, _ in pairs), ZERO))
+    if len(kinds) > 1:
+        raise SpaceMismatch("mixed label and set support items")
+    return Dist._from_ints(space, den, acc)
 
 
 def pushforward(f: Callable, dist: Dist, target: FiniteMetricSpace | None = None) -> Dist:
     """Image distribution along an item map; weights of merged items add."""
     target_space = target if target is not None else dist.space
+    den, num = dist._ints()
     acc: dict = {}
-    for item, v in dist.items():
+    for item in dist.support:
         image = f(item)
-        acc[image] = acc.get(image, ZERO) + v
-    return Dist(target_space, acc)
+        acc[image] = acc.get(image, 0) + num[item]
+    kinds = {_item_kind(target_space, image) for image in acc}
+    if len(kinds) > 1:
+        raise SpaceMismatch("mixed label and set support items")
+    return Dist._from_ints(target_space, den, acc)
 
 
 class Coupling:

@@ -90,31 +90,40 @@ def hausdorff_metric(metric: Callable) -> Callable:
 
 
 def hk_projections(
-    space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet
+    space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet, metric=None
 ) -> list[tuple[Fraction, Dist]]:
     """(distance, nearest mixture) of each base point of `left`, in base
-    order, projected exactly onto the right convex set."""
+    order, projected exactly onto the right convex set. `metric` is the
+    ground metric on support items, `space.d` by default."""
     if left.space != space or right.space != space:
         raise SpaceMismatch()
-    return [nearest_point(space, g, right)[:2] for g in left.base]
+    return [nearest_point(space, g, right, metric)[:2] for g in left.base]
 
 
-def hk_directed(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> Fraction:
+def hk_directed(
+    space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet, metric=None
+) -> Fraction:
     """Directed Hausdorff-Kantorovich term: worst base point's exact
     projection distance onto the right convex set."""
-    return max(value for value, _ in hk_projections(space, left, right))
+    return max(value for value, _ in hk_projections(space, left, right, metric))
 
 
-def hk_distance(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> Fraction:
+def hk_distance(
+    space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet, metric=None
+) -> Fraction:
     """Hausdorff over Kantorovich between two convex sets.
 
     Exact over the full sets: restricting the nearest-point search to the
     other base can overshoot whenever the nearest point is an interior
     mixture, so each direction projects onto the whole hull instead.
+    `metric` is the ground metric on support items, `space.d` by
+    default; sets over sets pass a metric on their inner sets.
     """
     if left.space != space or right.space != space:
         raise SpaceMismatch()
-    return max(hk_directed(space, left, right), hk_directed(space, right, left))
+    return max(
+        hk_directed(space, left, right, metric), hk_directed(space, right, left, metric)
+    )
 
 
 def _grid_mixtures(s: ConvexSet, denominator: int) -> list[Dist]:

@@ -40,9 +40,8 @@ from .convex import (
 )
 from .core import Dist, FiniteMetricSpace, convex_combine, dirac
 from .errors import OutOfRange
-from .lifting import hausdorff, hk_distance
+from .lifting import hk_distance
 from .sampling import rand_convex_set, rand_prob, rand_weights
-from .transport import kantorovich_metric
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -111,8 +110,11 @@ def _rand_tower(rng: random.Random, carrier) -> ConvexSet:
 
 
 def carrier_hk(carrier, s: ConvexSet, t: ConvexSet) -> Fraction:
-    """Hausdorff-Kantorovich lift of the carrier metric to sets over it."""
-    return hausdorff(kantorovich_metric(carrier.metric), s.base, t.base)
+    """Hausdorff-Kantorovich lift of the carrier metric to sets over it:
+    `hk_distance` under the carrier metric, so each base point is
+    projected onto the whole other convex set. Hausdorff between the
+    bases alone can overshoot it."""
+    return hk_distance(carrier.space, s, t, metric=carrier.metric)
 
 
 class EMAlgebra:

@@ -14,10 +14,11 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .convex import ConvexSet, monad_unit, plus_p
+from .convex import ConvexSet, plus_p
 from .core import Dist, FiniteMetricSpace, format_fraction
-from .errors import BadProbability, MalformedInput, ParseError, TooDeep
+from .errors import BadProbability, MalformedInput, ParseError, TooDeep, UnknownPoint
 from .lifting import hk_distance
 
 ONE = Fraction(1)
@@ -59,7 +60,15 @@ def print_term(term: Term, printed: dict[int, str] | None = None) -> str:
     `printed` memoizes the text of each term object by id, so a term
     shared across many calls is printed once. Pass one only while every
     term it has seen is alive: the id of a collected object can be reused.
+    A term nested deeper than the recursion limit raises TooDeep.
     """
+    try:
+        return _print_term(term, printed)
+    except RecursionError:
+        raise TooDeep(sys.getrecursionlimit()) from None
+
+
+def _print_term(term: Term, printed: dict[int, str] | None) -> str:
     if printed is not None:
         text = printed.get(id(term))
         if text is not None:
@@ -67,11 +76,11 @@ def print_term(term: Term, printed: dict[int, str] | None = None) -> str:
     if isinstance(term, Gen):
         return term.label
     if isinstance(term, Oplus):
-        text = f"(oplus {print_term(term.left, printed)} {print_term(term.right, printed)})"
+        text = f"(oplus {_print_term(term.left, printed)} {_print_term(term.right, printed)})"
     else:
         text = (
             f"(p+ {format_fraction(term.p)} "
-            f"{print_term(term.left, printed)} {print_term(term.right, printed)})"
+            f"{_print_term(term.left, printed)} {_print_term(term.right, printed)})"
         )
     if printed is not None:
         printed[id(term)] = text
@@ -233,6 +242,9 @@ def _substitute(term: Term, mapping: dict[str, Term]) -> Term:
 def normalize(space: FiniteMetricSpace, term: Term) -> ConvexSet:
     """Interpret a term in the free algebra of convex sets.
 
+    Each maximal oplus-free subterm denotes one distribution, which is
+    evaluated on ints in one walk and becomes one generator; p+ over
+    subterms that contain an oplus mixes their convex sets with `plus_p`.
     A term nested deeper than the recursion limit through p+ raises
     TooDeep; oplus nesting of any depth is walked without recursion.
     """
@@ -243,10 +255,8 @@ def normalize(space: FiniteMetricSpace, term: Term) -> ConvexSet:
 
 
 def _normalize(space: FiniteMetricSpace, term: Term) -> ConvexSet:
-    if isinstance(term, Gen):
-        return monad_unit(space, term.label)
-    if isinstance(term, PlusP):
-        return plus_p(term.p, _normalize(space, term.left), _normalize(space, term.right))
+    if not isinstance(term, Oplus):
+        return _as_set(space, _evaluate(space, term))
     # Convex union is associative and the base is canonical, so a maximal
     # oplus spine is re-based once, over the bases of all its leaves.
     gens = []
@@ -257,8 +267,42 @@ def _normalize(space: FiniteMetricSpace, term: Term) -> ConvexSet:
             stack.append(t.right)
             stack.append(t.left)
         else:
-            gens.extend(_normalize(space, t).base)
+            value = _evaluate(space, t)
+            if isinstance(value, ConvexSet):
+                gens.extend(value.base)
+            else:
+                gens.append(Dist._from_ints(space, *value))
     return ConvexSet(space, gens)
+
+
+def _evaluate(space: FiniteMetricSpace, term: Term):
+    """The convex set of a term with an oplus in it, or else its one
+    distribution as (den, {label: numerator}), not reduced."""
+    if isinstance(term, Gen):
+        if term.label not in space:
+            raise UnknownPoint(term.label)
+        return 1, {term.label: 1}
+    if isinstance(term, Oplus):
+        return _normalize(space, term)
+    left = _evaluate(space, term.left)
+    right = _evaluate(space, term.right)
+    if isinstance(left, ConvexSet) or isinstance(right, ConvexSet):
+        return plus_p(term.p, _as_set(space, left), _as_set(space, right))
+    # p*L + (1-p)*R over the common denominator b * lcm(L, R), p = a/b.
+    a, b = term.p.numerator, term.p.denominator
+    (dl, nl), (dr, nr) = left, right
+    d = lcm(dl, dr)
+    fl, fr = a * (d // dl), (b - a) * (d // dr)
+    num = {label: n * fl for label, n in nl.items()}
+    for label, n in nr.items():
+        num[label] = num.get(label, 0) + n * fr
+    return b * d, num
+
+
+def _as_set(space: FiniteMetricSpace, value) -> ConvexSet:
+    if isinstance(value, ConvexSet):
+        return value
+    return ConvexSet(space, [Dist._from_ints(space, *value)])
 
 
 def dist_term(dist: Dist) -> Term:

@@ -74,17 +74,23 @@ def space_with_sets(draw, k: int, max_points: int = 4, max_base: int = 3):
 
 
 @st.composite
-def terms(draw, space: FiniteMetricSpace, max_depth: int = 3):
+def terms(draw, space: FiniteMetricSpace, max_depth: int = 3, oplus: bool = True):
+    """Random terms; with `oplus` False, only p+ over generators."""
     if max_depth == 0 or draw(st.booleans()):
         return Gen(draw(st.sampled_from(space.points)))
-    left = draw(terms(space, max_depth - 1))
-    right = draw(terms(space, max_depth - 1))
-    if draw(st.booleans()):
+    left = draw(terms(space, max_depth - 1, oplus))
+    right = draw(terms(space, max_depth - 1, oplus))
+    if oplus and draw(st.booleans()):
         return Oplus(left, right)
     return PlusP(draw(probabilities()), left, right)
 
 
 @st.composite
-def space_with_terms(draw, k: int, max_points: int = 3, max_depth: int = 3):
+def space_with_terms(
+    draw, k: int, max_points: int = 3, max_depth: int = 3, oplus: bool = True
+):
     space = draw(spaces(max_points=max_points))
-    return (space, *[draw(terms(space, max_depth=max_depth)) for _ in range(k)])
+    return (
+        space,
+        *[draw(terms(space, max_depth=max_depth, oplus=oplus)) for _ in range(k)],
+    )

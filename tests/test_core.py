@@ -2,7 +2,8 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies as sts
 from hkconvex import (
@@ -24,6 +25,7 @@ from hkconvex import (
     pushforward,
     validate_space,
 )
+from hkconvex.core import item_sort_key
 
 
 def test_fraction_round_trip():
@@ -194,3 +196,88 @@ def test_items_keep_no_memory_per_call():
         d.items()
         c.items()
     assert sys.getallocatedblocks() - before < 100
+
+
+def _assert_matches(space, d, ref):
+    """`d` against `ref`, a plain map from item to nonzero Fraction weight."""
+    order = sorted(ref, key=lambda item: item_sort_key(space, item))
+    assert d.support == tuple(order)
+    assert d.items() == tuple((item, ref[item]) for item in order)
+    assert all(type(w) is Fraction for _, w in d.items())
+    for item in order:
+        assert d.weight(item) == ref[item] and d[item] == ref[item]
+    for label in space.points:
+        if label not in ref:
+            assert d.weight(label) == 0
+    rebuilt = Dist(space, ref)
+    assert d == rebuilt and rebuilt == d
+    assert hash(d) == hash(frozenset(ref.items())) == hash(rebuilt)
+    assert d.sort_key() == tuple((item_sort_key(space, item), ref[item]) for item in order)
+    assert d.sort_key() == rebuilt.sort_key()
+    if d.is_ground():
+        assert d.to_json_dict() == {item: str(ref[item]) for item in order}
+
+
+def _mix(pairs):
+    acc = {}
+    for p, ref in pairs:
+        if p:
+            for item, w in ref.items():
+                acc[item] = acc.get(item, 0) + p * w
+    return acc
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_int_dist_matches_fraction_reference(data):
+    space = data.draw(sts.spaces())
+    if data.draw(st.booleans()):
+        items = list(space.points)
+    else:
+        items = data.draw(
+            st.lists(
+                sts.convex_sets(space, max_base=2, max_support=2),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+
+    def reference():
+        chosen = data.draw(
+            st.lists(st.sampled_from(items), min_size=1, max_size=len(items), unique=True)
+        )
+        raw = data.draw(st.lists(st.integers(1, 12), min_size=len(chosen), max_size=len(chosen)))
+        return {item: Fraction(r, sum(raw)) for item, r in zip(chosen, raw)}
+
+    refs = [reference() for _ in range(data.draw(st.integers(1, 3)))]
+    raw_p = data.draw(
+        st.lists(st.integers(0, 6), min_size=len(refs), max_size=len(refs)).filter(any)
+    )
+    ps = [Fraction(r, sum(raw_p)) for r in raw_p]
+    dists = [Dist(space, ref) for ref in refs]
+    for d, ref in zip(dists, refs):
+        _assert_matches(space, d, ref)
+    mixed_ref = _mix(zip(ps, refs))
+    mixed = convex_combine(list(zip(ps, dists)))
+    _assert_matches(space, mixed, mixed_ref)
+    # mixing a mixture again stays on ints throughout
+    q = Fraction(data.draw(st.integers(1, 6)), 7)
+    _assert_matches(
+        space,
+        convex_combine([(q, mixed), (1 - q, dirac(space, items[0]))]),
+        _mix([(q, mixed_ref), (1 - q, {items[0]: Fraction(1)})]),
+    )
+    # merging items adds their weights
+    first = mixed.support[0]
+    merged_ref = {first: sum(mixed_ref.values(), Fraction(0))}
+    _assert_matches(space, pushforward(lambda item: first, mixed), merged_ref)
+
+
+def test_hash_matches_fraction_hash_when_the_denominator_is_the_modulus(x3):
+    # the int hash needs den invertible modulo the numeric hash modulus
+    m = sys.hash_info.modulus
+    ref = {"a": Fraction(1, m), "b": Fraction(m - 1, m)}
+    d = convex_combine([(ref["a"], dirac(x3, "a")), (ref["b"], dirac(x3, "b"))])
+    assert d == Dist(x3, ref)
+    assert hash(d) == hash(frozenset(ref.items())) == hash(Dist(x3, ref))

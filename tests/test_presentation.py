@@ -7,8 +7,10 @@ from hypothesis import given, settings
 import strategies as sts
 from hkconvex import (
     ConvexSet,
+    Dist,
     functor_map,
     EMAlgebra,
+    FiniteMetricSpace,
     FreeAlgebraCarrier,
     OutOfRange,
     SpaceCarrier,
@@ -18,6 +20,9 @@ from hkconvex import (
     free_em_algebra,
     functor_F,
     functor_G,
+    hausdorff,
+    hk_distance,
+    kantorovich_metric,
     monad_mult,
     monad_unit,
     oplus,
@@ -25,7 +30,7 @@ from hkconvex import (
     roundtrip_FG,
     roundtrip_GF,
 )
-from hkconvex.presentation import check_homomorphism, rand_carrier_set
+from hkconvex.presentation import carrier_hk, check_homomorphism, rand_carrier_set
 
 F = Fraction
 
@@ -148,3 +153,25 @@ def test_free_algebra_carrier_hk(x3):
     s = monad_unit(x3, "a")
     t = monad_unit(x3, "b")
     assert carrier.metric(s, t) == F(1, 2)
+
+
+def test_carrier_hk_projects_onto_the_whole_set():
+    # m = (a + c)/2 lies outside the segment T between a and b; its nearest
+    # point in T is (a + b)/2 at cost d(b, c)/2 = 1/8, while the nearest
+    # base point of T is a at cost d(a, c)/2 = 1/4
+    space = FiniteMetricSpace(
+        ["a", "b", "c"],
+        {("a", "b"): F(1, 2), ("b", "c"): F(1, 4), ("a", "c"): F(1, 2)},
+    )
+    m = Dist(space, {"a": F(1, 2), "c": F(1, 2)})
+    s = ConvexSet(space, [dirac(space, "a"), dirac(space, "b"), m])
+    t = ConvexSet(space, [dirac(space, "a"), dirac(space, "b")])
+    assert hausdorff(kantorovich_metric(space.d), s.base, t.base) == F(1, 4)
+    assert carrier_hk(SpaceCarrier(space), s, t) == F(1, 8) == hk_distance(space, s, t)
+
+
+@given(sts.space_with_sets(2))
+@settings(max_examples=30)
+def test_carrier_hk_over_points_is_hk_distance(bundle):
+    space, s, t = bundle
+    assert carrier_hk(SpaceCarrier(space), s, t) == hk_distance(space, s, t)

@@ -17,9 +17,12 @@ from hkconvex import (
     dirac,
     dist_term,
     hk_distance,
+    monad_unit,
     normalize,
     nu,
+    oplus,
     parse_term,
+    plus_p,
     print_term,
     substitute,
     term_distance,
@@ -295,6 +298,63 @@ def test_deep_oplus_spines_normalize_without_recursion(x3):
     assert normalize(x3, mixed) == ConvexSet(x3, [dirac(x3, p) for p in "abc"])
     assert term_equal_mod_theory(x3, left, right)
     assert term_distance(x3, left, mixed) == F(1, 2)
+
+
+def _fold(space, term):
+    """The denotation of a term built node by node: one monad_unit, plus_p
+    or oplus per node, each re-based."""
+    if isinstance(term, Gen):
+        return monad_unit(space, term.label)
+    left = _fold(space, term.left)
+    right = _fold(space, term.right)
+    if isinstance(term, Oplus):
+        return oplus(left, right)
+    return plus_p(term.p, left, right)
+
+
+def _has_oplus(term) -> bool:
+    if isinstance(term, Gen):
+        return False
+    return isinstance(term, Oplus) or _has_oplus(term.left) or _has_oplus(term.right)
+
+
+@given(
+    sts.space_with_terms(1, max_points=4, max_depth=5, oplus=False)
+    | sts.space_with_terms(1, max_points=4, max_depth=4)
+)
+@settings(max_examples=80)
+def test_normalize_matches_a_per_node_fold(bundle):
+    space, t = bundle
+    s = normalize(space, t)
+    folded = _fold(space, t)
+    assert s == folded
+    assert hash(s) == hash(folded)
+    assert print_term(nu(space, s)) == print_term(nu(space, folded))
+    if not _has_oplus(t):
+        assert len(s.base) == 1
+
+
+def test_normalize_mixes_deep_oplus_free_chains_exactly(x3):
+    # 200 nested halvings, b outermost: the j-th label from the outside
+    # weighs 2^-j, and c, innermost, 2^-200
+    deep = Gen("c")
+    for label in ("a", "b") * 100:
+        deep = PlusP(F(1, 2), Gen(label), deep)
+    s = normalize(x3, deep)
+    assert s == _fold(x3, deep)
+    (d,) = s.base
+    assert d.weight("c") == F(1, 2**200)
+    assert d.weight("b") == sum(F(1, 2 ** (2 * k + 1)) for k in range(100))
+
+
+def test_print_term_raises_too_deep():
+    deep = Gen("a")
+    for _ in range(sys.getrecursionlimit() + 200):
+        deep = Oplus(deep, Gen("b"))
+    with pytest.raises(TooDeep):
+        print_term(deep)
+    with pytest.raises(TooDeep):
+        print_term(deep, {})
 
 
 def test_deep_plus_p_nesting_raises_too_deep(x3):
