@@ -14,7 +14,6 @@ from hkconvex import (
     hausdorff,
     hk_directed,
     hk_distance,
-    hk_sampled,
     kantorovich_metric,
     nearest_point,
 )
@@ -53,9 +52,8 @@ print("projection of mid onto segment:", mixture, "at distance", value)
 # restricting the search to base points would overshoot here:
 print("nearest base point distance =", min(K(mid, g) for g in segment.base))
 
-# a grid of base mixtures gives a cheap sampling oracle
-s = ConvexSet(space, [dirac(space, "a"), dirac(space, "c")])
-t = ConvexSet(space, [mid])
-for grid in (1, 2, 4, 8):
-    print(f"grid {grid}:", hk_sampled(space, s, t, grid), end="  ")
-print("exact:", hk_distance(space, s, t))
+# and Hausdorff over the two bases alone overshoots the exact distance:
+# (a:1/2, c:1/2) is 1/2 from both ends of the segment but 1/4 from mid
+t = ConvexSet(space, [mid, Dist(space, {"a": "1/2", "c": "1/2"})])
+print("exact HK(segment, t) =", hk_distance(space, segment, t))
+print("base-only H(segment, t) =", hausdorff(K, segment.base, t.base))

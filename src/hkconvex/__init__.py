@@ -30,7 +30,6 @@ from .core import (
     convex_combine,
     dirac,
     format_fraction,
-    make_coupling,
     product_coupling,
     pushforward,
     validate_space,
@@ -66,13 +65,10 @@ from .errors import (
     WeightsNotNormalized,
 )
 from .lifting import (
-    MetrizedCollection,
     directed_hausdorff,
     hausdorff,
-    hausdorff_metric,
     hk_directed,
     hk_distance,
-    hk_sampled,
 )
 from .presentation import (
     EMAlgebra,

@@ -329,6 +329,9 @@ def nearest_point(space: FiniteMetricSpace, target: Dist, s: ConvexSet, metric=N
     of the base, as one rational LP. Returns (value, nearest mixture,
     base weights).
     """
+    for other in (target.space, s.space):
+        if other is not space and other != space:
+            raise SpaceMismatch()
     if metric is None:
         metric = space.d
     base = list(s.base)

@@ -40,10 +40,10 @@ ZERO = Fraction(0)
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '2/3', and Fractions; reject floats."""
+    """Coerce ints, strings like '2/3', and Fractions; reject floats and bools."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -491,11 +491,6 @@ class Coupling:
 
     def to_json_list(self) -> list:
         return [[x, y, format_fraction(v)] for (x, y), v in self.items()]
-
-
-def make_coupling(joint: Mapping, left: Dist, right: Dist) -> Coupling:
-    """Validate a joint table against both marginals."""
-    return Coupling(joint, left, right)
 
 
 def product_coupling(left: Dist, right: Dist) -> Coupling:

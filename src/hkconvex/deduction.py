@@ -49,7 +49,7 @@ class QuantEquation:
 
     def __post_init__(self):
         eps = self.eps
-        if not isinstance(eps, (int, Fraction)):
+        if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
             raise MalformedInput(
                 f"equation distance must be an exact rational, got {type(eps).__name__}"
             )

@@ -64,19 +64,15 @@ class SpaceCarrier:
 class FreeAlgebraCarrier:
     """Finitely generated convex sets over a space, metrized by HK."""
 
-    def __init__(self, space: FiniteMetricSpace, max_base: int = 2, max_support: int = 2):
+    def __init__(self, space: FiniteMetricSpace):
         self.space = space
         self.points = None
-        self.max_base = max_base
-        self.max_support = max_support
 
     def metric(self, s: ConvexSet, t: ConvexSet) -> Fraction:
         return hk_distance(self.space, s, t)
 
     def rand_point(self, rng: random.Random) -> ConvexSet:
-        return rand_convex_set(
-            rng, self.space, max_base=self.max_base, max_support=self.max_support
-        )
+        return rand_convex_set(rng, self.space, max_base=2, max_support=2)
 
 
 def rand_carrier_set(

@@ -19,11 +19,6 @@ from .terms import Gen, Oplus, PlusP, Term
 ONE = Fraction(1)
 
 
-def rand_fraction(rng: random.Random, max_denominator: int = 8) -> Fraction:
-    den = rng.randint(1, max_denominator)
-    return Fraction(rng.randint(0, den), den)
-
-
 def rand_prob(rng: random.Random, max_denominator: int = 8) -> Fraction:
     den = rng.randint(2, max_denominator)
     return Fraction(rng.randint(1, den - 1), den)

@@ -43,7 +43,7 @@ class PlusP:
 
     def __post_init__(self):
         p = self.p
-        if not isinstance(p, (int, Fraction)):
+        if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
             raise MalformedInput(
                 f"probability must be an exact rational, got {type(p).__name__}"
             )

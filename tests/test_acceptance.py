@@ -19,7 +19,6 @@ from hkconvex import (
     functor_F,
     hausdorff,
     hk_distance,
-    hk_sampled,
     kantorovich,
     kantorovich_bruteforce,
     kantorovich_metric,
@@ -120,13 +119,13 @@ def test_a4_operation_nonexpansiveness():
 
 
 def test_a5_base_computation_sandwich():
-    """Grid/raw sandwich around the base computation, plus the cc bound.
+    """The exact value stays below Hausdorff over the raw generators.
 
-    The grid lower bound is asserted over two-point ground spaces, where
-    aligning the two grids affinely proves it; over larger spaces a grid
-    point's nearest grid neighbour can be farther than its projection,
-    so the grid value may overshoot (see the lifting tests for a frozen
-    counterexample). The closure upper bound holds over any space.
+    Convex closure can only shrink the distance between two families:
+    every raw generator lies in its closure, and each directed term over
+    the closures is attained at a base point, which is a raw generator.
+    The bound is checked over two-point ground spaces and again over
+    spaces of up to four points with wider supports.
     """
     elapsed = _stopwatch()
     rng = random.Random(505)
@@ -138,7 +137,6 @@ def test_a5_base_computation_sandwich():
         raw_t = [sampling.rand_dist(rng, space, max_support=2) for _ in range(rng.randint(1, 3))]
         s, t = ConvexSet(space, raw_s), ConvexSet(space, raw_t)
         value = hk_distance(space, s, t)
-        assert hk_sampled(space, s, t, 6) <= value
         assert value <= hausdorff(k, raw_s, raw_t)
     for _ in range(n):
         space = sampling.rand_space(rng, max_points=4)
@@ -150,7 +148,7 @@ def test_a5_base_computation_sandwich():
         assert closed <= hausdorff(k, raw_s, raw_t)
     _report(
         "A5",
-        f"{n} sandwich pairs (grid 6 / value / raw) and {n} closure bounds",
+        f"{n} two-point and {n} up-to-four-point closure bounds",
         elapsed(),
         120,
     )

@@ -10,7 +10,9 @@ from hkconvex import (
     ConvexSet,
     Dist,
     EmptyInput,
+    FiniteMetricSpace,
     MalformedInput,
+    SpaceMismatch,
     TooLarge,
     check_monad_laws,
     convex_combine,
@@ -153,6 +155,22 @@ def test_nearest_point_inside_and_outside(x3):
     value, witness, _ = nearest_point(x3, dirac(x3, "c"), s)
     assert value == F(1, 2)
     assert witness in s
+
+
+def test_nearest_point_rejects_another_space():
+    # A and B differ only in d(a, b), so their points carry equal labels
+    a_space = FiniteMetricSpace(["a", "b"], {("a", "b"): F(1, 2)})
+    b_space = FiniteMetricSpace(["a", "b"], {("a", "b"): F(1)})
+    over_a = ConvexSet(a_space, [dirac(a_space, "a")])
+    over_b = ConvexSet(b_space, [dirac(b_space, "a")])
+    with pytest.raises(SpaceMismatch):
+        nearest_point(b_space, dirac(b_space, "b"), over_a)
+    with pytest.raises(SpaceMismatch):
+        nearest_point(b_space, dirac(a_space, "b"), over_b)
+    with pytest.raises(SpaceMismatch):
+        hk_distance(b_space, over_a, over_b)
+    with pytest.raises(SpaceMismatch):
+        hk_distance(b_space, over_b, over_a)
 
 
 def test_check_monad_laws_clean():

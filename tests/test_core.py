@@ -12,6 +12,7 @@ from hkconvex import (
     Dist,
     DuplicateLabel,
     FiniteMetricSpace,
+    MalformedInput,
     MarginalMismatch,
     OutOfRange,
     UnknownPoint,
@@ -20,7 +21,6 @@ from hkconvex import (
     convex_combine,
     dirac,
     format_fraction,
-    make_coupling,
     product_coupling,
     pushforward,
     validate_space,
@@ -31,6 +31,8 @@ from hkconvex.core import item_sort_key
 def test_fraction_round_trip():
     assert as_fraction("3/4") == Fraction(3, 4)
     assert as_fraction("2") == Fraction(2)
+    with pytest.raises(MalformedInput):
+        as_fraction(True)
     assert format_fraction(Fraction(6, 8)) == "3/4"
     assert format_fraction(Fraction(0)) == "0"
 
@@ -145,10 +147,10 @@ def test_coupling_marginals_enforced(x3):
     left = Dist(x3, {"a": "1/2", "b": "1/2"})
     right = dirac(x3, "c")
     joint = {("a", "c"): Fraction(1, 2), ("b", "c"): Fraction(1, 2)}
-    c = make_coupling(joint, left, right)
+    c = Coupling(joint, left, right)
     assert c.weight("a", "c") == Fraction(1, 2)
     with pytest.raises(MarginalMismatch):
-        make_coupling({("a", "c"): Fraction(1)}, left, right)
+        Coupling({("a", "c"): Fraction(1)}, left, right)
 
 
 def test_product_coupling(x3):

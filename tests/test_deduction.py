@@ -49,6 +49,8 @@ def test_equation_rejects_inexact_epsilon():
         QuantEquation(Gen("a"), Gen("b"), 0.5)
     with pytest.raises(MalformedInput):
         QuantEquation(Gen("a"), Gen("b"), "1/2")
+    with pytest.raises(MalformedInput):
+        QuantEquation(Gen("a"), Gen("b"), True)
     assert str(QuantEquation(Gen("a"), Gen("b"), 1)) == "a =1 b"
 
 

@@ -5,19 +5,14 @@ from hypothesis import given, settings
 
 import strategies as sts
 from hkconvex import (
-    AxiomViolation,
     ConvexSet,
     Dist,
     EmptySet,
-    MetrizedCollection,
-    OutOfRange,
     dirac,
     directed_hausdorff,
     hausdorff,
-    hausdorff_metric,
     hk_directed,
     hk_distance,
-    hk_sampled,
     kantorovich_metric,
     nearest_point,
 )
@@ -56,34 +51,6 @@ def test_hk_golden(x3):
     assert nearest_point(x3, mid, s)[0] == 0
 
 
-def test_hausdorff_metric_combinator(x3):
-    h = hausdorff_metric(_k(x3))
-    s = ConvexSet(x3, [dirac(x3, "a")])
-    t = ConvexSet(x3, [dirac(x3, "b")])
-    assert h(s, t) == F(1, 2)
-
-
-def test_metrized_collection_checks_axioms(x3):
-    pts = [dirac(x3, "a"), dirac(x3, "b")]
-    MetrizedCollection(pts, _k(x3)).check_axioms()
-    with pytest.raises(AxiomViolation):
-        MetrizedCollection(pts, lambda x, y: F(1)).check_axioms()
-    with pytest.raises(OutOfRange):
-        MetrizedCollection(pts, lambda x, y: F(0) if x == y else F(2)).check_axioms()
-
-
-def test_hk_sampled_requires_positive_denominator(x3):
-    s = ConvexSet(x3, [dirac(x3, "a")])
-    with pytest.raises(OutOfRange):
-        hk_sampled(x3, s, s, 0)
-
-
-def test_hk_sampled_agrees_on_singletons(x3):
-    s = ConvexSet(x3, [dirac(x3, "a")])
-    t = ConvexSet(x3, [Dist(x3, {"a": "1/2", "b": "1/2"})])
-    assert hk_sampled(x3, s, t, 4) == hk_distance(x3, s, t)
-
-
 @given(sts.space_with_sets(2))
 def test_hk_symmetry_and_identity(bundle):
     space, s, t = bundle
@@ -99,29 +66,6 @@ def test_hk_triangle(bundle):
     assert hk_distance(space, s, u) <= hk_distance(space, s, t) + hk_distance(
         space, t, u
     )
-
-
-@given(sts.space_with_sets(2, max_base=2))
-@settings(max_examples=25)
-def test_sampled_grid_is_below_base_value(bundle):
-    # each base point lies in its own grid, and mixing the optimal base
-    # responses (Kantorovich is convex) bounds every directed grid term
-    space, s, t = bundle
-    base_value = hausdorff(_k(space), s.base, t.base)
-    assert hk_sampled(space, s, t, 4) <= base_value
-
-
-def test_sampled_grid_is_not_monotone_in_the_denominator():
-    # a finer grid on the right side can lower the directed infimum
-    space = sts.FiniteMetricSpace(
-        ["a", "b", "c"],
-        {("a", "b"): F(1, 8), ("a", "c"): F(1, 8), ("b", "c"): F(1, 4)},
-    )
-    a = dirac(space, "a")
-    s = ConvexSet(space, [Dist(space, {"a": F(1, 6), "b": F(2, 3), "c": F(1, 6)}), a])
-    t = ConvexSet(space, [Dist(space, {"a": F(1, 5), "b": F(1, 5), "c": F(3, 5)}), a])
-    assert hk_sampled(space, s, t, 2) == F(7, 80)
-    assert hk_sampled(space, s, t, 4) == F(19, 240)
 
 
 @given(sts.space_with_sets(2, max_base=2))
@@ -157,10 +101,8 @@ def test_base_restriction_can_overshoot_golden():
     assert hausdorff(_k(space), left.base, right.base) == F(7, 40)
 
 
-def test_grid_oracle_can_overshoot_exact_value_golden():
-    # with nearly coincident sets the exact distance drops below the grid
-    # resolution, so the two-sided grid value is not a lower bound; it
-    # does stay below the pairwise-base value
+def test_base_restriction_overshoots_three_point_bases_golden():
+    # a second frozen overshoot, with three base points on each side
     space = _overshoot_space()
     s = ConvexSet(
         space,
@@ -179,7 +121,6 @@ def test_grid_oracle_can_overshoot_exact_value_golden():
         ],
     )
     assert hk_distance(space, s, t) == F(15, 112)
-    assert hk_sampled(space, s, t, 6) == F(31, 224)
     assert hausdorff(_k(space), s.base, t.base) == F(33, 224)
 
 

@@ -63,6 +63,8 @@ def test_probabilities_must_be_exact():
         PlusP(0.25, Gen("a"), Gen("b"))
     with pytest.raises(MalformedInput):
         PlusP("1/4", Gen("a"), Gen("b"))
+    with pytest.raises(MalformedInput):
+        PlusP(True, Gen("a"), Gen("b"))
     assert print_term(PlusP(F(1, 4), Gen("a"), Gen("b"))) == "(p+ 1/4 a b)"
 
 
