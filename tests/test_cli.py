@@ -260,27 +260,28 @@ def test_bad_rational_weight_is_a_domain_error(capsys, space_file, files):
     assert out["error"] == "MalformedInput"
 
 
-def test_json_booleans_are_not_rationals(capsys, space_file, files):
+@pytest.mark.parametrize("command", ["validate-space", "base", "check"])
+def test_json_booleans_are_not_rationals(capsys, space_file, files, command):
     # JSON true is a Python bool, which is an int; it must not read as 1
-    s1 = files("s1.json", {"generators": [{"a": "1"}, {"b": "1"}]})
-    s2 = files("s2.json", {"generators": [{"c": "1"}]})
-    _, proof_obj = run(capsys, "derive", "--space", space_file, "--left", s1, "--right", s2)
-    assert proof_obj["conclusion"]["eps"] == "1"
-    proof_obj["conclusion"]["eps"] = True
-    gamma = files("gamma.json", proof_obj["hypotheses"])
-    proof = files("proof.json", proof_obj)
-    space = files("space.json", {"points": ["a", "b"], "dist": [["a", "b", True]]})
-    cset = files("set.json", {"generators": [{"a": True}]})
-    runs = [
-        ["validate-space", "--space", space],
-        ["base", "--space", space_file, "--set", cset],
-        ["check", "--space", space_file, "--gamma", gamma, "--proof", proof],
-    ]
-    for argv in runs:
-        code, out, err = _run_quietly(argv)
-        assert code == 1, argv
-        assert out.count("\n") == 1, argv
-        assert json.loads(out)["error"] == "MalformedInput", argv
+    if command == "validate-space":
+        space = files("space.json", {"points": ["a", "b"], "dist": [["a", "b", True]]})
+        argv = ["validate-space", "--space", space]
+    elif command == "base":
+        cset = files("set.json", {"generators": [{"a": True}]})
+        argv = ["base", "--space", space_file, "--set", cset]
+    else:
+        s1 = files("s1.json", {"generators": [{"a": "1"}, {"b": "1"}]})
+        s2 = files("s2.json", {"generators": [{"c": "1"}]})
+        _, proof_obj = run(capsys, "derive", "--space", space_file, "--left", s1, "--right", s2)
+        assert proof_obj["conclusion"]["eps"] == "1"
+        proof_obj["conclusion"]["eps"] = True
+        gamma = files("gamma.json", proof_obj["hypotheses"])
+        proof = files("proof.json", proof_obj)
+        argv = ["check", "--space", space_file, "--gamma", gamma, "--proof", proof]
+    code, out, err = _run_quietly(argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == "MalformedInput"
 
 
 def test_space_without_dist_is_a_domain_error(capsys, files):

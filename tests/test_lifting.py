@@ -8,6 +8,7 @@ from hkconvex import (
     ConvexSet,
     Dist,
     EmptySet,
+    convex_combine,
     dirac,
     directed_hausdorff,
     hausdorff,
@@ -58,6 +59,32 @@ def test_hk_symmetry_and_identity(bundle):
     assert hk_distance(space, s, s) == 0
     if s != t:
         assert hk_distance(space, s, t) > 0
+
+
+@given(sts.space_with_dists(2))
+def test_hk_distance_of_singletons_is_kantorovich(bundle):
+    # a one-point set is its own closure, so both directed terms are the
+    # Kantorovich distance between the two points
+    space, d1, d2 = bundle
+    s, t = ConvexSet(space, [d1]), ConvexSet(space, [d2])
+    assert hk_distance(space, s, t) == _k(space)(d1, d2)
+
+
+@given(sts.space_with_sets(1), sts.probabilities())
+def test_hk_directed_vanishes_inside_the_closure(bundle, p):
+    # a mixture of base points lies in the set, so its directed term is 0
+    space, t = bundle
+    first, last = t.base[0], t.base[-1]
+    inside = ConvexSet(space, [convex_combine([(p, first), (1 - p, last)]), first])
+    assert hk_directed(space, inside, t) == 0
+    assert hk_distance(space, t, inside) == hk_directed(space, t, inside)
+
+
+@given(sts.space_with_sets(2))
+def test_hk_distance_is_bounded_by_the_diameter(bundle):
+    space, s, t = bundle
+    diameter = max(space.d(x, y) for x in space.points for y in space.points)
+    assert hk_distance(space, s, t) <= diameter
 
 
 @given(sts.space_with_sets(3))
