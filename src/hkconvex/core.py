@@ -60,7 +60,7 @@ def scaled_ints(values: Iterable) -> tuple[list[int], int]:
     `as_fraction`, so strings are parsed and floats raise MalformedInput.
     """
     values = [v if isinstance(v, (int, Fraction)) else as_fraction(v) for v in values]
-    s = lcm(*(v.denominator for v in values))
+    s = lcm(*[v.denominator for v in values])
     return [v.numerator * (s // v.denominator) for v in values], s
 
 
@@ -272,7 +272,7 @@ class Dist:
         """(_den, _num), derived from the Fraction weights on first use."""
         if self._num is None:
             w = self._w
-            den = lcm(*(v.denominator for v in w.values()))
+            den = lcm(*[v.denominator for v in w.values()])
             self._num = {item: v.numerator * (den // v.denominator) for item, v in w.items()}
             self._den = den
         return self._den, self._num
@@ -444,17 +444,22 @@ class Coupling:
             if v < 0:
                 raise OutOfRange(f"coupling weight at ({x!r},{y!r})", v)
             w[(x, y)] = v
+        # The marginals are summed as numerators q over one denominator s,
+        # and q / s == n / den is checked against each side's int weights.
+        nums, s = scaled_ints(w.values())
         left_marginal: dict = {}
         right_marginal: dict = {}
-        for (x, y), v in w.items():
-            left_marginal[x] = left_marginal.get(x, ZERO) + v
-            right_marginal[y] = right_marginal.get(y, ZERO) + v
-        for x in set(left_marginal) | set(left.support):
-            if left_marginal.get(x, ZERO) != left.weight(x):
-                raise MarginalMismatch("left", x)
-        for y in set(right_marginal) | set(right.support):
-            if right_marginal.get(y, ZERO) != right.weight(y):
-                raise MarginalMismatch("right", y)
+        for (x, y), q in zip(w, nums):
+            left_marginal[x] = left_marginal.get(x, 0) + q
+            right_marginal[y] = right_marginal.get(y, 0) + q
+        for side, dist, marginal in (
+            ("left", left, left_marginal),
+            ("right", right, right_marginal),
+        ):
+            den, num = dist._ints()
+            for x in set(marginal) | set(dist.support):
+                if marginal.get(x, 0) * den != num.get(x, 0) * s:
+                    raise MarginalMismatch(side, x)
         self._w = w
         space = left.space
         self._support = tuple(

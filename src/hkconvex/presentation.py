@@ -75,13 +75,11 @@ class FreeAlgebraCarrier:
         return rand_convex_set(rng, self.space, max_base=2, max_support=2)
 
 
-def rand_carrier_set(
-    rng: random.Random, carrier, max_gens: int = 2, max_support: int = 2
-) -> ConvexSet:
-    """A random convex set of distributions over carrier points."""
+def rand_carrier_set(rng: random.Random, carrier) -> ConvexSet:
+    """A random convex set of 1-2 distributions over 1-2 carrier points."""
     gens = []
-    for _ in range(rng.randint(1, max_gens)):
-        k = rng.randint(1, max_support)
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randint(1, 2)
         points = [carrier.rand_point(rng) for _ in range(k)]
         weights = rand_weights(rng, k)
         acc: dict = {}

@@ -6,12 +6,20 @@ bases cannot cycle), and exact potentials. The transportation polytope is
 totally unimodular, so it runs on Python ints: masses are scaled by the
 LCM of their denominators and costs by the LCM of theirs, which keeps
 every sign and comparison and hence every pivot; the value and the plan
-are divided back once at the end. Each pivot walks the basis tree once,
-for the potentials and the parent pointers that close the entering cycle.
-It is generic over the ground cost: any callable producing rationals
-works, which lets the same solver compute Kantorovich distances over
-points, over convex sets (with a Hausdorff-Kantorovich ground cost), and
-so on.
+are divided back once at the end.
+
+The basis tree is hung from row 0 once, with potentials, parent pointers
+and depths; the parent pointers close each entering cycle. A pivot swaps
+one basic cell for another, which cuts off only the subtree below the
+leaving cell, so only that subtree is re-hung from the entering cell and
+gets new potentials (the network-simplex update; Ahuja, Magnanti & Orlin,
+*Network Flows*, 1993, ch. 11). The tree fixes the potentials, with row 0
+at 0, so every pivot is the one a full rebuild of the tree would give.
+
+The solver is generic over the ground cost: any callable producing
+rationals works, which lets the same solver compute Kantorovich distances
+over points, over convex sets (with a Hausdorff-Kantorovich ground cost),
+and so on.
 
 `kantorovich_bruteforce` is an independent oracle: every vertex of the
 transportation polytope is the basic solution of a spanning tree of the
@@ -26,7 +34,7 @@ from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from .core import Coupling, Dist, FiniteMetricSpace, scaled_ints
-from .errors import SpaceMismatch, TooLarge
+from .errors import EmptyInput, MalformedInput, OutOfRange, SpaceMismatch, TooLarge
 
 ZERO = Fraction(0)
 
@@ -44,16 +52,14 @@ class TransportResult:
         return f"TransportResult(value={self.value})"
 
 
-def _northwest_corner(supply: list[int], demand: list[int]):
+def _northwest_corner(supply: list[int], demand: list[int]) -> dict:
     m, n = len(supply), len(demand)
     rs, rt = supply[:], demand[:]
     x: dict[tuple[int, int], int] = {}
-    basis: list[tuple[int, int]] = []
     i = j = 0
     while True:
         q = min(rs[i], rt[j])
         x[(i, j)] = q
-        basis.append((i, j))
         rs[i] -= q
         rt[j] -= q
         if i == m - 1 and j == n - 1:
@@ -62,20 +68,15 @@ def _northwest_corner(supply: list[int], demand: list[int]):
             i += 1
         else:
             j += 1
-    return x, basis
+    return x
 
 
-def _tree(basis: Sequence[tuple[int, int]], cost, m: int, n: int):
-    # One DFS of the basis tree from row 0. Nodes are rows 0..m-1 and
-    # columns m..m+n-1; pot[i] + pot[m + j] == cost[i][j] on basic cells.
-    adj: list[list[int]] = [[] for _ in range(m + n)]
-    for (i, j) in basis:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    pot = [0] * (m + n)
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
-    stack = [0]
+def _hang(root: int, adj, cost, m: int, pot, parent, depth) -> None:
+    # Walk the subtree below `root`, whose parent, depth and potential are
+    # already set, and set those of every node below it. Nodes are rows
+    # 0..m-1 and columns m..m+n-1; pot[i] + pot[m + j] == cost[i][j] on
+    # basic cells.
+    stack = [root]
     while stack:
         a = stack.pop()
         for b in adj[a]:
@@ -84,7 +85,6 @@ def _tree(basis: Sequence[tuple[int, int]], cost, m: int, n: int):
                 depth[b] = depth[a] + 1
                 pot[b] = (cost[a][b - m] if a < m else cost[b][a - m]) - pot[a]
                 stack.append(b)
-    return pot, parent, depth
 
 
 def solve_transport(
@@ -95,16 +95,38 @@ def solve_transport(
     """Minimize sum x[i][j]*cost[i][j] over exact transportation plans.
 
     Masses and costs are exact rationals (see `core.scaled_ints`); the
-    simplex itself runs on their integer multiples.
+    simplex itself runs on their integer multiples. Both sides must be
+    nonempty (else EmptyInput), the masses nonnegative (else OutOfRange)
+    with equal totals, and the cost matrix len(supply) x len(demand)
+    (else MalformedInput).
     """
     m, n = len(supply), len(demand)
+    if not m or not n:
+        raise EmptyInput("transport needs a nonempty supply and demand")
+    if len(cost) != m or any(len(row) != n for row in cost):
+        raise MalformedInput(f"transport cost matrix must be {m}x{n}")
     masses, ls = scaled_ints((*supply, *demand))
+    for k, q in enumerate(masses):
+        if q < 0:
+            side = f"supply {k}" if k < m else f"demand {k - m}"
+            raise OutOfRange(f"transport mass of {side}", Fraction(q, ls))
+    if sum(masses[:m]) != sum(masses[m:]):
+        raise MalformedInput("unbalanced transport: supply and demand totals differ")
     flat, lc = scaled_ints(q for row in cost for q in row)
     c = [flat[i * n : (i + 1) * n] for i in range(m)]
-    assert sum(masses[:m]) == sum(masses[m:]), "unbalanced transport"
-    x, basis = _northwest_corner(masses[:m], masses[m:])
+    x = _northwest_corner(masses[:m], masses[m:])
+    # The basis tree, hung from row 0 once: adjacency lists, parent
+    # pointers, depths and potentials. Row 0 is never cut off, so it stays
+    # the root with potential 0.
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for (i, j) in x:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pot = [0] * (m + n)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    _hang(0, adj, c, m, pot, parent, depth)
     while True:
-        pot, parent, depth = _tree(basis, c, m, n)
         # Bland: the first cell in row-major order with a negative reduced
         # cost (basic cells have reduced cost 0).
         v = pot[m:]
@@ -136,7 +158,22 @@ def solve_transport(
         for cell in minus:
             x[cell] -= theta
         del x[leave]
-        basis[basis.index(leave)] = enter
+        i, j = leave
+        adj[i].remove(m + j)
+        adj[m + j].remove(i)
+        i, j = enter
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+        # Dropping the leaving cell cuts off the subtree below it, which
+        # holds the entering cell's end on the leaving cell's side of the
+        # cycle: the row end if it lay on the row's walk, the column end
+        # otherwise. Hang that subtree from the entering cell's other end;
+        # every node outside it keeps its parent, depth and potential.
+        s, t = (i, m + j) if leave in head else (m + j, i)
+        parent[s] = t
+        depth[s] = depth[t] + 1
+        pot[s] = c[i][j] - pot[t]
+        _hang(s, adj, c, m, pot, parent, depth)
     value = Fraction(sum(q * c[i][j] for (i, j), q in x.items()), ls * lc)
     plan = {cell: Fraction(q, ls) for cell, q in x.items() if q > 0}
     return value, plan

@@ -153,6 +153,48 @@ def test_coupling_marginals_enforced(x3):
         Coupling({("a", "c"): Fraction(1)}, left, right)
 
 
+def _fraction_marginal_error(joint, left, right):
+    # The marginal check on Fraction sums, in the order Coupling runs it.
+    for side, dist, k in (("left", left, 0), ("right", right, 1)):
+        marginal: dict = {}
+        for cell, v in joint.items():
+            if v:
+                marginal[cell[k]] = marginal.get(cell[k], Fraction(0)) + v
+        for x in set(marginal) | set(dist.support):
+            if marginal.get(x, Fraction(0)) != dist.weight(x):
+                return side, x
+    return None
+
+
+@given(sts.space_with_dists(2), st.data())
+def test_coupling_names_the_same_mismatch_as_fraction_sums(bundle, data):
+    space, left, right = bundle
+    joint = {xy: v for xy, v in product_coupling(left, right).items()}
+    cells = [(x, y) for x in space.points for y in space.points]
+    for _ in range(data.draw(st.integers(0, 3))):
+        cell = data.draw(st.sampled_from(cells))
+        den = data.draw(st.sampled_from((2, 5, 7)))
+        delta = Fraction(data.draw(st.integers(-3, 3)), den)
+        joint[cell] = max(joint.get(cell, Fraction(0)) + delta, Fraction(0))
+    expected = _fraction_marginal_error(joint, left, right)
+    if expected is None:
+        assert dict(Coupling(joint, left, right).items()) == {
+            xy: v for xy, v in joint.items() if v
+        }
+        return
+    with pytest.raises(MarginalMismatch) as err:
+        Coupling(joint, left, right)
+    assert (err.value.side, err.value.point) == expected
+
+
+def test_coupling_rejects_a_negative_weight_before_the_marginals(x3):
+    left = Dist(x3, {"a": "1/2", "b": "1/2"})
+    joint = {("a", "c"): Fraction(1), ("b", "c"): Fraction(-1, 3), ("b", "a"): 7}
+    with pytest.raises(OutOfRange) as err:
+        Coupling(joint, left, dirac(x3, "c"))
+    assert err.value.value == Fraction(-1, 3)
+
+
 def test_product_coupling(x3):
     left = Dist(x3, {"a": "1/2", "b": "1/2"})
     right = dirac(x3, "c")
@@ -197,6 +239,23 @@ def test_items_keep_no_memory_per_call():
     for _ in range(5000):
         d.items()
         c.items()
+    assert sys.getallocatedblocks() - before < 100
+
+
+def test_coupling_check_keeps_no_memory_per_call():
+    # lcm(*<genexpr>) builds its argument tuple by resizing, which left one
+    # freed block per call on the tuple free lists, as tuple(<genexpr>) did;
+    # the marginal check scales the 15 coupling weights and both marginals
+    points = [chr(ord("a") + i) for i in range(15)]
+    space = FiniteMetricSpace(
+        points, {(x, y): Fraction(1, 2) for i, x in enumerate(points) for y in points[i + 1 :]}
+    )
+    weights = {p: Fraction(1, 15) for p in points}
+    joint = {(p, p): w for p, w in weights.items()}
+    Coupling(joint, Dist(space, weights), Dist(space, weights))
+    before = sys.getallocatedblocks()
+    for _ in range(5000):
+        Coupling(joint, Dist(space, weights), Dist(space, weights))
     assert sys.getallocatedblocks() - before < 100
 
 

@@ -1,15 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
 from hkconvex import (
     ConvexSet,
     Dist,
+    EmptyInput,
     FiniteMetricSpace,
     MalformedInput,
+    OutOfRange,
     SpaceMismatch,
     TooLarge,
     dirac,
@@ -23,6 +25,7 @@ from hkconvex import (
 )
 from hkconvex.linprog import OPTIMAL, solve_lp
 from hkconvex.transport import BRUTEFORCE_SUPPORT_CAP
+from transport_reference import solve_transport as reference_solve_transport
 
 F = Fraction
 
@@ -227,3 +230,62 @@ def test_solve_transport_rejects_floats():
     with pytest.raises(MalformedInput):
         solve_transport([F(1)], [F(1)], [[0.25]])
     assert solve_transport([1], ["1"], [[2]]) == (2, {(0, 0): 1})
+
+
+def test_solve_transport_rejects_a_ragged_cost_matrix():
+    # [[1, 2, 3], [4]] has 2x2 = 4 entries, but it is not a 2x2 matrix
+    with pytest.raises(MalformedInput):
+        solve_transport([F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)], [[1, 2, 3], [4]])
+    with pytest.raises(MalformedInput):
+        solve_transport([F(1)], [F(1)], [[1], [2]])
+
+
+def test_solve_transport_rejects_a_negative_mass():
+    with pytest.raises(OutOfRange) as err:
+        solve_transport([-1, 2], [1], [[0], [1]])
+    assert err.value.value == -1
+    with pytest.raises(OutOfRange) as err:
+        solve_transport([F(1)], [F(3, 2), F(-1, 2)], [[0, 1]])
+    assert err.value.value == F(-1, 2)
+
+
+def test_solve_transport_rejects_an_empty_side():
+    with pytest.raises(EmptyInput):
+        solve_transport([], [F(1)], [])
+    with pytest.raises(EmptyInput):
+        solve_transport([F(1)], [], [[]])
+
+
+def test_solve_transport_rejects_unbalanced_masses():
+    with pytest.raises(MalformedInput):
+        solve_transport([F(1, 2)], [F(1, 3)], [[0]])
+
+
+@st.composite
+def degenerate_transport(draw):
+    # Masses and costs are drawn from a few values, so theta ties and tied
+    # reduced costs are common, on sizes beyond the brute-force oracle.
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    total = m * n * draw(st.sampled_from((1, 2)))
+
+    def masses(k):
+        cuts = draw(st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1))
+        cuts.sort()
+        return [F(b - a, total) for a, b in zip([0, *cuts], [*cuts, total])]
+
+    tied = draw(st.booleans())
+    supply = [F(1, m)] * m if tied else masses(m)
+    demand = [F(1, n)] * n if tied else masses(n)
+    costs = st.sampled_from((F(0), F(1, 3), F(1, 2), F(1)))
+    cost = [[draw(costs) for _ in range(n)] for _ in range(m)]
+    return supply, demand, cost
+
+
+@settings(max_examples=300)
+@given(degenerate_transport())
+def test_solve_transport_matches_the_full_rebuild_reference(instance):
+    supply, demand, cost = instance
+    value, plan = solve_transport(supply, demand, cost)
+    ref_value, ref_plan = reference_solve_transport(supply, demand, cost)
+    assert value == ref_value
+    assert list(plan.items()) == list(ref_plan.items())
