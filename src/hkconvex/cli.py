@@ -32,7 +32,7 @@ from .lifting import directed_hausdorff, hk_directed, hk_distance
 from .presentation import free_em_algebra, functor_F, roundtrip_FG, roundtrip_GF
 from .proofs import derive_hk
 from .terms import normalize, nu, parse_term, print_term, term_distance
-from .transport import kantorovich, kantorovich_metric
+from .transport import kantorovich
 
 
 def _load_json(path: str):
@@ -115,7 +115,10 @@ def _cmd_hausdorff(args) -> int:
     space = _load_space(args.space)
     left = _load_dists(space, args.left)
     right = _load_dists(space, args.right)
-    metric = kantorovich_metric(space.d)
+
+    def metric(a, b):
+        return kantorovich(space, a, b).value
+
     ltr = directed_hausdorff(metric, left, right)
     rtl = directed_hausdorff(metric, right, left)
     _emit(
@@ -224,6 +227,17 @@ def _cmd_roundtrip(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of a trial or sample count: an int, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an int, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
@@ -290,10 +304,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("laws", _cmd_laws, "randomized monad-law report")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count, default=100)
 
     p = add("roundtrip", _cmd_roundtrip, "free-algebra round-trips at sampled points")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
 
     return parser

@@ -100,7 +100,7 @@ def _int_vectors(dists: Sequence[Dist]) -> tuple[list[list[int]], dict]:
         for item in d.support:
             index.setdefault(item, len(index))
     ints = [d._ints() for d in dists]
-    den = lcm(*(d for d, _ in ints))
+    den = lcm(*[d for d, _ in ints])
     vecs = []
     for d, num in ints:
         v = [0] * len(index)

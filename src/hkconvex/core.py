@@ -15,7 +15,10 @@ A distribution's weights are int numerators over one int denominator
 them on ints. `fractions.Fraction` weights appear only at the API
 boundary: the public `Dist` constructor reads them, and `weight`,
 `items`, `sort_key` and `to_json_dict` return them. Distances and
-coupling weights stay Fractions.
+coupling weights stay Fractions; a space also keeps its distances as
+int numerators over one int denominator (`FiniteMetricSpace._int_table`),
+and `Coupling._from_ints` builds a coupling from int masses, which is how
+`transport.kantorovich` stays on ints.
 """
 
 from __future__ import annotations
@@ -58,7 +61,12 @@ def scaled_ints(values: Iterable) -> tuple[list[int], int]:
 
     Ints and Fractions are used as they are; anything else goes through
     `as_fraction`, so strings are parsed and floats raise MalformedInput.
+    All-int values (the masses and costs `transport.kantorovich` passes)
+    come back as they are, over 1.
     """
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
     values = [v if isinstance(v, (int, Fraction)) else as_fraction(v) for v in values]
     s = lcm(*[v.denominator for v in values])
     return [v.numerator * (s // v.denominator) for v in values], s
@@ -90,9 +98,12 @@ class FiniteMetricSpace:
     order used everywhere (serialization, distribution supports, term
     folds). The distance table is validated exactly: identity, symmetry,
     and every triangle inequality.
+
+    `_int_table` is built on first use and is not part of `_key`, so it
+    changes neither equality nor hashing.
     """
 
-    __slots__ = ("points", "_index", "_d", "_key")
+    __slots__ = ("points", "_index", "_d", "_key", "_table_ints")
 
     def __init__(self, points: Sequence[str], dist: Mapping):
         pts = tuple(points)
@@ -135,6 +146,7 @@ class FiniteMetricSpace:
                         raise AxiomViolation("triangle", x, y, z)
         self._d = table
         self._key = (pts, tuple(sorted(table.items())))
+        self._table_ints = None
 
     def d(self, x: str, y: str) -> Fraction:
         try:
@@ -142,6 +154,15 @@ class FiniteMetricSpace:
         except KeyError:
             missing = x if x not in self._index else y
             raise UnknownPoint(missing) from None
+
+    def _int_table(self) -> tuple[int, list[list[int]]]:
+        """(D, rows): D is the LCM of the distance denominators and
+        rows[i][j] / D == d(points[i], points[j]); built on first use."""
+        if self._table_ints is None:
+            pts, n = self.points, len(self.points)
+            flat, den = scaled_ints([self._d[(x, y)] for x in pts for y in pts])
+            self._table_ints = (den, [flat[i * n : (i + 1) * n] for i in range(n)])
+        return self._table_ints
 
     def index(self, label: str) -> int:
         try:
@@ -399,7 +420,7 @@ def convex_combine(pairs: Sequence[tuple]) -> Dist:
         kinds.add(isinstance(dist._support[0], str))
         den, num = dist._ints()
         mixed.append((a, p.denominator * den, num))
-    den = lcm(*(scale for _, scale, _ in mixed))
+    den = lcm(*[scale for _, scale, _ in mixed])
     acc: dict = {}
     for a, scale, num in mixed:
         f = a * (den // scale)
@@ -471,6 +492,35 @@ class Coupling:
                 ),
             )
         )
+
+    @classmethod
+    def _from_ints(cls, left: Dist, right: Dist, den: int, plan: Mapping) -> "Coupling":
+        """Trusted constructor: `plan` maps (i, j), indices into
+        `left.support` and `right.support`, to a positive int q, the weight
+        q / den. Both marginals are still checked exactly, on ints; the
+        support is ordered by (i, j), which is the canonical order because
+        both supports are. The caller has checked that both sides live
+        over one space."""
+        xs, ys = left.support, right.support
+        rows = [0] * len(xs)
+        cols = [0] * len(ys)
+        for (i, j), q in plan.items():
+            rows[i] += q
+            cols[j] += q
+        for side, dist, items, marginal in (
+            ("left", left, xs, rows),
+            ("right", right, ys, cols),
+        ):
+            d, num = dist._ints()
+            for x, q in zip(items, marginal):
+                if q * d != num[x] * den:
+                    raise MarginalMismatch(side, x)
+        self = object.__new__(cls)
+        self.left = left
+        self.right = right
+        self._w = {(xs[i], ys[j]): Fraction(plan[(i, j)], den) for (i, j) in sorted(plan)}
+        self._support = tuple(self._w)
+        return self
 
     @property
     def support(self) -> tuple:

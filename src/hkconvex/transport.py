@@ -16,10 +16,23 @@ gets new potentials (the network-simplex update; Ahuja, Magnanti & Orlin,
 *Network Flows*, 1993, ch. 11). The tree fixes the potentials, with row 0
 at 0, so every pivot is the one a full rebuild of the tree would give.
 
-The solver is generic over the ground cost: any callable producing
-rationals works, which lets the same solver compute Kantorovich distances
-over points, over convex sets (with a Hausdorff-Kantorovich ground cost),
-and so on.
+Where Fractions enter and leave. `kantorovich` runs on ints from its
+inputs to its witness: the masses are the `Dist` numerators over L, the
+LCM of both denominators; the costs come from the space's int distance
+table over its denominator D (`FiniteMetricSpace._int_table`, built once
+per space). It hands those ints to `solve_transport`, whose scaling
+(`core.scaled_ints`) returns all-int input as it is, over 1, so the
+total and the plan come back over 1 and it reads their numerators;
+`Coupling._from_ints` checks the plan's marginals on ints. Fractions
+are made for what it returns: the value total / (L*D) and the coupling
+weights q / L. Other callers of `solve_transport`, and
+`optimal_transport` with any ground cost producing rationals (such as a
+Hausdorff-Kantorovich ground cost between convex sets), have their
+Fraction masses and costs scaled to ints by the LCMs of their
+denominators, run the same simplex and get the result divided back.
+Scaling masses and costs by positive constants keeps every pivot, so
+`kantorovich` and `optimal_transport(left, right, space.d)` return the
+same value and plan.
 
 `kantorovich_bruteforce` is an independent oracle: every vertex of the
 transportation polytope is the basic solution of a spanning tree of the
@@ -31,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from .core import Coupling, Dist, FiniteMetricSpace, scaled_ints
@@ -113,8 +127,18 @@ def solve_transport(
     if sum(masses[:m]) != sum(masses[m:]):
         raise MalformedInput("unbalanced transport: supply and demand totals differ")
     flat, lc = scaled_ints(q for row in cost for q in row)
-    c = [flat[i * n : (i + 1) * n] for i in range(m)]
-    x = _northwest_corner(masses[:m], masses[m:])
+    total, plan = _int_transport(
+        masses[:m], masses[m:], [flat[i * n : (i + 1) * n] for i in range(m)]
+    )
+    return Fraction(total, ls * lc), {cell: Fraction(q, ls) for cell, q in plan.items()}
+
+
+def _int_transport(supply: list[int], demand: list[int], c: list[list[int]]):
+    """The simplex on checked int input: nonempty, nonnegative, balanced
+    masses and an m x n cost matrix. Returns the optimal total cost and
+    the plan {(i, j): q} of its positive cells."""
+    m, n = len(supply), len(demand)
+    x = _northwest_corner(supply, demand)
     # The basis tree, hung from row 0 once: adjacency lists, parent
     # pointers, depths and potentials. Row 0 is never cut off, so it stays
     # the root with potential 0.
@@ -174,9 +198,8 @@ def solve_transport(
         depth[s] = depth[t] + 1
         pot[s] = c[i][j] - pot[t]
         _hang(s, adj, c, m, pot, parent, depth)
-    value = Fraction(sum(q * c[i][j] for (i, j), q in x.items()), ls * lc)
-    plan = {cell: Fraction(q, ls) for cell, q in x.items() if q > 0}
-    return value, plan
+    total = sum(q * c[i][j] for (i, j), q in x.items())
+    return total, {cell: q for cell, q in x.items() if q > 0}
 
 
 def optimal_transport(left: Dist, right: Dist, metric: Callable):
@@ -207,8 +230,23 @@ def kantorovich(space: FiniteMetricSpace, left: Dist, right: Dist) -> TransportR
         raise SpaceMismatch()
     if not (left.is_ground() and right.is_ground()):
         raise SpaceMismatch("kantorovich over a space needs label-supported inputs")
-    value, joint = optimal_transport(left, right, space.d)
-    return TransportResult(value, Coupling(joint, left, right))
+    lden, lnum = left._ints()
+    rden, rnum = right._ints()
+    den = lcm(lden, rden)
+    lf, rf = den // lden, den // rden
+    dden, table = space._int_table()
+    index = space._index
+    cols = [index[y] for y in right.support]
+    rows = [table[index[x]] for x in left.support]
+    cost = [[row[j] for j in cols] for row in rows]
+    # All-int input scales by 1, so the value and plan come back over 1.
+    value, plan = solve_transport(
+        [lnum[x] * lf for x in left.support], [rnum[y] * rf for y in right.support], cost
+    )
+    ints = {cell: q.numerator for cell, q in plan.items()}
+    return TransportResult(
+        Fraction(value.numerator, den * dden), Coupling._from_ints(left, right, den, ints)
+    )
 
 
 def transport_cost(space: FiniteMetricSpace, coupling: Coupling) -> Fraction:

@@ -192,6 +192,20 @@ def test_laws_and_roundtrip(capsys, space_file):
     assert out["gf"]["ok"] is True and out["fg"]["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["laws", "--trials", "-1"], ["roundtrip", "--samples", "-3"]],
+    ids=["laws-trials", "roundtrip-samples"],
+)
+def test_negative_count_is_a_usage_error(capsys, space_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--space", space_file])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 0" in captured.err
+
+
 def test_usage_error_exits_2(capsys, space_file):
     with pytest.raises(SystemExit) as exc:
         main(["kantorovich", "--space", space_file])

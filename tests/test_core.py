@@ -25,7 +25,7 @@ from hkconvex import (
     pushforward,
     validate_space,
 )
-from hkconvex.core import item_sort_key
+from hkconvex.core import item_sort_key, scaled_ints
 
 
 def test_fraction_round_trip():
@@ -35,6 +35,15 @@ def test_fraction_round_trip():
         as_fraction(True)
     assert format_fraction(Fraction(6, 8)) == "3/4"
     assert format_fraction(Fraction(0)) == "0"
+
+
+def test_scaled_ints_keeps_ints_over_one():
+    ints = [3, -2, 0]
+    assert scaled_ints(iter(ints)) == (ints, 1)
+    assert scaled_ints([3, Fraction(1, 2), "2/3"]) == ([18, 3, 4], 6)
+    assert scaled_ints([Fraction(4, 2), 5]) == ([2, 5], 1)
+    with pytest.raises(MalformedInput):
+        scaled_ints([1, 0.5])
 
 
 def test_space_basics(x3):
@@ -49,6 +58,48 @@ def test_space_json_round_trip(x3):
     data = x3.to_json_dict()
     assert data["points"] == ["a", "b", "c"]
     assert FiniteMetricSpace.from_json_dict(data) == x3
+
+
+def _check_int_table(space):
+    den, rows = space._int_table()
+    assert len(rows) == len(space.points)
+    for x, row in zip(space.points, rows):
+        assert len(row) == len(space.points)
+        for y, n in zip(space.points, row):
+            assert all(isinstance(v, int) for v in (n, den))
+            assert Fraction(n, den) == space.d(x, y)
+
+
+def test_int_table_on_a_one_point_space():
+    space = FiniteMetricSpace(["a"], {})
+    _check_int_table(space)
+    assert space._int_table() == (1, [[0]])
+
+
+def test_int_table_of_a_space_read_back_from_json():
+    points = list("abcd")
+    # thirds, eighths and a fifth: D is their LCM, 120
+    dist = {
+        ("a", "b"): Fraction(2, 3),
+        ("a", "c"): Fraction(5, 8),
+        ("a", "d"): Fraction(1),
+        ("b", "c"): Fraction(3, 5),
+        ("b", "d"): Fraction(7, 8),
+        ("c", "d"): Fraction(1, 2),
+    }
+    space = FiniteMetricSpace.from_json_dict(FiniteMetricSpace(points, dist).to_json_dict())
+    _check_int_table(space)
+    assert space._int_table()[0] == 120
+
+
+@given(sts.spaces(min_points=1, max_points=6))
+def test_int_table_matches_the_distances_and_leaves_eq_and_hash(space):
+    twin = FiniteMetricSpace.from_json_dict(space.to_json_dict())
+    before = hash(space)
+    _check_int_table(space)
+    assert space._int_table() is space._int_table()
+    assert hash(space) == before == hash(twin)
+    assert space == twin and twin == space
 
 
 def test_space_rejects_duplicate_labels():
@@ -153,6 +204,21 @@ def test_coupling_marginals_enforced(x3):
         Coupling({("a", "c"): Fraction(1)}, left, right)
 
 
+def test_coupling_from_ints_checks_both_marginals(x3):
+    left = Dist(x3, {"a": "1/2", "b": "1/2"})
+    right = Dist(x3, {"b": "1/3", "c": "2/3"})
+    # (i, j) index left.support and right.support; weights are over 6
+    c = Coupling._from_ints(left, right, 6, {(1, 0): 2, (0, 1): 3, (1, 1): 1})
+    assert c == Coupling({("a", "c"): "1/2", ("b", "b"): "1/3", ("b", "c"): "1/6"}, left, right)
+    assert c.support == (("a", "c"), ("b", "b"), ("b", "c"))
+    with pytest.raises(MarginalMismatch) as err:
+        Coupling._from_ints(left, right, 6, {(0, 0): 2, (0, 1): 3, (1, 1): 1})
+    assert (err.value.side, err.value.point) == ("left", "a")
+    with pytest.raises(MarginalMismatch) as err:
+        Coupling._from_ints(left, right, 6, {(0, 0): 3, (1, 1): 3})
+    assert (err.value.side, err.value.point) == ("right", "b")
+
+
 def _fraction_marginal_error(joint, left, right):
     # The marginal check on Fraction sums, in the order Coupling runs it.
     for side, dist, k in (("left", left, 0), ("right", right, 1)):
@@ -239,6 +305,20 @@ def test_items_keep_no_memory_per_call():
     for _ in range(5000):
         d.items()
         c.items()
+    assert sys.getallocatedblocks() - before < 100
+
+
+def test_convex_combine_keeps_no_memory_per_call():
+    # the mixing LCM over 15 point masses, as in the Coupling check below
+    points = [chr(ord("a") + i) for i in range(15)]
+    space = FiniteMetricSpace(
+        points, {(x, y): Fraction(1, 2) for i, x in enumerate(points) for y in points[i + 1 :]}
+    )
+    pairs = [(Fraction(1, 15), dirac(space, p)) for p in points]
+    convex_combine(pairs)
+    before = sys.getallocatedblocks()
+    for _ in range(5000):
+        convex_combine(pairs)
     assert sys.getallocatedblocks() - before < 100
 
 

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 import strategies as sts
 from hkconvex import (
     ConvexSet,
+    Coupling,
     Dist,
     EmptyInput,
     FiniteMetricSpace,
     MalformedInput,
+    MarginalMismatch,
     OutOfRange,
     SpaceMismatch,
     TooLarge,
@@ -289,3 +291,55 @@ def test_solve_transport_matches_the_full_rebuild_reference(instance):
     ref_value, ref_plan = reference_solve_transport(supply, demand, cost)
     assert value == ref_value
     assert list(plan.items()) == list(ref_plan.items())
+
+
+@st.composite
+def mixed_denominator_instances(draw):
+    # Distances in [1/2, 1] (so every triangle holds) mix thirds and eighths;
+    # the left weights are over 9 and the right over 8, coprime denominators.
+    points = list("abcde")[: draw(st.integers(1, 5))]
+    dist = {}
+    for i, x in enumerate(points):
+        for y in points[i + 1 :]:
+            den = draw(st.sampled_from((3, 8)))
+            dist[(x, y)] = F(draw(st.integers((den + 1) // 2, den)), den)
+    space = FiniteMetricSpace(points, dist)
+
+    def side(total):
+        k = draw(st.integers(1, len(points)))
+        support = draw(st.permutations(points))[:k]
+        cuts = draw(st.lists(st.integers(1, total - 1), min_size=k - 1, max_size=k - 1, unique=True))
+        cuts.sort()
+        weights = zip(support, [0, *cuts], [*cuts, total])
+        return Dist(space, {x: F(b - a, total) for x, a, b in weights})
+
+    return space, side(9), side(8)
+
+
+@settings(max_examples=200)
+@given(mixed_denominator_instances(), st.data())
+def test_kantorovich_on_ints_matches_the_fraction_route(bundle, data):
+    space, left, right = bundle
+    res = kantorovich(space, left, right)
+    xs, ys = left.support, right.support
+    supply = [left.weight(x) for x in xs]
+    demand = [right.weight(y) for y in ys]
+    cost = [[space.d(x, y) for y in ys] for x in xs]
+    value, plan = solve_transport(supply, demand, cost)
+    ref_value, ref_plan = reference_solve_transport(supply, demand, cost)
+    ot_value, joint = optimal_transport(left, right, space.d)
+    assert res.value == value == ref_value == ot_value
+    assert plan == ref_plan
+    assert joint == {(xs[i], ys[j]): q for (i, j), q in plan.items()}
+    expected = Coupling(joint, left, right)
+    assert res.witness == expected
+    assert res.witness.support == expected.support
+    assert res.witness.items() == expected.items()
+    # the int-built coupling still checks both marginals
+    den = data.draw(st.sampled_from((72, 144)))
+    ints = {(xs.index(x), ys.index(y)): int(q * den) for (x, y), q in expected.items()}
+    assert Coupling._from_ints(left, right, den, ints) == expected
+    cell = data.draw(st.sampled_from(sorted(ints)))
+    ints[cell] += 1
+    with pytest.raises(MarginalMismatch):
+        Coupling._from_ints(left, right, den, ints)
