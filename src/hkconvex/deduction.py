@@ -10,6 +10,16 @@ weakening), NExpOplus (eps = max), NExpPlusP (eps = p-weighted sum),
 Subst (on hypothesis-free premises), Cut (with an explicit finite
 intermediate set), Assum (cites a hypothesis verbatim), AxiomCS (theory
 axioms at eps 0, either orientation).
+
+`QuantEquation(left, right, eps)` and `Derivation(rule, conclusion,
+premises, axiom, subst, theta, hypotheses)` are immutable tuples of their
+fields, like the terms (see `terms._Node`): a node is equal only to a
+node of its class with equal fields and hashes as the tuple of its
+fields; `_replace` returns a copy with some fields changed.
+`QuantEquation` checks its eps in `__new__`. A derivation may hold one
+node object at several places: the JSON writer builds one dict for it,
+the reader turns equal nodes of a document into one object, and the
+checker proves each (node, hypotheses) pair once.
 """
 
 from __future__ import annotations
@@ -17,10 +27,21 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import FiniteMetricSpace, as_fraction, format_fraction
 from .errors import MalformedInput, OutOfRange, ParseError, TooDeep
-from .terms import Gen, Oplus, PlusP, Term, parse_term, print_term, substitute
+from .terms import (
+    Gen,
+    Oplus,
+    PlusP,
+    Term,
+    _Node,
+    _tuple_new,
+    parse_term,
+    print_term,
+    substitute,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -40,21 +61,38 @@ RULES = (
 
 AXIOMS = ("A", "C", "I", "A_p", "C_p", "I_p", "D")
 
+# Premise count of each rule but Cut, which takes one per intermediate
+# equation plus one.
+_ARITY = {
+    "Refl": 0,
+    "Symm": 1,
+    "Triang": 2,
+    "Max": 1,
+    "NExpOplus": 2,
+    "NExpPlusP": 2,
+    "Subst": 1,
+    "Assum": 0,
+    "AxiomCS": 0,
+}
 
-@dataclass(frozen=True, slots=True)
-class QuantEquation:
+
+class _QuantEquationFields(NamedTuple):
     left: Term
     right: Term
     eps: Fraction
 
-    def __post_init__(self):
-        eps = self.eps
+
+class QuantEquation(_Node, _QuantEquationFields):
+    __slots__ = ()
+
+    def __new__(cls, left: Term, right: Term, eps: Fraction):
         if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
             raise MalformedInput(
                 f"equation distance must be an exact rational, got {type(eps).__name__}"
             )
         if not (0 <= eps.numerator <= eps.denominator):
             raise OutOfRange("equation distance", eps)
+        return _tuple_new(cls, (left, right, eps))
 
     def flip(self) -> "QuantEquation":
         return QuantEquation(self.right, self.left, self.eps)
@@ -66,8 +104,7 @@ class QuantEquation:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Derivation:
+class _DerivationFields(NamedTuple):
     rule: str
     conclusion: QuantEquation
     premises: tuple["Derivation", ...] = ()
@@ -75,6 +112,10 @@ class Derivation:
     subst: tuple[tuple[str, Term], ...] | None = None
     theta: tuple[QuantEquation, ...] | None = None
     hypotheses: tuple[QuantEquation, ...] = ()
+
+
+class Derivation(_Node, _DerivationFields):
+    __slots__ = ()
 
     def size(self) -> int:
         return 1 + sum(p.size() for p in self.premises)
@@ -89,6 +130,30 @@ class CheckResult:
 
 def _fail(path: tuple[int, ...], reason: str) -> CheckResult:
     return CheckResult(False, path, reason)
+
+
+# The eps of a Triang, NExpOplus and NExpPlusP conclusion. Most premises
+# of a derived proof are eps-0 glue, which these pass through without
+# Fraction arithmetic.
+
+
+def _triang_eps(e1: Fraction, e2: Fraction) -> Fraction:
+    """The capped sum min(1, e1 + e2)."""
+    return e2 if not e1 else e1 if not e2 else min(ONE, e1 + e2)
+
+
+def _oplus_eps(e1: Fraction, e2: Fraction) -> Fraction:
+    """max(e1, e2)."""
+    return e1 if not e2 else e2 if not e1 else max(e1, e2)
+
+
+def _plusp_eps(p: Fraction, e1: Fraction, e2: Fraction) -> Fraction:
+    """The p-weighted sum p e1 + (1 - p) e2."""
+    if not e2:
+        return p * e1 if e1 else e1
+    if not e1:
+        return (1 - p) * e2
+    return p * e1 + (1 - p) * e2
 
 
 def _match_axiom(name: str, left: Term, right: Term) -> bool:
@@ -121,11 +186,13 @@ def _match_axiom(name: str, left: Term, right: Term) -> bool:
             and isinstance(right.right, PlusP)
         ):
             return False
-        p = left.p
-        q = left.left.p
+        # Both equalities are tested cross-multiplied, on ints; pq < 1.
+        pn, pd = left.p.numerator, left.p.denominator
+        qn, qd = left.left.p.numerator, left.left.p.denominator
+        r, s = right.p, right.right.p
         return (
-            right.p == p * q
-            and right.right.p == p * (1 - q) / (1 - p * q)
+            r.numerator * pd * qd == pn * qn * r.denominator
+            and s.numerator * (pd * qd - pn * qn) == pn * (qd - qn) * s.denominator
             and left.left.left == right.left
             and left.left.right == right.right.left
             and left.right == right.right.right
@@ -134,7 +201,8 @@ def _match_axiom(name: str, left: Term, right: Term) -> bool:
         return (
             isinstance(left, PlusP)
             and isinstance(right, PlusP)
-            and right.p == 1 - left.p
+            and right.p.numerator * left.p.denominator
+            == (left.p.denominator - left.p.numerator) * right.p.denominator
             and left.left == right.right
             and left.right == right.left
         )
@@ -190,58 +258,43 @@ def _check_node(
     goal = d.conclusion
     if rule not in RULES:
         return _fail(path, f"unknown rule {rule!r}")
-
-    def arity(n: int) -> CheckResult | None:
-        if len(d.premises) != n:
-            return _fail(path, f"{rule} expects {n} premise(s), got {len(d.premises)}")
-        return None
-
+    arity = _ARITY.get(rule)
+    if arity is not None and len(d.premises) != arity:
+        return _fail(path, f"{rule} expects {arity} premise(s), got {len(d.premises)}")
     if rule == "Refl":
-        if bad := arity(0):
-            return bad
         if goal.left != goal.right:
             return _fail(path, "Refl needs syntactically equal sides")
         if goal.eps != ZERO:
             return _fail(path, "Refl needs eps 0")
     elif rule == "Symm":
-        if bad := arity(1):
-            return bad
         prem = d.premises[0].conclusion
         if goal != prem.flip():
             return _fail(path, "Symm conclusion must flip the premise")
     elif rule == "Triang":
-        if bad := arity(2):
-            return bad
         p1 = d.premises[0].conclusion
         p2 = d.premises[1].conclusion
         if p1.right != p2.left:
             return _fail(path, "Triang premises must share the middle term")
         if goal.left != p1.left or goal.right != p2.right:
             return _fail(path, "Triang conclusion endpoints do not match premises")
-        if goal.eps != min(ONE, p1.eps + p2.eps):
+        if goal.eps != _triang_eps(p1.eps, p2.eps):
             return _fail(path, "Triang eps must be the capped sum of premise eps")
     elif rule == "Max":
-        if bad := arity(1):
-            return bad
         prem = d.premises[0].conclusion
         if goal.left != prem.left or goal.right != prem.right:
             return _fail(path, "Max must keep both terms")
         if goal.eps < prem.eps:
             return _fail(path, "Max cannot decrease eps")
     elif rule == "NExpOplus":
-        if bad := arity(2):
-            return bad
         p1 = d.premises[0].conclusion
         p2 = d.premises[1].conclusion
         want_l = Oplus(p1.left, p2.left)
         want_r = Oplus(p1.right, p2.right)
         if goal.left != want_l or goal.right != want_r:
             return _fail(path, "NExpOplus conclusion must pair the premises under oplus")
-        if goal.eps != max(p1.eps, p2.eps):
+        if goal.eps != _oplus_eps(p1.eps, p2.eps):
             return _fail(path, "NExpOplus eps must be the max of premise eps")
     elif rule == "NExpPlusP":
-        if bad := arity(2):
-            return bad
         if not (isinstance(goal.left, PlusP) and isinstance(goal.right, PlusP)):
             return _fail(path, "NExpPlusP conclusion sides must be p+ terms")
         p = goal.left.p
@@ -253,11 +306,9 @@ def _check_node(
             p, p1.right, p2.right
         ):
             return _fail(path, "NExpPlusP conclusion must pair the premises under p+")
-        if goal.eps != p * p1.eps + (1 - p) * p2.eps:
+        if goal.eps != _plusp_eps(p, p1.eps, p2.eps):
             return _fail(path, "NExpPlusP eps must be the p-weighted sum")
     elif rule == "Subst":
-        if bad := arity(1):
-            return bad
         if d.subst is None:
             return _fail(path, "Subst needs a substitution")
         if _uses_assumption(d.premises[0]):
@@ -294,13 +345,9 @@ def _check_node(
             proved.add(key)
         return sub
     elif rule == "Assum":
-        if bad := arity(0):
-            return bad
         if goal not in gamma:
             return _fail(path, "Assum cites an equation outside the hypotheses")
     elif rule == "AxiomCS":
-        if bad := arity(0):
-            return bad
         if d.axiom not in AXIOMS:
             return _fail(path, f"unknown axiom {d.axiom!r}")
         if goal.eps != ZERO:
@@ -468,19 +515,28 @@ def equations_from_json_list(
 
 
 def derivation_to_json_dict(d: Derivation, printed: dict | None = None) -> dict:
-    """The derivation as JSON, printing each term object once.
+    """The derivation as JSON, building each node object's dict once.
 
-    The derivation keeps every term it holds alive during the call, so
-    one `print_term` memo keyed by object id serves the whole document.
+    A node object that occurs at several places of the tree is written as
+    one dict at all of them, so a shared node's dict is shared in the
+    returned document (`json.dumps` writes it out at each place). The
+    derivation keeps every node and term it holds alive during the call,
+    so memos keyed by object id serve the whole document: one for node
+    dicts, and `printed` for `print_term`.
     """
-    if printed is None:
-        printed = {}
-    out: dict = {
+    return _derivation_dict(d, {} if printed is None else printed, {})
+
+
+def _derivation_dict(d: Derivation, printed: dict, built: dict) -> dict:
+    out = built.get(id(d))
+    if out is not None:
+        return out
+    out = {
         "rule": d.rule,
         "conclusion": equation_to_json_dict(d.conclusion, printed),
     }
     if d.premises:
-        out["premises"] = [derivation_to_json_dict(p, printed) for p in d.premises]
+        out["premises"] = [_derivation_dict(p, printed, built) for p in d.premises]
     if d.axiom is not None:
         out["axiom"] = d.axiom
     if d.subst is not None:
@@ -489,6 +545,7 @@ def derivation_to_json_dict(d: Derivation, printed: dict | None = None) -> dict:
         out["theta"] = [equation_to_json_dict(eq, printed) for eq in d.theta]
     if d.hypotheses:
         out["hypotheses"] = [equation_to_json_dict(eq, printed) for eq in d.hypotheses]
+    built[id(d)] = out
     return out
 
 

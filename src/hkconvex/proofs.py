@@ -6,8 +6,8 @@ accepts, with exact epsilons.
 Two rewriting engines produce the eps-0 glue:
 
 * the mixture engine works on oplus-free terms viewed as left folds
-  over weighted generator lists, with swap and merge moves justified by
-  A_p, C_p, I_p;
+  over generator lists with int weights, with swap and merge moves
+  justified by A_p, C_p, I_p;
 * the comb engine works on left combs of oplus leaves, with swap,
   merge, flatten, and absorption moves justified by A, C, I, D plus the
   derived pairwise convexity law.
@@ -21,7 +21,6 @@ congruence rule.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from .convex import (
@@ -32,15 +31,22 @@ from .convex import (
     oplus as set_oplus,
     plus_p as set_plus_p,
 )
-from .core import Dist, FiniteMetricSpace, convex_combine
-from .deduction import Derivation, QuantEquation, _match_axiom, metric_hypotheses
+from .core import Dist, FiniteMetricSpace, convex_combine, scaled_ints
+from .deduction import (
+    Derivation,
+    QuantEquation,
+    _match_axiom,
+    _oplus_eps,
+    _plusp_eps,
+    _triang_eps,
+    metric_hypotheses,
+)
 from .errors import SpaceMismatch
 from .lifting import hk_projections
 from .terms import Gen, Oplus, PlusP, Term, _fold_items, dist_term, nu
 from .transport import kantorovich
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------- builders
@@ -56,7 +62,7 @@ def symm(d: Derivation) -> Derivation:
 def triang(d1: Derivation, d2: Derivation) -> Derivation:
     c1, c2 = d1.conclusion, d2.conclusion
     assert c1.right == c2.left
-    eq = QuantEquation(c1.left, c2.right, min(ONE, c1.eps + c2.eps))
+    eq = QuantEquation(c1.left, c2.right, _triang_eps(c1.eps, c2.eps))
     return Derivation("Triang", eq, (d1, d2))
 
 
@@ -69,7 +75,7 @@ def emax(d: Derivation, eps: Fraction) -> Derivation:
 def congr_oplus(d1: Derivation, d2: Derivation) -> Derivation:
     c1, c2 = d1.conclusion, d2.conclusion
     eq = QuantEquation(
-        Oplus(c1.left, c2.left), Oplus(c1.right, c2.right), max(c1.eps, c2.eps)
+        Oplus(c1.left, c2.left), Oplus(c1.right, c2.right), _oplus_eps(c1.eps, c2.eps)
     )
     return Derivation("NExpOplus", eq, (d1, d2))
 
@@ -79,7 +85,7 @@ def congr_plusp(p: Fraction, d1: Derivation, d2: Derivation) -> Derivation:
     eq = QuantEquation(
         PlusP(p, c1.left, c2.left),
         PlusP(p, c1.right, c2.right),
-        p * c1.eps + (1 - p) * c2.eps,
+        _plusp_eps(p, c1.eps, c2.eps),
     )
     return Derivation("NExpPlusP", eq, (d1, d2))
 
@@ -102,34 +108,50 @@ def compose(a: Derivation | None, b: Derivation | None) -> Derivation | None:
 
 
 # ------------------------------------------------- mixture engine (p+ only)
+#
+# Items are (label, weight) lists with positive int weights. A fold depends
+# only on the ratios of its weights (see `_fold_items`), so a prefix is
+# folded as it stands, and each probability is one Fraction of two ints.
 
-def _scale(items: list[tuple[str, Fraction]], f: Fraction) -> list[tuple[str, Fraction]]:
-    return [(x, w * f) for x, w in items]
+
+def _total(items) -> int:
+    return sum([w for _, w in items])
 
 
 def _join_mix(p, items_a, items_b):
     """PlusP(p, fold(A), fold(B)) = fold(p A ++ (1-p) B), at eps 0."""
-    out = _scale(items_a, p) + _scale(items_b, 1 - p)
-    fa = _fold_items(items_a)
-    if len(items_b) == 1:
-        return out, refl(_fold_items(out))
-    y, v = items_b[-1]
-    beta = 1 - v
-    prefix_b = _scale(items_b[:-1], 1 / beta)
-    phat = p + beta - p * beta
-    q = p / phat
-    here = PlusP(p, fa, _fold_items(items_b))
-    comb = PlusP(phat, PlusP(q, fa, _fold_items(prefix_b)), Gen(y))
-    n1 = ax("A_p", here, comb)
-    inner_items, rec = _join_mix(q, items_a, prefix_b)
-    n2 = congr_plusp(phat, rec, refl(Gen(y)))
-    return out, triang(n1, n2)
+    a, b = p.numerator, p.denominator
+    ta, tb = _total(items_a), _total(items_b)
+    out = [(x, w * a * tb) for x, w in items_a] + [
+        (x, w * (b - a) * ta) for x, w in items_b
+    ]
+    weights = [w for _, w in items_b]
+    return out, _join_fold(p, _fold_items(items_a), _fold_items(items_b), weights, tb)
+
+
+def _join_fold(p, fa: Term, fb: Term, weights: list[int], total: int) -> Derivation:
+    """PlusP(p, fa, fb) = the fold of fb's labels after fa's, at eps 0.
+
+    fb is the fold of labels with int `weights`, which sum to `total`.
+    """
+    if len(weights) == 1:
+        return refl(PlusP(p, fa, fb))
+    # fb ends in its last label y at 1 - v / total; re-associating puts y
+    # last at phat = 1 - (1 - p) v / total, over fa +_q (fb less y).
+    a, b = p.numerator, p.denominator
+    v = weights[-1]
+    rest = b * total - (b - a) * v
+    phat = Fraction(rest, b * total)
+    q = Fraction(a * total, rest)
+    n1 = ax("A_p", PlusP(p, fa, fb), PlusP(phat, PlusP(q, fa, fb.left), fb.right))
+    inner = _join_fold(q, fa, fb.left, weights[:-1], total - v)
+    return triang(n1, congr_plusp(phat, inner, refl(fb.right)))
 
 
 def _flatten_mix(t: Term):
     """(items, proof) with proof: t = fold(items), at eps 0."""
     if isinstance(t, Gen):
-        return [(t.label, ONE)], refl(t)
+        return [(t.label, 1)], refl(t)
     assert isinstance(t, PlusP)
     items_a, da = _flatten_mix(t.left)
     items_b, db = _flatten_mix(t.right)
@@ -138,66 +160,65 @@ def _flatten_mix(t: Term):
     return out, triang(d0, dj)
 
 
-def _mix_swap(items, i) -> Derivation:
-    """fold(items) = fold(items with i, i+1 swapped), at eps 0."""
+def _mix_swap(items, total, i) -> Derivation:
+    """fold(items) = fold(items with i, i+1 swapped), at eps 0; `total`
+    is the sum of the weights."""
     k = len(items)
     if i + 1 < k - 1:
         y, v = items[-1]
-        prefix = _scale(items[:-1], 1 / (1 - v))
-        return congr_plusp(1 - v, _mix_swap(prefix, i), refl(Gen(y)))
+        return congr_plusp(
+            Fraction(total - v, total), _mix_swap(items[:-1], total - v, i), refl(Gen(y))
+        )
     (a, u), (b, v) = items[-2], items[-1]
     swapped = items[:-2] + [(b, v), (a, u)]
     if k == 2:
         return ax("C_p", _fold_items(items), _fold_items(swapped))
-    w = 1 - u - v
-    x = _fold_items(_scale(items[:-2], 1 / w))
-    mid1 = PlusP(w, x, PlusP(u / (u + v), Gen(a), Gen(b)))
-    mid2 = PlusP(w, x, PlusP(v / (u + v), Gen(b), Gen(a)))
-    n1 = ax("A_p", _fold_items(items), mid1)
-    n2 = congr_plusp(
-        w,
-        refl(x),
-        ax("C_p", PlusP(u / (u + v), Gen(a), Gen(b)), PlusP(v / (u + v), Gen(b), Gen(a))),
-    )
-    n3 = ax("A_p", mid2, _fold_items(swapped))
+    w = Fraction(total - u - v, total)
+    x = _fold_items(items[:-2])
+    ab = PlusP(Fraction(u, u + v), Gen(a), Gen(b))
+    ba = PlusP(Fraction(v, u + v), Gen(b), Gen(a))
+    n1 = ax("A_p", _fold_items(items), PlusP(w, x, ab))
+    n2 = congr_plusp(w, refl(x), ax("C_p", ab, ba))
+    n3 = ax("A_p", PlusP(w, x, ba), _fold_items(swapped))
     return triang(triang(n1, n2), n3)
 
 
-def _mix_merge(items, i) -> Derivation:
-    """fold(items) = fold(items with equal-label i, i+1 merged), eps 0."""
+def _mix_merge(items, total, i) -> Derivation:
+    """fold(items) = fold(items with equal-label i, i+1 merged), eps 0;
+    `total` is the sum of the weights."""
     k = len(items)
     if i + 1 < k - 1:
         y, v = items[-1]
-        prefix = _scale(items[:-1], 1 / (1 - v))
-        return congr_plusp(1 - v, _mix_merge(prefix, i), refl(Gen(y)))
+        return congr_plusp(
+            Fraction(total - v, total), _mix_merge(items[:-1], total - v, i), refl(Gen(y))
+        )
     (a, u), (b, v) = items[-2], items[-1]
     assert a == b
+    aa = PlusP(Fraction(u, u + v), Gen(a), Gen(a))
     if k == 2:
-        return ax("I_p", PlusP(u, Gen(a), Gen(a)), Gen(a))
-    w = 1 - u - v
-    x = _fold_items(_scale(items[:-2], 1 / w))
-    mid = PlusP(w, x, PlusP(u / (u + v), Gen(a), Gen(a)))
-    n1 = ax("A_p", _fold_items(items), mid)
-    n2 = congr_plusp(
-        w, refl(x), ax("I_p", PlusP(u / (u + v), Gen(a), Gen(a)), Gen(a))
-    )
+        return ax("I_p", aa, Gen(a))
+    w = Fraction(total - u - v, total)
+    x = _fold_items(items[:-2])
+    n1 = ax("A_p", _fold_items(items), PlusP(w, x, aa))
+    n2 = congr_plusp(w, refl(x), ax("I_p", aa, Gen(a)))
     return triang(n1, n2)
 
 
 def _sort_mix(space: FiniteMetricSpace, items):
     """Bubble to canonical order, merging duplicates; (final, proof|None)."""
     items = list(items)
+    total = _total(items)
     proof = None
     while True:
         move = None
         for i in range(len(items) - 1):
             if items[i][0] == items[i + 1][0]:
-                move = _mix_merge(items, i)
+                move = _mix_merge(items, total, i)
                 items[i] = (items[i][0], items[i][1] + items[i + 1][1])
                 del items[i + 1]
                 break
             if space.index(items[i][0]) > space.index(items[i + 1][0]):
-                move = _mix_swap(items, i)
+                move = _mix_swap(items, total, i)
                 items[i], items[i + 1] = items[i + 1], items[i]
                 break
         if move is None:
@@ -369,15 +390,16 @@ def _pw_single(x: Term, y: Term, p: Fraction) -> Derivation:
 
 def _d_left(v: Term, w: Term, u: Term, p: Fraction) -> Derivation:
     """(v oplus w) p+ u = (v p+ u) oplus (w p+ u), at eps 0."""
-    n1 = ax("C_p", PlusP(p, Oplus(v, w), u), PlusP(1 - p, u, Oplus(v, w)))
+    q = 1 - p
+    n1 = ax("C_p", PlusP(p, Oplus(v, w), u), PlusP(q, u, Oplus(v, w)))
     n2 = ax(
         "D",
-        PlusP(1 - p, u, Oplus(v, w)),
-        Oplus(PlusP(1 - p, u, v), PlusP(1 - p, u, w)),
+        PlusP(q, u, Oplus(v, w)),
+        Oplus(PlusP(q, u, v), PlusP(q, u, w)),
     )
     n3 = congr_oplus(
-        ax("C_p", PlusP(1 - p, u, v), PlusP(p, v, u)),
-        ax("C_p", PlusP(1 - p, u, w), PlusP(p, w, u)),
+        ax("C_p", PlusP(q, u, v), PlusP(p, v, u)),
+        ax("C_p", PlusP(q, u, w), PlusP(p, w, u)),
     )
     return triang(triang(n1, n2), n3)
 
@@ -427,7 +449,8 @@ def _absorb(
     assert pd.conclusion.right == target_term
 
     d1 = _absorb(space, leaves, values, bprime, rest_value, rest_cert)
-    d2 = congr_oplus(refl(bprime), _dup_front(leaves, i1))
+    dup = _dup_front(leaves, i1)
+    d2 = congr_oplus(refl(bprime), dup)
     d3 = ax("A", Oplus(Oplus(bprime, a1), c), Oplus(bprime, Oplus(a1, c)))
     d3 = symm(d3)
     d4 = congr_oplus(_pw_single(bprime, a1, 1 - lam1), refl(c))
@@ -444,7 +467,7 @@ def _absorb(
     )
     d8 = congr_oplus(refl(bprime), _oc_swap_composite(a1, target_term, c))
     d9 = congr_oplus(
-        refl(bprime), congr_oplus(refl(target_term), symm(_dup_front(leaves, i1)))
+        refl(bprime), congr_oplus(refl(target_term), symm(dup))
     )
     d10 = _oc_swap_composite(bprime, target_term, c)
     d11 = congr_oplus(refl(target_term), symm(d1))
@@ -601,21 +624,24 @@ def prove_equal(space: FiniteMetricSpace, left: Term, right: Term) -> Derivation
 # -------------------------------------------------------- metric derivations
 
 def _fold_pair(space: FiniteMetricSpace, cells) -> Derivation:
-    """Parallel fold over coupling cells under the p+ congruence."""
-    if len(cells) == 1:
-        x, y, _ = cells[0]
+    """Parallel fold over coupling cells under the p+ congruence.
+
+    Cells are (x, y, weight) with positive int weights, folded as
+    `_fold_items` folds labels.
+    """
+
+    def step(x: str, y: str) -> Derivation:
         if x == y:
             return refl(Gen(x))
         return assum(QuantEquation(Gen(x), Gen(y), space.d(x, y)))
-    x, y, w = cells[-1]
-    keep = 1 - w
-    prefix = [(a, b, v / keep) for a, b, v in cells[:-1]]
-    last = (
-        refl(Gen(x))
-        if x == y
-        else assum(QuantEquation(Gen(x), Gen(y), space.d(x, y)))
-    )
-    return congr_plusp(keep, _fold_pair(space, prefix), last)
+
+    x, y, total = cells[0]
+    proof = step(x, y)
+    for x, y, w in cells[1:]:
+        grown = total + w
+        proof = congr_plusp(Fraction(total, grown), proof, step(x, y))
+        total = grown
+    return proof
 
 
 def _support_hypotheses(space, left_points, right_points):
@@ -636,7 +662,9 @@ def derive_kantorovich(space: FiniteMetricSpace, left: Dist, right: Dist) -> Der
     if left.space != space or right.space != space:
         raise SpaceMismatch()
     result = kantorovich(space, left, right)
-    cells = [(x, y, w) for (x, y), w in result.witness.items()]
+    plan = result.witness.items()
+    weights, _ = scaled_ints([w for _, w in plan])
+    cells = [(x, y, w) for ((x, y), _), w in zip(plan, weights)]
     core = _fold_pair(space, cells)
     row_items = [(x, w) for x, _y, w in cells]
     col_items = [(y, w) for _x, y, w in cells]
@@ -646,9 +674,8 @@ def derive_kantorovich(space: FiniteMetricSpace, left: Dist, right: Dist) -> Der
     assert d is not None
     expected = QuantEquation(dist_term(left), dist_term(right), result.value)
     assert d.conclusion == expected
-    return replace(
-        d,
-        hypotheses=_support_hypotheses(space, left.support, right.support),
+    return d._replace(
+        hypotheses=_support_hypotheses(space, left.support, right.support)
     )
 
 
@@ -689,7 +716,7 @@ def derive_hk(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> De
     supp_right = sorted(
         {x for b in right.base for x in b.support}, key=space.index
     )
-    return replace(d, hypotheses=_support_hypotheses(space, supp_left, supp_right))
+    return d._replace(hypotheses=_support_hypotheses(space, supp_left, supp_right))
 
 
 def tightest_derivable(
@@ -709,4 +736,4 @@ def tightest_derivable(
     dr, sr = canon_proof(space, right)
     dh = derive_hk(space, sl, sr)
     d = triang(triang(dl, dh), symm(dr))
-    return dh.conclusion.eps, replace(d, hypotheses=tuple(gamma))
+    return dh.conclusion.eps, d._replace(hypotheses=tuple(gamma))

@@ -6,49 +6,96 @@ sets of distributions via `normalize`; `nu` picks the canonical term of
 a convex set, and the two are mutually inverse up to the theory.
 
 Concrete syntax is s-expressions: "(oplus a b)", "(p+ 1/2 a b)".
+
+Terms are immutable tuples of their fields: `Gen(label)`, `Oplus(left,
+right)` and `PlusP(p, left, right)`, each a `typing.NamedTuple` under the
+`_Node` rules (equal only to a node of the same class with equal fields,
+hashed as the tuple of fields, not ordered). `PlusP` checks its
+probability in `__new__`. `deduction` builds its equations and
+derivations the same way.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .convex import ConvexSet, plus_p
 from .core import Dist, FiniteMetricSpace, format_fraction
 from .errors import BadProbability, MalformedInput, ParseError, TooDeep, UnknownPoint
 from .lifting import hk_distance
 
-ONE = Fraction(1)
+
+_tuple_new = tuple.__new__
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
 
 
-@dataclass(frozen=True, slots=True)
-class Gen:
+class _Node:
+    """Equality and ordering for the tuple-backed node classes.
+
+    A node is a tuple of its fields, so that building one is one tuple
+    allocation and reading a field is an index. Two nodes are equal when
+    they have the same class and equal fields; a node never equals a node
+    of another class or a plain tuple (only a tuple of an unrelated tuple
+    subclass, on the left of `==`, compares by its own rule), and nodes
+    are not ordered. The hash is the tuple's: the hash of the tuple of
+    fields.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and _tuple_eq(self, other)
+
+    def __ne__(self, other):
+        return self.__class__ is not other.__class__ or _tuple_ne(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+class _GenFields(NamedTuple):
     label: str
 
 
-@dataclass(frozen=True, slots=True)
-class Oplus:
+class Gen(_Node, _GenFields):
+    __slots__ = ()
+
+
+class _OplusFields(NamedTuple):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True, slots=True)
-class PlusP:
+class Oplus(_Node, _OplusFields):
+    __slots__ = ()
+
+
+class _PlusPFields(NamedTuple):
     p: Fraction
     left: "Term"
     right: "Term"
 
-    def __post_init__(self):
-        p = self.p
+
+class PlusP(_Node, _PlusPFields):
+    __slots__ = ()
+
+    def __new__(cls, p: Fraction, left: "Term", right: "Term"):
         if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
             raise MalformedInput(
                 f"probability must be an exact rational, got {type(p).__name__}"
             )
         if not (0 < p.numerator < p.denominator):
             raise BadProbability(p)
+        return _tuple_new(cls, (p, left, right))
 
 
 Term = Gen | Oplus | PlusP
@@ -308,20 +355,28 @@ def _as_set(space: FiniteMetricSpace, value) -> ConvexSet:
 def dist_term(dist: Dist) -> Term:
     """Left-fold of p+ over the support in canonical order.
 
-    At each step the attached probability is one minus the trailing
-    weight, and the prefix is renormalized exactly.
+    The step that attaches a point mixes it into the renormalized prefix
+    before it, so its probability is one minus the point's renormalized
+    weight (see `_fold_items`).
     """
-    items = list(dist.items())
-    return _fold_items(items)
+    _, num = dist._ints()
+    return _fold_items([(x, num[x]) for x in dist.support])
 
 
-def _fold_items(items: list[tuple[str, Fraction]]) -> Term:
-    if len(items) == 1:
-        return Gen(items[0][0])
-    label, trailing = items[-1]
-    keep = ONE - trailing
-    prefix = [(x, w / keep) for x, w in items[:-1]]
-    return PlusP(keep, _fold_items(prefix), Gen(label))
+def _fold_items(items: list[tuple[str, int]]) -> Term:
+    """Left-fold of p+ over labels with positive int weights.
+
+    Only the ratios of the weights matter: the step that attaches the
+    j-th label has p = S_{j-1} / S_j, where S_j is the sum of the first j
+    weights, so k labels cost k - 1 Fractions.
+    """
+    label, total = items[0]
+    term = Gen(label)
+    for label, w in items[1:]:
+        grown = total + w
+        term = PlusP(Fraction(total, grown), term, Gen(label))
+        total = grown
+    return term
 
 
 def nu(space: FiniteMetricSpace, s: ConvexSet) -> Term:

@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 
@@ -38,20 +39,53 @@ def refl(term):
 
 
 def test_equation_validates_epsilon():
-    with pytest.raises(OutOfRange):
-        QuantEquation(Gen("a"), Gen("b"), F(3, 2))
-    with pytest.raises(OutOfRange):
-        QuantEquation(Gen("a"), Gen("b"), F(-1, 8))
+    for eps in (F(3, 2), F(-1, 8), 2, -1):
+        with pytest.raises(OutOfRange):
+            QuantEquation(Gen("a"), Gen("b"), eps)
+        with pytest.raises(OutOfRange):
+            QuantEquation(left=Gen("a"), right=Gen("b"), eps=eps)
+    for eps in (0, 1, F(0), F(1), F(1, 2)):
+        assert QuantEquation(Gen("a"), Gen("b"), eps).eps == eps
 
 
 def test_equation_rejects_inexact_epsilon():
-    with pytest.raises(MalformedInput):
-        QuantEquation(Gen("a"), Gen("b"), 0.5)
-    with pytest.raises(MalformedInput):
-        QuantEquation(Gen("a"), Gen("b"), "1/2")
-    with pytest.raises(MalformedInput):
-        QuantEquation(Gen("a"), Gen("b"), True)
+    for eps in (0.5, "1/2", True, False, None):
+        with pytest.raises(MalformedInput):
+            QuantEquation(Gen("a"), Gen("b"), eps)
+        with pytest.raises(MalformedInput):
+            QuantEquation(left=Gen("a"), right=Gen("b"), eps=eps)
     assert str(QuantEquation(Gen("a"), Gen("b"), 1)) == "a =1 b"
+
+
+# A node with the wrong number of premises fails at the node itself, with
+# the arity message, before any other condition of its rule is tested.
+ARITY = {
+    "Refl": 0,
+    "Symm": 1,
+    "Triang": 2,
+    "Max": 1,
+    "NExpOplus": 2,
+    "NExpPlusP": 2,
+    "Subst": 1,
+    "Assum": 0,
+    "AxiomCS": 0,
+}
+
+
+@pytest.mark.parametrize("rule", list(ARITY))
+def test_wrong_premise_count_is_reported_first(x3, rule):
+    bad_premise = Derivation("Nope", eq("a", "b", "1/2"))
+    want = ARITY[rule]
+    for count in {0, 1, 2, 3} - {want}:
+        d = Derivation(rule, eq("a", "b", "1/2"), (bad_premise,) * count)
+        result = check_derivation(x3, (), d)
+        assert (result.ok, result.path) == (False, ())
+        assert result.reason == f"{rule} expects {want} premise(s), got {count}"
+
+
+def test_unknown_rule_is_reported_before_arity(x3):
+    d = Derivation("Nope", eq("a", "a", "0"), (refl("a"),))
+    assert check_derivation(x3, (), d).reason == "unknown rule 'Nope'"
 
 
 def test_refl_valid(x3):
@@ -291,6 +325,19 @@ def test_derivation_json_shares_equal_subproofs_and_equations(x3):
     assert back.premises[0].conclusion is back.premises[0].premises[0].conclusion
     assert check_derivation(x3, metric_hypotheses(x3), back).ok
     assert derivation_to_json_dict(back) == doc
+
+
+def test_derivation_json_builds_one_dict_per_node_object():
+    hop = Derivation("Max", eq("a", "b", "1/2"), (Derivation("Assum", eq("a", "b", "1/2")),))
+    twin = Derivation("Max", eq("a", "b", "1/2"), (Derivation("Assum", eq("a", "b", "1/2")),))
+    shared = Derivation("NExpOplus", eq("(oplus a a)", "(oplus b b)", "1/2"), (hop, hop))
+    apart = Derivation("NExpOplus", eq("(oplus a a)", "(oplus b b)", "1/2"), (hop, twin))
+    doc = derivation_to_json_dict(shared)
+    assert doc["premises"][0] is doc["premises"][1]
+    other = derivation_to_json_dict(apart)
+    assert other["premises"][0] is not other["premises"][1]
+    assert json.dumps(doc, sort_keys=True) == json.dumps(other, sort_keys=True)
+    assert derivation_from_json_dict(doc) == shared
 
 
 def test_generator_labelled_like_an_eps_reads_and_checks():

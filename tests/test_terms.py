@@ -1,3 +1,4 @@
+import collections
 import sys
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ import strategies as sts
 from hkconvex import (
     BadProbability,
     ConvexSet,
+    Derivation,
     Dist,
     MalformedInput,
     ParseError,
+    QuantEquation,
     TooDeep,
     UnknownPoint,
     dirac,
@@ -29,7 +32,7 @@ from hkconvex import (
     term_equal_mod_theory,
     term_labels,
 )
-from hkconvex.terms import Gen, Oplus, PlusP
+from hkconvex.terms import Gen, Oplus, PlusP, _fold_items
 
 F = Fraction
 
@@ -54,18 +57,120 @@ def test_parse_errors_carry_position():
 def test_probability_bounds_enforced():
     with pytest.raises(BadProbability):
         parse_term("(p+ 2/2 a b)")
-    with pytest.raises(BadProbability):
-        PlusP(F(0), Gen("a"), Gen("b"))
+    for p in (F(0), F(1), F(3, 2), F(-1, 2), 0, 1):
+        with pytest.raises(BadProbability):
+            PlusP(p, Gen("a"), Gen("b"))
+        with pytest.raises(BadProbability):
+            PlusP(p=p, left=Gen("a"), right=Gen("b"))
 
 
 def test_probabilities_must_be_exact():
-    with pytest.raises(MalformedInput):
-        PlusP(0.25, Gen("a"), Gen("b"))
-    with pytest.raises(MalformedInput):
-        PlusP("1/4", Gen("a"), Gen("b"))
-    with pytest.raises(MalformedInput):
-        PlusP(True, Gen("a"), Gen("b"))
+    for p in (0.25, "1/4", True, False, None):
+        with pytest.raises(MalformedInput):
+            PlusP(p, Gen("a"), Gen("b"))
+        with pytest.raises(MalformedInput):
+            PlusP(p=p, left=Gen("a"), right=Gen("b"))
     assert print_term(PlusP(F(1, 4), Gen("a"), Gen("b"))) == "(p+ 1/4 a b)"
+
+
+# The five node classes, each with the fields of one node and of an equal
+# but distinct one, and its repr.
+A, B = Gen("a"), Gen("b")
+AB_EQ = QuantEquation(A, B, F(1, 2))
+NODES = {
+    "Gen": (Gen, ("a",), ("a",), "Gen(label='a')"),
+    "Oplus": (
+        Oplus,
+        (A, B),
+        (Gen("a"), Gen("b")),
+        "Oplus(left=Gen(label='a'), right=Gen(label='b'))",
+    ),
+    "PlusP": (
+        PlusP,
+        (F(1, 3), A, B),
+        (F(1, 3), Gen("a"), Gen("b")),
+        "PlusP(p=Fraction(1, 3), left=Gen(label='a'), right=Gen(label='b'))",
+    ),
+    "QuantEquation": (
+        QuantEquation,
+        (A, B, F(1, 2)),
+        (Gen("a"), Gen("b"), F(1, 2)),
+        "QuantEquation(left=Gen(label='a'), right=Gen(label='b'), eps=Fraction(1, 2))",
+    ),
+    "Derivation": (
+        Derivation,
+        ("Assum", AB_EQ, (), None, None, None, ()),
+        ("Assum", QuantEquation(Gen("a"), Gen("b"), F(1, 2))),
+        "Derivation(rule='Assum', conclusion=QuantEquation(left=Gen(label='a'), "
+        "right=Gen(label='b'), eps=Fraction(1, 2)), premises=(), axiom=None, "
+        "subst=None, theta=None, hypotheses=())",
+    ),
+}
+node_classes = pytest.mark.parametrize(
+    "cls, fields, equal_fields, text", NODES.values(), ids=list(NODES)
+)
+
+
+@node_classes
+def test_node_equality_hash_and_repr(cls, fields, equal_fields, text):
+    node, twin = cls(*fields), cls(*equal_fields)
+    assert node is not twin
+    assert node == twin and not node != twin
+    assert hash(node) == hash(twin) == hash(tuple(node))
+    assert repr(node) == repr(twin) == text
+
+
+@node_classes
+def test_node_never_equals_another_class(cls, fields, equal_fields, text):
+    node = cls(*fields)
+    subclass = type("Sub", (cls,), {"__slots__": ()})
+    others = [fields, tuple(node), subclass(*node)]
+    others += [
+        other_cls(*other_fields)
+        for other_cls, other_fields, _, _ in NODES.values()
+        if other_cls is not cls
+    ]
+    for other in others:
+        assert not node == other and not other == node, other
+        assert node != other and other != node, other
+    # A tuple of an unrelated class compares by its own `__eq__` when it is
+    # on the left; on the right it never equals the node.
+    foreign = collections.namedtuple(cls.__name__, cls._fields)(*node)
+    assert not node == foreign and node != foreign
+
+
+@node_classes
+def test_node_inequality_agrees_with_equality(cls, fields, equal_fields, text):
+    pool = [cls(*fields), cls(*equal_fields), fields, None, 0, "a"]
+    pool += [other_cls(*f) for other_cls, f, _, _ in NODES.values()]
+    for x in pool:
+        for y in pool:
+            assert (x != y) is (not x == y), (x, y)
+
+
+@node_classes
+def test_nodes_are_immutable_and_unordered(cls, fields, equal_fields, text):
+    node = cls(*fields)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+    with pytest.raises(AttributeError):
+        node.extra = None
+    assert tuple(node) == tuple(cls(*equal_fields))
+    with pytest.raises(TypeError):
+        node < cls(*equal_fields)
+
+
+def test_fold_items_depends_only_on_weight_ratios():
+    text = "(p+ 3/4 (p+ 1/3 a b) c)"
+    for k in (1, 2, 7):
+        assert print_term(_fold_items([("a", k), ("b", 2 * k), ("c", k)])) == text
+    assert _fold_items([("a", 5)]) == Gen("a")
+
+
+def test_dist_term_folds_prefix_sums(x3):
+    d = Dist(x3, {"a": "1/6", "b": "1/3", "c": "1/2"})
+    assert print_term(dist_term(d)) == "(p+ 1/2 (p+ 1/3 a b) c)"
 
 
 def test_term_labels():
