@@ -16,9 +16,12 @@ run a hull LP, through the phase-1-only `linprog.is_feasible`;
 membership (`in`) uses the same integer path. `plus_p` and weighted
 Minkowski sums mix through `core.convex_combine`, on ints.
 
-Fractions are still built for `in_hull` and `nearest_point`: their LP
-rows are Fraction weights, which fix the pivots and so the vertices and
-mixtures they return, and their results are exact Fraction weights.
+`in_hull` and `nearest_point` build their LP rows from the same ints,
+every row on the one common denominator, the normalization row too. A
+uniform row scale keeps the phase-1 objective of `linprog.solve_lp` a
+positive multiple of the rational one, so every Bland pivot, and hence
+every vertex and mixture returned, is that of the rational rows.
+Fractions appear only in what they return: exact weights and values.
 
 Because Dist supports ConvexSet-valued items, the same two classes give
 distributions over sets, convex sets of those, and so on; the monad
@@ -54,37 +57,23 @@ ONE = Fraction(1)
 MINKOWSKI_PRODUCT_CAP = 1024
 
 
-def _coordinates(dists: Sequence[Dist]) -> list:
-    items: list = []
-    seen = set()
-    for d in dists:
-        for item in d.support:
-            if item not in seen:
-                seen.add(item)
-                items.append(item)
-    return items
-
-
 def in_hull(target: Dist, generators: Sequence[Dist]):
     """Exact membership of `target` in the convex hull of `generators`.
 
     Returns (True, weights) with an explicit convex combination, or
     (False, None). Solved as a phase-1 feasibility system over the joint
-    support coordinates plus one normalization row.
+    support coordinates plus one normalization row, all over the common
+    denominator of `_int_vectors`.
     """
     if not generators:
         return False, None
     for g in generators:
         if g.space != target.space:
             raise SpaceMismatch()
-    coords = _coordinates([target, *generators])
-    rows = []
-    rhs = []
-    for item in coords:
-        rows.append([g.weight(item) for g in generators])
-        rhs.append(target.weight(item))
-    rows.append([ONE] * len(generators))
-    rhs.append(ONE)
+    rhs, *vecs = _int_vectors([target, *generators])[0]
+    den = sum(rhs)
+    rows = [*zip(*vecs), [den] * len(vecs)]
+    rhs.append(den)
     solution = linprog.feasible_point(rows, rhs)
     if solution is None:
         return False, None
@@ -99,13 +88,12 @@ def _int_vectors(dists: Sequence[Dist]) -> tuple[list[list[int]], dict]:
     for d in dists:
         for item in d.support:
             index.setdefault(item, len(index))
-    ints = [d._ints() for d in dists]
-    den = lcm(*[d for d, _ in ints])
+    den = lcm(*[d._den for d in dists])
     vecs = []
-    for d, num in ints:
+    for d in dists:
         v = [0] * len(index)
-        f = den // d
-        for item, n in num.items():
+        f = den // d._den
+        for item, n in d._num.items():
             v[index[item]] = n * f
         vecs.append(v)
     return vecs, index
@@ -326,8 +314,8 @@ def nearest_point(space: FiniteMetricSpace, target: Dist, s: ConvexSet, metric=N
     """Exact projection: the Kantorovich distance from `target` to the set.
 
     Minimizes transport cost jointly over a plan and a convex combination
-    of the base, as one rational LP. Returns (value, nearest mixture,
-    base weights).
+    of the base, as one LP whose rows share the common denominator of
+    `_int_vectors`. Returns (value, nearest mixture, base weights).
     """
     for other in (target.space, s.space):
         if other is not space and other != space:
@@ -335,39 +323,29 @@ def nearest_point(space: FiniteMetricSpace, target: Dist, s: ConvexSet, metric=N
     if metric is None:
         metric = space.d
     base = list(s.base)
+    vecs, index = _int_vectors([*base, target])
+    tvec = vecs.pop()
+    den = sum(tvec)
     xs = list(target.support)
-    ys = _coordinates(base)
+    # The base's coordinates come first in `index`, in first-seen order.
+    ys = list(index)[: len({item for g in base for item in g.support})]
     nx, ny, nb = len(xs), len(ys), len(base)
-    nvars = nx * ny + nb
-
-    def wvar(i: int, j: int) -> int:
-        return i * ny + j
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # Variables: the plan w[i][j] at i * ny + j, then the base weights.
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for i, x in enumerate(xs):
-        row = [ZERO] * nvars
-        for j in range(ny):
-            row[wvar(i, j)] = ONE
+        row = [0] * (nx * ny + nb)
+        row[i * ny : (i + 1) * ny] = [den] * ny
         rows.append(row)
-        rhs.append(target.weight(x))
-    for j, y in enumerate(ys):
-        row = [ZERO] * nvars
-        for i in range(nx):
-            row[wvar(i, j)] = ONE
-        for k, g in enumerate(base):
-            row[nx * ny + k] = -g.weight(y)
+        rhs.append(tvec[index[x]])
+    for j in range(ny):
+        row = [0] * (nx * ny) + [-v[j] for v in vecs]
+        row[j : nx * ny : ny] = [den] * nx
         rows.append(row)
-        rhs.append(ZERO)
-    row = [ZERO] * nvars
-    for k in range(nb):
-        row[nx * ny + k] = ONE
-    rows.append(row)
-    rhs.append(ONE)
-    objective = [ZERO] * nvars
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            objective[wvar(i, j)] = metric(x, y)
+        rhs.append(0)
+    rows.append([0] * (nx * ny) + [den] * nb)
+    rhs.append(den)
+    objective = [metric(x, y) for x in xs for y in ys] + [ZERO] * nb
     result = linprog.solve_lp(objective, rows, rhs)
     assert result.status == linprog.OPTIMAL, "projection LP is always feasible"
     lambdas = tuple(result.solution[nx * ny + k] for k in range(nb))

@@ -10,15 +10,15 @@ labels of the ambient space or ConvexSet objects over the same space; the
 latter makes distributions-over-sets (and sets of those, and so on) reuse
 this single class, which is what the monad tower needs.
 
-A distribution's weights are int numerators over one int denominator
-(see `Dist`); `dirac`, `convex_combine` and `pushforward` mix and merge
-them on ints. `fractions.Fraction` weights appear only at the API
-boundary: the public `Dist` constructor reads them, and `weight`,
-`items`, `sort_key` and `to_json_dict` return them. Distances and
-coupling weights stay Fractions; a space also keeps its distances as
-int numerators over one int denominator (`FiniteMetricSpace._int_table`),
-and `Coupling._from_ints` builds a coupling from int masses, which is how
-`transport.kantorovich` stays on ints.
+Each weight and distance is held in one int form: a `Dist` keeps int
+numerators over one int denominator, a `Coupling` the same for its
+pairs, and a `FiniteMetricSpace` an int distance table over one
+denominator, built and checked when the space is made. `dirac`,
+`convex_combine` and `pushforward` mix and merge on those ints.
+`fractions.Fraction` values appear only at the API boundary: the public
+constructors read them and convert them at once, and the accessors
+(`d`, `weight`, `items`, `sort_key`, `to_json_dict`) build them per
+call.
 """
 
 from __future__ import annotations
@@ -42,15 +42,28 @@ from .errors import (
 ZERO = Fraction(0)
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text) for a rational written without an exponent.
+
+    `Fraction("1e10000000")` builds a ten-million-digit integer before any
+    range check could refuse it, so an `e` or `E` is refused first. Raises
+    ValueError or ZeroDivisionError, as `Fraction` does.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in {text!r}")
+    return Fraction(text)
+
+
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '2/3', and Fractions; reject floats and bools."""
+    """Coerce ints, strings like '2/3', and Fractions; reject floats, bools
+    and exponent notation."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return parse_rational(value.strip())
         except (ValueError, ZeroDivisionError):
             raise MalformedInput(f"expected a rational, got {value!r}") from None
     raise MalformedInput(f"expected an exact rational, got {type(value).__name__}")
@@ -99,11 +112,12 @@ class FiniteMetricSpace:
     folds). The distance table is validated exactly: identity, symmetry,
     and every triangle inequality.
 
-    `_int_table` is built on first use and is not part of `_key`, so it
-    changes neither equality nor hashing.
+    Distances are held as ints: `_rows[i][j] / _den == d(points[i],
+    points[j])`, where `_den` is the LCM of the distance denominators;
+    `d` builds the Fraction per call.
     """
 
-    __slots__ = ("points", "_index", "_d", "_key", "_table_ints")
+    __slots__ = ("points", "_index", "_den", "_rows", "_key")
 
     def __init__(self, points: Sequence[str], dist: Mapping):
         pts = tuple(points)
@@ -139,30 +153,26 @@ class FiniteMetricSpace:
                     raise AxiomViolation("missing distance", x, y)
                 if table[(x, y)] == 0:
                     raise AxiomViolation("identity", x, y)
-        for x in pts:
-            for y in pts:
-                for z in pts:
-                    if table[(x, y)] > table[(x, z)] + table[(z, y)]:
+        n = len(pts)
+        flat, den = scaled_ints([table[(x, y)] for x in pts for y in pts])
+        rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+        for x, dx in zip(pts, rows):
+            for j, y in enumerate(pts):
+                dxy = dx[j]
+                for z, dxz, dz in zip(pts, dx, rows):
+                    if dxy > dxz + dz[j]:
                         raise AxiomViolation("triangle", x, y, z)
-        self._d = table
-        self._key = (pts, tuple(sorted(table.items())))
-        self._table_ints = None
+        self._den = den
+        self._rows = rows
+        self._key = (pts, den, rows)
 
     def d(self, x: str, y: str) -> Fraction:
+        index = self._index
         try:
-            return self._d[(x, y)]
+            n = self._rows[index[x]][index[y]]
         except KeyError:
-            missing = x if x not in self._index else y
-            raise UnknownPoint(missing) from None
-
-    def _int_table(self) -> tuple[int, list[list[int]]]:
-        """(D, rows): D is the LCM of the distance denominators and
-        rows[i][j] / D == d(points[i], points[j]); built on first use."""
-        if self._table_ints is None:
-            pts, n = self.points, len(self.points)
-            flat, den = scaled_ints([self._d[(x, y)] for x in pts for y in pts])
-            self._table_ints = (den, [flat[i * n : (i + 1) * n] for i in range(n)])
-        return self._table_ints
+            raise UnknownPoint(x if x not in index else y) from None
+        return Fraction(n, self._den)
 
     def index(self, label: str) -> int:
         try:
@@ -186,7 +196,7 @@ class FiniteMetricSpace:
         pairs = []
         for i, x in enumerate(self.points):
             for y in self.points[i + 1 :]:
-                pairs.append([x, y, format_fraction(self._d[(x, y)])])
+                pairs.append([x, y, format_fraction(self.d(x, y))])
         return {"points": list(self.points), "dist": pairs}
 
     @classmethod
@@ -230,22 +240,18 @@ class Dist:
     labels of `space` or ConvexSets over `space` (never a mixture of the
     two kinds).
 
-    Weights are exact rationals `_num[item] / _den`: one positive int
+    Weights are held only as ints `_num[item] / _den`: one positive int
     `_den`, the LCM of the reduced weight denominators, and a map `_num`
     from item to positive int, in lowest terms. Equality, hashing, mixing,
-    pushforward and re-basing run on these ints.
-
-    A distribution holds one weight map until both forms are asked for.
-    `dirac`, `convex_combine` and `pushforward` build one from ints,
-    through the trusted `_from_ints`; its `weight` and `items` then build
-    Fractions per call. The public constructor keeps the Fractions it
-    validated, and derives the ints on first use.
+    pushforward and re-basing run on these ints. The public constructor
+    converts the Fractions it validates; `dirac`, `convex_combine` and
+    `pushforward` build through the trusted `_from_ints`; `weight` and
+    `items` build Fractions per call.
     """
 
-    __slots__ = ("space", "_den", "_num", "_w", "_support", "_hash", "_sort_key")
+    __slots__ = ("space", "_den", "_num", "_support", "_hash", "_sort_key")
 
     def __init__(self, space: FiniteMetricSpace, weights: Mapping):
-        self.space = space
         w: dict = {}
         total = ZERO
         kinds = set()
@@ -264,9 +270,10 @@ class Dist:
             raise WeightsNotNormalized(total)
         if len(kinds) > 1:
             raise SpaceMismatch("mixed label and set support items")
-        self._den = None
-        self._num = None
-        self._w = w
+        nums, den = scaled_ints(w.values())
+        self.space = space
+        self._den = den
+        self._num = dict(zip(w, nums))
         self._support = _sorted_support(space, w)
         self._hash = None
         self._sort_key = None
@@ -283,28 +290,16 @@ class Dist:
         self.space = space
         self._den = den
         self._num = num
-        self._w = None
         self._support = _sorted_support(space, num)
         self._hash = None
         self._sort_key = None
         return self
-
-    def _ints(self) -> tuple[int, dict]:
-        """(_den, _num), derived from the Fraction weights on first use."""
-        if self._num is None:
-            w = self._w
-            den = lcm(*[v.denominator for v in w.values()])
-            self._num = {item: v.numerator * (den // v.denominator) for item, v in w.items()}
-            self._den = den
-        return self._den, self._num
 
     @property
     def support(self) -> tuple:
         return self._support
 
     def weight(self, item) -> Fraction:
-        if self._w is not None:
-            return self._w.get(item, ZERO)
         n = self._num.get(item)
         return ZERO if n is None else Fraction(n, self._den)
 
@@ -314,9 +309,6 @@ class Dist:
         """Support/weight pairs in canonical support order."""
         # Built from a list: tuple(<genexpr>) grows by resizing and leaves one
         # more block per call on CPython's tuple free lists (Coupling too).
-        w = self._w
-        if w is not None:
-            return tuple([(item, w[item]) for item in self._support])
         num, den = self._num, self._den
         return tuple([(item, Fraction(num[item], den)) for item in self._support])
 
@@ -334,7 +326,8 @@ class Dist:
         return (
             isinstance(other, Dist)
             and self.space == other.space
-            and self._ints() == other._ints()
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
@@ -342,7 +335,7 @@ class Dist:
         # as n * den^-1 modulo the numeric hash modulus, which is an int
         # below the modulus and so its own hash.
         if self._hash is None:
-            den, num = self._ints()
+            den, num = self._den, self._num
             try:
                 inv = pow(den, -1, _HASH_MODULUS)
             except ValueError:
@@ -418,8 +411,7 @@ def convex_combine(pairs: Sequence[tuple]) -> Dist:
         elif dist.space is not space and dist.space != space:
             raise SpaceMismatch()
         kinds.add(isinstance(dist._support[0], str))
-        den, num = dist._ints()
-        mixed.append((a, p.denominator * den, num))
+        mixed.append((a, p.denominator * dist._den, dist._num))
     den = lcm(*[scale for _, scale, _ in mixed])
     acc: dict = {}
     for a, scale, num in mixed:
@@ -436,7 +428,7 @@ def convex_combine(pairs: Sequence[tuple]) -> Dist:
 def pushforward(f: Callable, dist: Dist, target: FiniteMetricSpace | None = None) -> Dist:
     """Image distribution along an item map; weights of merged items add."""
     target_space = target if target is not None else dist.space
-    den, num = dist._ints()
+    num = dist._num
     acc: dict = {}
     for item in dist.support:
         image = f(item)
@@ -444,19 +436,22 @@ def pushforward(f: Callable, dist: Dist, target: FiniteMetricSpace | None = None
     kinds = {_item_kind(target_space, image) for image in acc}
     if len(kinds) > 1:
         raise SpaceMismatch("mixed label and set support items")
-    return Dist._from_ints(target_space, den, acc)
+    return Dist._from_ints(target_space, dist._den, acc)
 
 
 class Coupling:
-    """A joint distribution over pairs with prescribed exact marginals."""
+    """A joint distribution over pairs with prescribed exact marginals.
 
-    __slots__ = ("left", "right", "_w", "_support")
+    Like `Dist`, weights are held only as ints `_num[(x, y)] / _den` in
+    lowest terms, and `weight` and `items` build Fractions per call. Both
+    constructors check the marginals on these ints (`_check_marginals`).
+    """
+
+    __slots__ = ("left", "right", "_den", "_num", "_support")
 
     def __init__(self, joint: Mapping, left: Dist, right: Dist):
         if left.space != right.space:
             raise SpaceMismatch()
-        self.left = left
-        self.right = right
         w: dict = {}
         for (x, y), raw in joint.items():
             v = as_fraction(raw)
@@ -465,79 +460,58 @@ class Coupling:
             if v < 0:
                 raise OutOfRange(f"coupling weight at ({x!r},{y!r})", v)
             w[(x, y)] = v
-        # The marginals are summed as numerators q over one denominator s,
-        # and q / s == n / den is checked against each side's int weights.
-        nums, s = scaled_ints(w.values())
-        left_marginal: dict = {}
-        right_marginal: dict = {}
-        for (x, y), q in zip(w, nums):
-            left_marginal[x] = left_marginal.get(x, 0) + q
-            right_marginal[y] = right_marginal.get(y, 0) + q
-        for side, dist, marginal in (
-            ("left", left, left_marginal),
-            ("right", right, right_marginal),
-        ):
-            den, num = dist._ints()
-            for x in set(marginal) | set(dist.support):
-                if marginal.get(x, 0) * den != num.get(x, 0) * s:
-                    raise MarginalMismatch(side, x)
-        self._w = w
+        nums, den = scaled_ints(w.values())
+        num = dict(zip(w, nums))
+        _check_marginals(left, right, den, num)
         space = left.space
-        self._support = tuple(
-            sorted(
-                w,
-                key=lambda xy: (
-                    item_sort_key(space, xy[0]),
-                    item_sort_key(space, xy[1]),
-                ),
-            )
+        support = sorted(
+            num,
+            key=lambda xy: (item_sort_key(space, xy[0]), item_sort_key(space, xy[1])),
         )
+        self._set(left, right, den, num, tuple(support))
 
     @classmethod
     def _from_ints(cls, left: Dist, right: Dist, den: int, plan: Mapping) -> "Coupling":
         """Trusted constructor: `plan` maps (i, j), indices into
         `left.support` and `right.support`, to a positive int q, the weight
-        q / den. Both marginals are still checked exactly, on ints; the
-        support is ordered by (i, j), which is the canonical order because
-        both supports are. The caller has checked that both sides live
-        over one space."""
+        q / den. Both marginals are still checked exactly; the support is
+        ordered by (i, j), which is the canonical order because both
+        supports are. The caller has checked that both sides live over one
+        space."""
         xs, ys = left.support, right.support
-        rows = [0] * len(xs)
-        cols = [0] * len(ys)
-        for (i, j), q in plan.items():
-            rows[i] += q
-            cols[j] += q
-        for side, dist, items, marginal in (
-            ("left", left, xs, rows),
-            ("right", right, ys, cols),
-        ):
-            d, num = dist._ints()
-            for x, q in zip(items, marginal):
-                if q * d != num[x] * den:
-                    raise MarginalMismatch(side, x)
+        num = {(xs[i], ys[j]): plan[(i, j)] for (i, j) in sorted(plan)}
+        _check_marginals(left, right, den, num)
+        g = gcd(*num.values())
         self = object.__new__(cls)
+        self._set(left, right, den // g, {xy: q // g for xy, q in num.items()}, tuple(num))
+        return self
+
+    def _set(self, left: Dist, right: Dist, den: int, num: dict, support: tuple) -> None:
         self.left = left
         self.right = right
-        self._w = {(xs[i], ys[j]): Fraction(plan[(i, j)], den) for (i, j) in sorted(plan)}
-        self._support = tuple(self._w)
-        return self
+        self._den = den
+        self._num = num
+        self._support = support
 
     @property
     def support(self) -> tuple:
         return self._support
 
     def weight(self, x, y) -> Fraction:
-        return self._w.get((x, y), ZERO)
+        n = self._num.get((x, y))
+        return ZERO if n is None else Fraction(n, self._den)
 
     def items(self):
-        return tuple([((x, y), self._w[(x, y)]) for (x, y) in self._support])
+        num, den = self._num, self._den
+        return tuple([(xy, Fraction(num[xy], den)) for xy in self._support])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Coupling)
             and self.left == other.left
             and self.right == other.right
-            and self._w == other._w
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __repr__(self) -> str:
@@ -546,6 +520,21 @@ class Coupling:
 
     def to_json_list(self) -> list:
         return [[x, y, format_fraction(v)] for (x, y), v in self.items()]
+
+
+def _check_marginals(left: Dist, right: Dist, den: int, num: Mapping) -> None:
+    """Raise MarginalMismatch unless the weights num[(x, y)] / den have
+    marginals `left` and `right`. Each side checks its support in order,
+    then any other point the weights put mass on, in first-seen order."""
+    for side, dist, k in (("left", left, 0), ("right", right, 1)):
+        marginal = dict.fromkeys(dist._support, 0)
+        for cell, q in num.items():
+            x = cell[k]
+            marginal[x] = marginal.get(x, 0) + q
+        d, dnum = dist._den, dist._num
+        for x, q in marginal.items():
+            if q * d != dnum.get(x, 0) * den:
+                raise MarginalMismatch(side, x)
 
 
 def product_coupling(left: Dist, right: Dist) -> Coupling:

@@ -1,16 +1,19 @@
 """Exact two-phase primal simplex over rationals, pivoting on integers.
 
-Solves  min c.x  subject to  A.x = b, x >= 0.  Inputs and outputs are
-Fractions (`core.scaled_ints` takes ints and Fractions as they are and
-coerces anything else, so floats are rejected); the tableau holds Python
-ints.
+Solves  min c.x  subject to  A.x = b, x >= 0.  Inputs are ints or
+Fractions (`core.scaled_ints` takes them as they are and coerces
+anything else, so floats are rejected), outputs are Fractions, and the
+tableau holds Python ints.
 
 Each row [A_i | b_i] is scaled by the LCM s_i of its denominators, and
 negated when b_i < 0, before the identity artificial columns are
 appended. The phase-1 cost of artificial i is L // s_i with L = lcm(s_i):
 the scaled artificial is s_i times the original one, so the phase-1 row
 is L times the rational one and minimises the same sum (unit costs would
-minimise another sum and pivot differently on degenerate LPs).
+minimise another sum and pivot differently on degenerate LPs). An int
+row scales by 1, so callers that put every row on one common
+denominator (`convex.in_hull`, `convex.nearest_point`) get unit costs
+and a phase 1 that minimises that denominator times the rational sum.
 
 Pivots are Edmonds/Bareiss integer-preserving steps: with pivot p and
 previous pivot d (1 at first), the pivot row stays and every other row,

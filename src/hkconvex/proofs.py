@@ -31,7 +31,7 @@ from .convex import (
     oplus as set_oplus,
     plus_p as set_plus_p,
 )
-from .core import Dist, FiniteMetricSpace, convex_combine, scaled_ints
+from .core import Dist, FiniteMetricSpace, convex_combine
 from .deduction import (
     Derivation,
     QuantEquation,
@@ -662,9 +662,8 @@ def derive_kantorovich(space: FiniteMetricSpace, left: Dist, right: Dist) -> Der
     if left.space != space or right.space != space:
         raise SpaceMismatch()
     result = kantorovich(space, left, right)
-    plan = result.witness.items()
-    weights, _ = scaled_ints([w for _, w in plan])
-    cells = [(x, y, w) for ((x, y), _), w in zip(plan, weights)]
+    num = result.witness._num
+    cells = [(x, y, num[(x, y)]) for x, y in result.witness.support]
     core = _fold_pair(space, cells)
     row_items = [(x, w) for x, _y, w in cells]
     col_items = [(y, w) for _x, y, w in cells]

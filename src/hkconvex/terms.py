@@ -24,7 +24,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .convex import ConvexSet, plus_p
-from .core import Dist, FiniteMetricSpace, format_fraction
+from .core import Dist, FiniteMetricSpace, format_fraction, parse_rational
 from .errors import BadProbability, MalformedInput, ParseError, TooDeep, UnknownPoint
 from .lifting import hk_distance
 
@@ -139,7 +139,7 @@ _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 def _parse_fraction(token: str, position: int) -> Fraction:
     try:
-        return Fraction(token)
+        return parse_rational(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a rational, got {token!r}", position) from None
 
@@ -359,7 +359,7 @@ def dist_term(dist: Dist) -> Term:
     before it, so its probability is one minus the point's renormalized
     weight (see `_fold_items`).
     """
-    _, num = dist._ints()
+    num = dist._num
     return _fold_items([(x, num[x]) for x in dist.support])
 
 

@@ -16,16 +16,15 @@ gets new potentials (the network-simplex update; Ahuja, Magnanti & Orlin,
 *Network Flows*, 1993, ch. 11). The tree fixes the potentials, with row 0
 at 0, so every pivot is the one a full rebuild of the tree would give.
 
-Where Fractions enter and leave. `kantorovich` runs on ints from its
-inputs to its witness: the masses are the `Dist` numerators over L, the
-LCM of both denominators; the costs come from the space's int distance
-table over its denominator D (`FiniteMetricSpace._int_table`, built once
-per space). It hands those ints to `solve_transport`, whose scaling
-(`core.scaled_ints`) returns all-int input as it is, over 1, so the
-total and the plan come back over 1 and it reads their numerators;
-`Coupling._from_ints` checks the plan's marginals on ints. Fractions
-are made for what it returns: the value total / (L*D) and the coupling
-weights q / L. Other callers of `solve_transport`, and
+Where Fractions enter and leave. `kantorovich` runs on the one int form
+its inputs hold: the masses are the `Dist` numerators over L, the LCM of
+both denominators, and the costs come from the space's int distance
+table over its denominator D. It hands those ints to `solve_transport`,
+whose scaling (`core.scaled_ints`) returns all-int input as it is, over
+1, so the total and the plan come back as Fractions over 1 and it reads
+their numerators; `Coupling._from_ints` checks the plan's marginals on
+ints and keeps them. The value total / (L*D) is the one Fraction it
+builds itself; the coupling's accessors build its weights. Other callers of `solve_transport`, and
 `optimal_transport` with any ground cost producing rationals (such as a
 Hausdorff-Kantorovich ground cost between convex sets), have their
 Fraction masses and costs scaled to ints by the LCMs of their
@@ -230,11 +229,10 @@ def kantorovich(space: FiniteMetricSpace, left: Dist, right: Dist) -> TransportR
         raise SpaceMismatch()
     if not (left.is_ground() and right.is_ground()):
         raise SpaceMismatch("kantorovich over a space needs label-supported inputs")
-    lden, lnum = left._ints()
-    rden, rnum = right._ints()
-    den = lcm(lden, rden)
-    lf, rf = den // lden, den // rden
-    dden, table = space._int_table()
+    lnum, rnum = left._num, right._num
+    den = lcm(left._den, right._den)
+    lf, rf = den // left._den, den // right._den
+    table = space._rows
     index = space._index
     cols = [index[y] for y in right.support]
     rows = [table[index[x]] for x in left.support]
@@ -245,7 +243,7 @@ def kantorovich(space: FiniteMetricSpace, left: Dist, right: Dist) -> TransportR
     )
     ints = {cell: q.numerator for cell, q in plan.items()}
     return TransportResult(
-        Fraction(value.numerator, den * dden), Coupling._from_ints(left, right, den, ints)
+        Fraction(value.numerator, den * space._den), Coupling._from_ints(left, right, den, ints)
     )
 
 

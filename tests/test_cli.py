@@ -298,6 +298,39 @@ def test_json_booleans_are_not_rationals(capsys, space_file, files, command):
     assert json.loads(out)["error"] == "MalformedInput"
 
 
+@pytest.mark.parametrize("where", ["space", "distribution", "eps", "term"])
+def test_exponent_notation_is_not_a_rational(capsys, space_file, files, where):
+    # Fraction("1e10000000") builds a ten-million-digit integer before any
+    # range check, so every reader refuses exponents, even small ones.
+    if where == "space":
+        space = files("space.json", {"points": ["a", "b"], "dist": [["a", "b", "1e-1"]]})
+        argv = ["validate-space", "--space", space]
+    elif where == "distribution":
+        left = files("l.json", {"a": "1e-1", "b": "9/10"})
+        right = files("r.json", {"c": "1"})
+        argv = ["kantorovich", "--space", space_file, "--left", left, "--right", right]
+    elif where == "eps":
+        s1 = files("s1.json", {"generators": [{"a": "1"}, {"b": "1"}]})
+        s2 = files("s2.json", {"generators": [{"c": "1"}]})
+        _, proof_obj = run(capsys, "derive", "--space", space_file, "--left", s1, "--right", s2)
+        proof_obj["conclusion"]["eps"] = "1e-1"
+        gamma = files("gamma.json", proof_obj["hypotheses"])
+        proof = files("proof.json", proof_obj)
+        argv = ["check", "--space", space_file, "--gamma", gamma, "--proof", proof]
+    else:
+        argv = ["tdist", "--space", space_file, "(p+ 1e-1 a b)", "a"]
+    code, out, err = _run_quietly(argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    reply = json.loads(out)
+    if where == "term":
+        assert reply["error"] == "ParseError"
+        assert reply["position"] == 4
+    else:
+        assert reply["error"] == "MalformedInput"
+        assert "1e-1" in reply["detail"]
+
+
 def test_space_without_dist_is_a_domain_error(capsys, files):
     space = files("space.json", {"points": ["a", "b"]})
     code, out = run(capsys, "validate-space", "--space", space)

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import lp_reference
 import strategies as sts
 from hkconvex import (
     BadProbability,
@@ -171,6 +172,77 @@ def test_nearest_point_rejects_another_space():
         hk_distance(b_space, over_a, over_b)
     with pytest.raises(SpaceMismatch):
         hk_distance(b_space, over_b, over_a)
+
+
+def _fraction_hull_lp(target, generators):
+    # The hull LP as Fraction rows: one row per joint support coordinate,
+    # each on its own denominators, and a unit normalization row.
+    coords = list(dict.fromkeys(x for d in (target, *generators) for x in d.support))
+    rows = [[g.weight(x) for g in generators] for x in coords] + [[F(1)] * len(generators)]
+    rhs = [target.weight(x) for x in coords] + [F(1)]
+    return [F(0)] * len(generators), rows, rhs
+
+
+def _fraction_projection(space, target, s):
+    # nearest_point's LP as Fraction rows, solved by the rational reference.
+    base = list(s.base)
+    xs = list(target.support)
+    ys = list(dict.fromkeys(y for g in base for y in g.support))
+    nx, ny, nb = len(xs), len(ys), len(base)
+    rows, rhs = [], []
+    for i, x in enumerate(xs):
+        rows.append([F(int(k // ny == i)) for k in range(nx * ny)] + [F(0)] * nb)
+        rhs.append(target.weight(x))
+    for j, y in enumerate(ys):
+        rows.append([F(int(k % ny == j)) for k in range(nx * ny)] + [-g.weight(y) for g in base])
+        rhs.append(F(0))
+    rows.append([F(0)] * (nx * ny) + [F(1)] * nb)
+    rhs.append(F(1))
+    objective = [space.d(x, y) for x in xs for y in ys] + [F(0)] * nb
+    ref = lp_reference.solve_lp(objective, rows, rhs)
+    lambdas = tuple(ref.solution[nx * ny :])
+    return ref.value, convex_combine(list(zip(lambdas, base))), lambdas
+
+
+@st.composite
+def _mixed_dists(draw, space):
+    # Weights in halves, thirds or eighths.
+    den = draw(st.sampled_from((2, 3, 8)))
+    k = draw(st.integers(1, min(3, len(space.points), den)))
+    support = draw(st.lists(st.sampled_from(space.points), min_size=k, max_size=k, unique=True))
+    cuts = draw(st.lists(st.integers(1, den - 1), min_size=k - 1, max_size=k - 1, unique=True))
+    bounds = [0, *sorted(cuts), den]
+    return Dist(space, {x: F(b - a, den) for x, a, b in zip(support, bounds, bounds[1:])})
+
+
+@st.composite
+def _hull_instances(draw):
+    """A space, a target and generators with mixed denominators, some of
+    them repeated; the target is often on a segment between two
+    generators (a vertex when both are the same), so on a face."""
+    space = draw(sts.spaces(max_points=4))
+    gens = draw(st.lists(_mixed_dists(space), min_size=1, max_size=4))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        p = draw(st.sampled_from((F(1, 2), F(1, 3), F(3, 8))))
+        target = convex_combine([(p, a), (1 - p, b)])
+    else:
+        target = draw(_mixed_dists(space))
+    return space, target, gens
+
+
+@settings(max_examples=150)
+@given(_hull_instances())
+def test_hull_and_projection_certificates_match_the_fraction_rows(instance):
+    space, target, gens = instance
+    ref = lp_reference.solve_lp(*_fraction_hull_lp(target, gens))
+    if ref.status == lp_reference.OPTIMAL:
+        assert in_hull(target, gens) == (True, tuple(ref.solution))
+    else:
+        assert in_hull(target, gens) == (False, None)
+    s = ConvexSet(space, gens)
+    assert nearest_point(space, target, s) == _fraction_projection(space, target, s)
 
 
 def test_check_monad_laws_clean():

@@ -33,6 +33,8 @@ def test_fraction_round_trip():
     assert as_fraction("2") == Fraction(2)
     with pytest.raises(MalformedInput):
         as_fraction(True)
+    with pytest.raises(MalformedInput):
+        as_fraction("1E5")
     assert format_fraction(Fraction(6, 8)) == "3/4"
     assert format_fraction(Fraction(0)) == "0"
 
@@ -61,7 +63,7 @@ def test_space_json_round_trip(x3):
 
 
 def _check_int_table(space):
-    den, rows = space._int_table()
+    den, rows = space._den, space._rows
     assert len(rows) == len(space.points)
     for x, row in zip(space.points, rows):
         assert len(row) == len(space.points)
@@ -73,7 +75,7 @@ def _check_int_table(space):
 def test_int_table_on_a_one_point_space():
     space = FiniteMetricSpace(["a"], {})
     _check_int_table(space)
-    assert space._int_table() == (1, [[0]])
+    assert (space._den, space._rows) == (1, ((0,),))
 
 
 def test_int_table_of_a_space_read_back_from_json():
@@ -89,7 +91,7 @@ def test_int_table_of_a_space_read_back_from_json():
     }
     space = FiniteMetricSpace.from_json_dict(FiniteMetricSpace(points, dist).to_json_dict())
     _check_int_table(space)
-    assert space._int_table()[0] == 120
+    assert space._den == 120
 
 
 @given(sts.spaces(min_points=1, max_points=6))
@@ -97,7 +99,6 @@ def test_int_table_matches_the_distances_and_leaves_eq_and_hash(space):
     twin = FiniteMetricSpace.from_json_dict(space.to_json_dict())
     before = hash(space)
     _check_int_table(space)
-    assert space._int_table() is space._int_table()
     assert hash(space) == before == hash(twin)
     assert space == twin and twin == space
 
@@ -113,6 +114,21 @@ def test_space_rejects_triangle_violation():
             ["a", "b", "c"],
             {("a", "b"): "1/8", ("b", "c"): "1/8", ("a", "c"): "1"},
         )
+    # Six triples violate the triangle inequality here, and each of the six
+    # loop orders over (x, y, z) meets a different one first; the check
+    # names the first in x, then y, then z order.
+    dist = {
+        ("a", "b"): "1/2",
+        ("a", "c"): "1/8",
+        ("a", "d"): "3/4",
+        ("b", "c"): "1/4",
+        ("b", "d"): "1/8",
+        ("c", "d"): "1",
+    }
+    with pytest.raises(AxiomViolation) as err:
+        FiniteMetricSpace(list("abcd"), dist)
+    e = err.value
+    assert (e.kind, e.x, e.y, e.z) == ("triangle", "a", "b", "c")
 
 
 def test_space_rejects_zero_distance_between_distinct_points():
@@ -220,14 +236,15 @@ def test_coupling_from_ints_checks_both_marginals(x3):
 
 
 def _fraction_marginal_error(joint, left, right):
-    # The marginal check on Fraction sums, in the order Coupling runs it.
+    # The marginal check on Fraction sums, in the order Coupling runs it:
+    # each side's support in order, then other points in first-seen order.
     for side, dist, k in (("left", left, 0), ("right", right, 1)):
-        marginal: dict = {}
+        marginal = dict.fromkeys(dist.support, Fraction(0))
         for cell, v in joint.items():
             if v:
                 marginal[cell[k]] = marginal.get(cell[k], Fraction(0)) + v
-        for x in set(marginal) | set(dist.support):
-            if marginal.get(x, Fraction(0)) != dist.weight(x):
+        for x, v in marginal.items():
+            if v != dist.weight(x):
                 return side, x
     return None
 
