@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .convex import ConvexSet, check_monad_laws, monad_mult, oplus, plus_p
@@ -28,19 +29,40 @@ from .deduction import (
     equations_from_json_list,
 )
 from .errors import DomainError, MalformedInput, ParseError, TooDeep
-from .lifting import directed_hausdorff, hk_directed, hk_distance
+from .lifting import directed_hausdorff, hk_directed
 from .presentation import free_em_algebra, functor_F, roundtrip_FG, roundtrip_GF
 from .proofs import derive_hk
 from .terms import normalize, nu, parse_term, print_term, term_distance
 from .transport import kantorovich
 
 
+# A JSON string, or an integer literal that is not part of a float.
+_JSON_INT = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![\w.+-])(-?\d+)(?![\w.])')
+
+
 def _load_json(path: str):
     with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.pos) from exc
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.pos) from exc
+    except ValueError as exc:
+        # json refuses an integer literal past Python's digit limit for
+        # int(str); report where the first such literal starts.
+        limit = sys.get_int_max_str_digits()
+        at = next(
+            (
+                m.start()
+                for m in _JSON_INT.finditer(text)
+                if m.group(1) and len(m.group(1).lstrip("-")) > limit
+            ),
+            None,
+        )
+        if at is None:
+            raise
+        message = f"invalid JSON in {path}: integer literal over {limit} digits"
+        raise ParseError(message, at) from exc
 
 
 def _load_space(path: str) -> FiniteMetricSpace:
@@ -135,11 +157,14 @@ def _cmd_hk(args) -> int:
     space = _load_space(args.space)
     left = _load_set(space, args.left)
     right = _load_set(space, args.right)
+    # hk_distance is the larger direction; each is projected once.
+    ltr = hk_directed(space, left, right)
+    rtl = hk_directed(space, right, left)
     _emit(
         {
-            "left_to_right": format_fraction(hk_directed(space, left, right)),
-            "right_to_left": format_fraction(hk_directed(space, right, left)),
-            "value": format_fraction(hk_distance(space, left, right)),
+            "left_to_right": format_fraction(ltr),
+            "right_to_left": format_fraction(rtl),
+            "value": format_fraction(max(ltr, rtl)),
         }
     )
     return 0

@@ -75,32 +75,27 @@ class FreeAlgebraCarrier:
         return rand_convex_set(rng, self.space, max_base=2, max_support=2)
 
 
-def rand_carrier_set(rng: random.Random, carrier) -> ConvexSet:
-    """A random convex set of 1-2 distributions over 1-2 carrier points."""
+def _rand_set(rng: random.Random, space: FiniteMetricSpace, draw) -> ConvexSet:
+    """A random convex set of 1-2 distributions over 1-2 items `draw(rng)`."""
     gens = []
     for _ in range(rng.randint(1, 2)):
         k = rng.randint(1, 2)
-        points = [carrier.rand_point(rng) for _ in range(k)]
-        weights = rand_weights(rng, k)
+        items = [draw(rng) for _ in range(k)]
         acc: dict = {}
-        for item, w in zip(points, weights):
+        for item, w in zip(items, rand_weights(rng, k)):
             acc[item] = acc.get(item, ZERO) + w
-        gens.append(Dist(carrier.space, acc))
-    return ConvexSet(carrier.space, gens)
+        gens.append(Dist(space, acc))
+    return ConvexSet(space, gens)
+
+
+def rand_carrier_set(rng: random.Random, carrier) -> ConvexSet:
+    """A random convex set of 1-2 distributions over 1-2 carrier points."""
+    return _rand_set(rng, carrier.space, carrier.rand_point)
 
 
 def _rand_tower(rng: random.Random, carrier) -> ConvexSet:
     """A random set of distributions over sets over carrier points."""
-    gens = []
-    for _ in range(rng.randint(1, 2)):
-        k = rng.randint(1, 2)
-        inner = [rand_carrier_set(rng, carrier) for _ in range(k)]
-        weights = rand_weights(rng, k)
-        acc: dict = {}
-        for item, w in zip(inner, weights):
-            acc[item] = acc.get(item, ZERO) + w
-        gens.append(Dist(carrier.space, acc))
-    return ConvexSet(carrier.space, gens)
+    return _rand_set(rng, carrier.space, lambda r: rand_carrier_set(r, carrier))
 
 
 def carrier_hk(carrier, s: ConvexSet, t: ConvexSet) -> Fraction:

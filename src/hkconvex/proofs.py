@@ -6,11 +6,18 @@ accepts, with exact epsilons.
 Two rewriting engines produce the eps-0 glue:
 
 * the mixture engine works on oplus-free terms viewed as left folds
-  over generator lists with int weights, with swap and merge moves
-  justified by A_p, C_p, I_p;
-* the comb engine works on left combs of oplus leaves, with swap,
-  merge, flatten, and absorption moves justified by A, C, I, D plus the
-  derived pairwise convexity law.
+  over generator lists with int weights; its pair step `_mix_pair`
+  swaps (C_p) or merges (I_p) two adjacent items under A_p;
+* the comb engine works on left combs of oplus leaves; its pair step
+  `_oc_pair` swaps (C) or merges (I) two adjacent leaves under A, and
+  flatten and absorption moves use A, C, I, D plus the derived
+  pairwise convexity law.
+
+`_sort_proof` is the one bubble sort both engines use (merge equal
+keys, swap an inversion, rescan from 0). `_under_fold` and `_under_comb`
+lift a proof about a prefix under the untouched suffix of a fold or a
+comb, and `chain` joins eps-0 steps with Triang, left to right, skipping
+absent ones.
 
 On top of these, derive_kantorovich mirrors an optimal coupling as a
 parallel fold of hypothesis steps under the p+ congruence rule, and
@@ -22,6 +29,7 @@ congruence rule.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .convex import (
     ConvexSet,
@@ -99,12 +107,38 @@ def ax(name: str, left: Term, right: Term) -> Derivation:
     return Derivation("AxiomCS", QuantEquation(left, right, ZERO), axiom=name)
 
 
-def compose(a: Derivation | None, b: Derivation | None) -> Derivation | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return triang(a, b)
+def chain(*steps: Derivation | None) -> Derivation | None:
+    """The left Triang fold of the steps that are not None."""
+    out = None
+    for step in steps:
+        if step is not None:
+            out = step if out is None else triang(out, step)
+    return out
+
+
+def _sort_proof(entries, key, pair, combine):
+    """Bubble entries to key order, merging equal keys; (final, proof|None).
+
+    Each round makes the first move it meets, scanning from 0: a pair
+    with equal keys merges (`pair(entries, i, True)`, and `combine`
+    makes the merged entry), a pair out of order swaps
+    (`pair(entries, i, False)`).
+    """
+    entries = list(entries)
+    proof = None
+    while True:
+        for i in range(len(entries) - 1):
+            a, b = key(entries[i]), key(entries[i + 1])
+            if a == b:
+                proof = chain(proof, pair(entries, i, True))
+                entries[i : i + 2] = [combine(entries[i], entries[i + 1])]
+                break
+            if a > b:
+                proof = chain(proof, pair(entries, i, False))
+                entries[i], entries[i + 1] = entries[i + 1], entries[i]
+                break
+        else:
+            return entries, proof
 
 
 # ------------------------------------------------- mixture engine (p+ only)
@@ -160,79 +194,56 @@ def _flatten_mix(t: Term):
     return out, triang(d0, dj)
 
 
-def _mix_swap(items, total, i) -> Derivation:
-    """fold(items) = fold(items with i, i+1 swapped), at eps 0; `total`
-    is the sum of the weights."""
-    k = len(items)
-    if i + 1 < k - 1:
-        y, v = items[-1]
-        return congr_plusp(
-            Fraction(total - v, total), _mix_swap(items[:-1], total - v, i), refl(Gen(y))
+def _under_fold(pf: Derivation, total: int, suffix) -> Derivation:
+    """Lift pf about a fold of weight `total` under the suffix items."""
+    for y, v in suffix:
+        pf = congr_plusp(Fraction(total, total + v), pf, refl(Gen(y)))
+        total += v
+    return pf
+
+
+def _mix_pair(items, i, merge: bool) -> Derivation:
+    """fold(items) = fold(items with i, i+1 merged or swapped), at eps 0.
+
+    A merge needs equal labels and adds their weights.
+    """
+    (a, u), (b, v) = items[i], items[i + 1]
+    pair = PlusP(Fraction(u, u + v), Gen(a), Gen(b))
+    if merge:
+        assert a == b
+        new = Gen(a)
+        pf = ax("I_p", pair, new)
+    else:
+        new = PlusP(Fraction(v, u + v), Gen(b), Gen(a))
+        pf = ax("C_p", pair, new)
+    head = items[:i]
+    total = _total(head)
+    if head:
+        w = Fraction(total, total + u + v)
+        x = _fold_items(head)
+        swapped = head + [(b, v), (a, u)]
+        pf = chain(
+            ax("A_p", _fold_items(items[: i + 2]), PlusP(w, x, pair)),
+            congr_plusp(w, refl(x), pf),
+            None if merge else ax("A_p", PlusP(w, x, new), _fold_items(swapped)),
         )
-    (a, u), (b, v) = items[-2], items[-1]
-    swapped = items[:-2] + [(b, v), (a, u)]
-    if k == 2:
-        return ax("C_p", _fold_items(items), _fold_items(swapped))
-    w = Fraction(total - u - v, total)
-    x = _fold_items(items[:-2])
-    ab = PlusP(Fraction(u, u + v), Gen(a), Gen(b))
-    ba = PlusP(Fraction(v, u + v), Gen(b), Gen(a))
-    n1 = ax("A_p", _fold_items(items), PlusP(w, x, ab))
-    n2 = congr_plusp(w, refl(x), ax("C_p", ab, ba))
-    n3 = ax("A_p", PlusP(w, x, ba), _fold_items(swapped))
-    return triang(triang(n1, n2), n3)
+    return _under_fold(pf, total + u + v, items[i + 2 :])
 
 
-def _mix_merge(items, total, i) -> Derivation:
-    """fold(items) = fold(items with equal-label i, i+1 merged), eps 0;
-    `total` is the sum of the weights."""
-    k = len(items)
-    if i + 1 < k - 1:
-        y, v = items[-1]
-        return congr_plusp(
-            Fraction(total - v, total), _mix_merge(items[:-1], total - v, i), refl(Gen(y))
-        )
-    (a, u), (b, v) = items[-2], items[-1]
-    assert a == b
-    aa = PlusP(Fraction(u, u + v), Gen(a), Gen(a))
-    if k == 2:
-        return ax("I_p", aa, Gen(a))
-    w = Fraction(total - u - v, total)
-    x = _fold_items(items[:-2])
-    n1 = ax("A_p", _fold_items(items), PlusP(w, x, aa))
-    n2 = congr_plusp(w, refl(x), ax("I_p", aa, Gen(a)))
-    return triang(n1, n2)
-
-
-def _sort_mix(space: FiniteMetricSpace, items):
-    """Bubble to canonical order, merging duplicates; (final, proof|None)."""
-    items = list(items)
-    total = _total(items)
-    proof = None
-    while True:
-        move = None
-        for i in range(len(items) - 1):
-            if items[i][0] == items[i + 1][0]:
-                move = _mix_merge(items, total, i)
-                items[i] = (items[i][0], items[i][1] + items[i + 1][1])
-                del items[i + 1]
-                break
-            if space.index(items[i][0]) > space.index(items[i + 1][0]):
-                move = _mix_swap(items, total, i)
-                items[i], items[i + 1] = items[i + 1], items[i]
-                break
-        if move is None:
-            return items, proof
-        proof = compose(proof, move)
+def _sort_mix(space: FiniteMetricSpace, items) -> Derivation | None:
+    """fold(items) = its canonical fold, at eps 0; None if already so."""
+    return _sort_proof(
+        items,
+        lambda item: space.index(item[0]),
+        _mix_pair,
+        lambda a, b: (a[0], a[1] + b[1]),
+    )[1]
 
 
 def prove_dist(space: FiniteMetricSpace, t: Term) -> Derivation:
     """t = dist_term(value of t), at eps 0, for oplus-free t."""
     items, d0 = _flatten_mix(t)
-    final, d1 = _sort_mix(space, items)
-    out = compose(d0, d1)
-    assert out is not None
-    return out
+    return chain(d0, _sort_mix(space, items))
 
 
 # ---------------------------------------------------- comb engine (oplus)
@@ -244,32 +255,32 @@ def oc_term(leaves: list[Term]) -> Term:
     return t
 
 
-def _oc_swap(leaves, i) -> Derivation:
-    k = len(leaves)
-    if i + 1 < k - 1:
-        return congr_oplus(_oc_swap(leaves[:-1], i), refl(leaves[-1]))
-    a, b = leaves[-2], leaves[-1]
-    if k == 2:
-        return ax("C", Oplus(a, b), Oplus(b, a))
-    x = oc_term(leaves[:-2])
-    n1 = ax("A", Oplus(Oplus(x, a), b), Oplus(x, Oplus(a, b)))
-    n2 = congr_oplus(refl(x), ax("C", Oplus(a, b), Oplus(b, a)))
-    n3 = ax("A", Oplus(x, Oplus(b, a)), Oplus(Oplus(x, b), a))
-    return triang(triang(n1, n2), n3)
+def _under_comb(pf: Derivation, suffix) -> Derivation:
+    """Lift pf about a comb under the suffix leaves."""
+    for leaf in suffix:
+        pf = congr_oplus(pf, refl(leaf))
+    return pf
 
 
-def _oc_merge(leaves, i) -> Derivation:
-    k = len(leaves)
-    if i + 1 < k - 1:
-        return congr_oplus(_oc_merge(leaves[:-1], i), refl(leaves[-1]))
-    a, b = leaves[-2], leaves[-1]
-    assert a == b
-    if k == 2:
-        return ax("I", Oplus(a, a), a)
-    x = oc_term(leaves[:-2])
-    n1 = ax("A", Oplus(Oplus(x, a), a), Oplus(x, Oplus(a, a)))
-    n2 = congr_oplus(refl(x), ax("I", Oplus(a, a), a))
-    return triang(n1, n2)
+def _oc_pair(leaves, i, merge: bool) -> Derivation:
+    """oc(leaves) = oc(leaves with i, i+1 merged or swapped), at eps 0.
+
+    A merge needs equal leaves and keeps one.
+    """
+    a, b = leaves[i], leaves[i + 1]
+    if merge:
+        assert a == b
+        pf = ax("I", Oplus(a, a), a)
+    else:
+        pf = ax("C", Oplus(a, b), Oplus(b, a))
+    if i:
+        x = oc_term(leaves[:i])
+        pf = chain(
+            ax("A", Oplus(Oplus(x, a), b), Oplus(x, Oplus(a, b))),
+            congr_oplus(refl(x), pf),
+            None if merge else ax("A", Oplus(x, Oplus(b, a)), Oplus(Oplus(x, b), a)),
+        )
+    return _under_comb(pf, leaves[i + 2 :])
 
 
 def _ojoin(left: list[Term], right: list[Term]) -> Derivation:
@@ -302,11 +313,9 @@ def _unflatten_head(head: Term, rest: list[Term]) -> Derivation:
 
 def _comb_congr(leaves: list[Term], j: int, pf: Derivation) -> Derivation:
     """Apply pf at leaf j of the comb; pf rewrites that leaf at eps 0."""
-    if len(leaves) == 1:
-        return pf
-    if j == len(leaves) - 1:
-        return congr_oplus(refl(oc_term(leaves[:-1])), pf)
-    return congr_oplus(_comb_congr(leaves[:-1], j, pf), refl(leaves[-1]))
+    if j:
+        pf = congr_oplus(refl(oc_term(leaves[:j])), pf)
+    return _under_comb(pf, leaves[j + 1 :])
 
 
 def _bubble(leaves: list[Term], src: int, dst: int):
@@ -314,11 +323,11 @@ def _bubble(leaves: list[Term], src: int, dst: int):
     leaves = list(leaves)
     proof = None
     while src > dst:
-        proof = compose(proof, _oc_swap(leaves, src - 1))
+        proof = chain(proof, _oc_pair(leaves, src - 1, False))
         leaves[src - 1], leaves[src] = leaves[src], leaves[src - 1]
         src -= 1
     while src < dst:
-        proof = compose(proof, _oc_swap(leaves, src))
+        proof = chain(proof, _oc_pair(leaves, src, False))
         leaves[src], leaves[src + 1] = leaves[src + 1], leaves[src]
         src += 1
     return leaves, proof
@@ -331,14 +340,11 @@ def _dup_front(leaves: list[Term], i: int) -> Derivation:
         return symm(ax("I", Oplus(b, b), b))
     fronted, d1 = _bubble(leaves, i, 0)
     doubled = [b] + fronted
-    d2 = symm(_oc_merge(doubled, 0))
+    d2 = symm(_oc_pair(doubled, 0, True))
     d3 = _unflatten_head(b, fronted)
     back, d4 = _bubble(fronted, 0, i)
     assert back == list(leaves)
-    d5 = congr_oplus(refl(b), d4) if d4 is not None else None
-    out = compose(compose(compose(d1, d2), d3), d5)
-    assert out is not None
-    return out
+    return chain(d1, d2, d3, d4 and congr_oplus(refl(b), d4))
 
 
 def _pw_single(x: Term, y: Term, p: Fraction) -> Derivation:
@@ -367,25 +373,17 @@ def _pw_single(x: Term, y: Term, p: Fraction) -> Derivation:
         )
         # flatten [[x, mq], [m, y]] and sort to [x, y, m, mq]
         d5 = _ojoin([x, mq], [m, y])
-        leaves = [x, mq, m, y]
-        d6 = _oc_swap(leaves, 2)
-        leaves = [x, mq, y, m]
-        d7 = _oc_swap(leaves, 1)
-        leaves = [x, y, mq, m]
-        d8 = _oc_swap(leaves, 2)
-        chain = triang(triang(triang(d1, d2), d3), d4)
-        return triang(triang(triang(triang(chain, d5), d6), d7), d8)
+        d6 = _oc_pair([x, mq, m, y], 2, False)
+        d7 = _oc_pair([x, mq, y, m], 1, False)
+        d8 = _oc_pair([x, y, mq, m], 2, False)
+        return chain(d1, d2, d3, d4, d5, d6, d7, d8)
 
     st = star()
     # e + m = (((e + m) + mq) + m) = ((e + m) + m + mq) = (e + m) + mq = e
     d1 = congr_oplus(st, refl(m))
-    leaves = [x, y, m, mq, m]
-    d2 = _oc_swap(leaves, 3)
-    leaves = [x, y, m, m, mq]
-    d3 = _oc_merge(leaves, 2)
-    d4 = symm(st)
-    absorb = triang(triang(triang(d1, d2), d3), d4)
-    return symm(absorb)
+    d2 = _oc_pair([x, y, m, mq, m], 3, False)
+    d3 = _oc_pair([x, y, m, m, mq], 2, True)
+    return symm(chain(d1, d2, d3, symm(st)))
 
 
 def _d_left(v: Term, w: Term, u: Term, p: Fraction) -> Derivation:
@@ -401,7 +399,7 @@ def _d_left(v: Term, w: Term, u: Term, p: Fraction) -> Derivation:
         ax("C_p", PlusP(q, u, v), PlusP(p, v, u)),
         ax("C_p", PlusP(q, u, w), PlusP(p, w, u)),
     )
-    return triang(triang(n1, n2), n3)
+    return chain(n1, n2, n3)
 
 
 def _oc_swap_composite(x: Term, y: Term, r: Term) -> Derivation:
@@ -409,7 +407,7 @@ def _oc_swap_composite(x: Term, y: Term, r: Term) -> Derivation:
     n1 = ax("A", Oplus(x, Oplus(y, r)), Oplus(Oplus(x, y), r))
     n2 = congr_oplus(ax("C", Oplus(x, y), Oplus(y, x)), refl(r))
     n3 = ax("A", Oplus(Oplus(y, x), r), Oplus(y, Oplus(x, r)))
-    return triang(triang(n1, n2), n3)
+    return chain(n1, n2, n3)
 
 
 def _absorb(
@@ -471,54 +469,49 @@ def _absorb(
     )
     d10 = _oc_swap_composite(bprime, target_term, c)
     d11 = congr_oplus(refl(target_term), symm(d1))
-    chain = d1
-    for step in (d2, d3, d4, d5, d6, d7, d8, d9, d10, d11):
-        chain = triang(chain, step)
-    return chain
+    return chain(d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11)
 
 
-def _canon_oplus(space: FiniteMetricSpace, leaves: list[Term], values: list[Dist]):
-    """Sort, dedupe, absorb non-base leaves; (final, values, proof|None)."""
-    leaves = list(leaves)
-    values = list(values)
-    proof = None
-    # sort by value order, merging syntactic duplicates
-    while True:
-        move = None
-        for i in range(len(leaves) - 1):
-            if values[i] == values[i + 1]:
-                assert leaves[i] == leaves[i + 1]
-                move = _oc_merge(leaves, i)
-                del leaves[i + 1]
-                del values[i + 1]
-                break
-            if values[i].sort_key() > values[i + 1].sort_key():
-                move = _oc_swap(leaves, i)
-                leaves[i], leaves[i + 1] = leaves[i + 1], leaves[i]
-                values[i], values[i + 1] = values[i + 1], values[i]
-                break
-        if move is None:
-            break
-        proof = compose(proof, move)
-    base = set(ConvexSet(space, values).base)
-    extras = [v for v in values if v not in base]
-    for extra in extras:
+def _canon_oplus(
+    space: FiniteMetricSpace, values: list[Dist], base: tuple[Dist, ...]
+) -> Derivation | None:
+    """oc(dist_term of values) = nu of their hull, at eps 0; None if equal.
+
+    Sorts the leaves, merges duplicates and absorbs every leaf that is
+    not in `base`, the unique base of the hull of `values`.
+    """
+    entries, proof = _sort_proof(
+        [(dist_term(v), v) for v in values],
+        lambda entry: entry[1].sort_key(),
+        lambda entries, i, merge: _oc_pair([leaf for leaf, _ in entries], i, merge),
+        lambda a, b: a,
+    )
+    leaves = [leaf for leaf, _ in entries]
+    values = [v for _, v in entries]
+    base = set(base)
+    for extra in [v for v in values if v not in base]:
         idx = values.index(extra)
         moved, d_bubble = _bubble(leaves, idx, len(leaves) - 1)
         del values[idx]
-        rest = moved[:-1]
-        rest_values = list(values)
-        d_comm = ax(
-            "C",
-            Oplus(oc_term(rest), moved[-1]),
-            Oplus(moved[-1], oc_term(rest)),
-        )
-        ok, cert = in_hull(extra, rest_values)
+        leaves, last = moved[:-1], moved[-1]
+        d_comm = ax("C", Oplus(oc_term(leaves), last), Oplus(last, oc_term(leaves)))
+        ok, cert = in_hull(extra, values)
         assert ok
-        d_drop = symm(_absorb(space, rest, rest_values, moved[-1], extra, list(cert)))
-        proof = compose(compose(compose(proof, d_bubble), d_comm), d_drop)
-        leaves = rest
-    return leaves, values, proof
+        d_drop = symm(_absorb(space, leaves, values, last, extra, list(cert)))
+        proof = chain(proof, d_bubble, d_comm, d_drop)
+    return proof
+
+
+def _spread(leaves: list[Term], wrap, split) -> Derivation:
+    """wrap(oc(leaves)) = oc of wrap over the leaves, at eps 0.
+
+    split(x, y) proves wrap(Oplus(x, y)) = Oplus(wrap(x), wrap(y)).
+    """
+    if len(leaves) == 1:
+        return refl(wrap(leaves[0]))
+    head, last = leaves[:-1], leaves[-1]
+    n1 = split(oc_term(head), last)
+    return triang(n1, congr_oplus(_spread(head, wrap, split), refl(wrap(last))))
 
 
 def _distribute(p: Fraction, left: list[Term], right: list[Term]):
@@ -528,32 +521,18 @@ def _distribute(p: Fraction, left: list[Term], right: list[Term]):
     """
     ocl = oc_term(left)
 
-    def dist_right(rest: list[Term]) -> Derivation:
-        if len(rest) == 1:
-            return refl(PlusP(p, ocl, rest[0]))
-        last = rest[-1]
-        n1 = ax(
-            "D",
-            PlusP(p, ocl, Oplus(oc_term(rest[:-1]), last)),
-            Oplus(PlusP(p, ocl, oc_term(rest[:-1])), PlusP(p, ocl, last)),
-        )
-        n2 = congr_oplus(dist_right(rest[:-1]), refl(PlusP(p, ocl, last)))
-        return triang(n1, n2)
+    def wrap(b: Term) -> Term:
+        return PlusP(p, ocl, b)
 
-    def dist_left(rest: list[Term], w: Term) -> Derivation:
-        if len(rest) == 1:
-            return refl(PlusP(p, rest[0], w))
-        last = rest[-1]
-        n1 = _d_left(oc_term(rest[:-1]), last, w, p)
-        n2 = congr_oplus(dist_left(rest[:-1], w), refl(PlusP(p, last, w)))
-        return triang(n1, n2)
+    def split(x: Term, y: Term) -> Derivation:
+        return ax("D", wrap(Oplus(x, y)), Oplus(wrap(x), wrap(y)))
 
-    proof = dist_right(right)
-    cur: list[Term] = [PlusP(p, ocl, b) for b in right]
+    proof = _spread(right, wrap, split)
+    cur: list[Term] = [wrap(b) for b in right]
     groups: list[list[Term]] = []
     for j, b in enumerate(right):
-        pf = dist_left(left, b)
-        proof = compose(proof, _comb_congr(cur, j, pf))
+        pf = _spread(left, lambda a: PlusP(p, a, b), lambda x, y: _d_left(x, y, b, p))
+        proof = chain(proof, _comb_congr(cur, j, pf))
         group = [PlusP(p, a, b) for a in left]
         cur[j] = oc_term(group)
         groups.append(group)
@@ -562,9 +541,7 @@ def _distribute(p: Fraction, left: list[Term], right: list[Term]):
     flat = list(groups[0])
     for j in range(1, len(groups)):
         inner = _ojoin(flat, groups[j])
-        for suffix_leaf in (oc_term(g) for g in groups[j + 1 :]):
-            inner = congr_oplus(inner, refl(suffix_leaf))
-        proof = compose(proof, inner)
+        proof = chain(proof, _under_comb(inner, cur[j + 1 :]))
         flat = flat + groups[j]
     return flat, proof
 
@@ -573,41 +550,31 @@ def canon_proof(space: FiniteMetricSpace, t: Term):
     """(derivation, set): t = nu(set) at eps 0, set = normalize(t)."""
     if isinstance(t, Gen):
         return refl(t), monad_unit(space, t.label)
-    if isinstance(t, Oplus):
-        dl, sl = canon_proof(space, t.left)
-        dr, sr = canon_proof(space, t.right)
-        d0 = congr_oplus(dl, dr)
-        leaves_l = [dist_term(x) for x in sl.base]
-        leaves_r = [dist_term(x) for x in sr.base]
-        dj = _ojoin(leaves_l, leaves_r)
-        leaves, values, dc = _canon_oplus(
-            space, leaves_l + leaves_r, list(sl.base) + list(sr.base)
-        )
-        out = compose(triang(d0, dj), dc)
-        s = set_oplus(sl, sr)
-        assert out.conclusion == QuantEquation(t, nu(space, s), ZERO)
-        return out, s
-    assert isinstance(t, PlusP)
     dl, sl = canon_proof(space, t.left)
     dr, sr = canon_proof(space, t.right)
-    d0 = congr_plusp(t.p, dl, dr)
     leaves_l = [dist_term(x) for x in sl.base]
     leaves_r = [dist_term(x) for x in sr.base]
-    flat, dd = _distribute(t.p, leaves_l, leaves_r)
-    values = [
-        convex_combine([(t.p, a), (1 - t.p, b)])
-        for b in sr.base
-        for a in sl.base
-    ]
-    cur = list(flat)
-    for j in range(len(cur)):
-        pf = prove_dist(space, cur[j])
-        if pf.conclusion.left != pf.conclusion.right:
-            dd = compose(dd, _comb_congr(cur, j, pf))
-        cur[j] = pf.conclusion.right
-    leaves, vals, dc = _canon_oplus(space, cur, values)
-    out = compose(triang(d0, dd), dc)
-    s = set_plus_p(t.p, sl, sr)
+    if isinstance(t, Oplus):
+        s = set_oplus(sl, sr)
+        values = list(sl.base) + list(sr.base)
+        d0 = congr_oplus(dl, dr)
+        dd = _ojoin(leaves_l, leaves_r)
+    else:
+        assert isinstance(t, PlusP)
+        s = set_plus_p(t.p, sl, sr)
+        values = [
+            convex_combine([(t.p, a), (1 - t.p, b)])
+            for b in sr.base
+            for a in sl.base
+        ]
+        d0 = congr_plusp(t.p, dl, dr)
+        leaves, dd = _distribute(t.p, leaves_l, leaves_r)
+        for j, leaf in enumerate(leaves):
+            pf = prove_dist(space, leaf)
+            if pf.conclusion.left != pf.conclusion.right:
+                dd = chain(dd, _comb_congr(leaves, j, pf))
+            leaves[j] = pf.conclusion.right
+    out = chain(d0, dd, _canon_oplus(space, values, s.base))
     assert out.conclusion == QuantEquation(t, nu(space, s), ZERO)
     return out, s
 
@@ -667,10 +634,8 @@ def derive_kantorovich(space: FiniteMetricSpace, left: Dist, right: Dist) -> Der
     core = _fold_pair(space, cells)
     row_items = [(x, w) for x, _y, w in cells]
     col_items = [(y, w) for _x, y, w in cells]
-    _, pl = _sort_mix(space, row_items)
-    _, pr = _sort_mix(space, col_items)
-    d = compose(compose(symm(pl) if pl is not None else None, core), pr)
-    assert d is not None
+    pl = _sort_mix(space, row_items)
+    d = chain(pl and symm(pl), core, _sort_mix(space, col_items))
     expected = QuantEquation(dist_term(left), dist_term(right), result.value)
     assert d.conclusion == expected
     return d._replace(
@@ -696,17 +661,12 @@ def derive_hk(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> De
     pair_proofs = [
         emax(derive_kantorovich(space, a, b), h) for a, b in pairs
     ]
-    hfold = pair_proofs[0]
-    for pf in pair_proofs[1:]:
-        hfold = congr_oplus(hfold, pf)
-    leaves_s = [dist_term(d) for d, _ in pairs]
-    values_s = [d for d, _ in pairs]
-    leaves_t = [dist_term(d) for _, d in pairs]
-    values_t = [d for _, d in pairs]
-    _, _, pad_s = _canon_oplus(space, leaves_s, values_s)
-    _, _, pad_t = _canon_oplus(space, leaves_t, values_t)
-    d = compose(compose(symm(pad_s) if pad_s is not None else None, hfold), pad_t)
-    assert d is not None
+    hfold = reduce(congr_oplus, pair_proofs)
+    # The padding mixtures lie in the hulls, so the bases stay those of
+    # left and right.
+    pad_s = _canon_oplus(space, [a for a, _ in pairs], left.base)
+    pad_t = _canon_oplus(space, [b for _, b in pairs], right.base)
+    d = chain(pad_s and symm(pad_s), hfold, pad_t)
     expected = QuantEquation(nu(space, left), nu(space, right), h)
     assert d.conclusion == expected
     supp_left = sorted(
@@ -734,5 +694,5 @@ def tightest_derivable(
     dl, sl = canon_proof(space, left)
     dr, sr = canon_proof(space, right)
     dh = derive_hk(space, sl, sr)
-    d = triang(triang(dl, dh), symm(dr))
+    d = chain(dl, dh, symm(dr))
     return dh.conclusion.eps, d._replace(hypotheses=tuple(gamma))

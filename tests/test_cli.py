@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hkconvex
-from hkconvex import cli
+from hkconvex import cli, lifting
 from hkconvex.cli import main
 
 X3 = {
@@ -329,6 +329,59 @@ def test_exponent_notation_is_not_a_rational(capsys, space_file, files, where):
     else:
         assert reply["error"] == "MalformedInput"
         assert "1e-1" in reply["detail"]
+
+
+@pytest.mark.parametrize("where", ["space", "distribution", "gamma", "proof"])
+def test_overlong_json_integer_is_a_parse_error(capsys, space_file, files, tmp_path, where):
+    # json.loads refuses an int literal past sys.get_int_max_str_digits()
+    # with a bare ValueError; every reader reports where the literal starts.
+    big = "1" * (sys.get_int_max_str_digits() + 700)
+    s1 = files("s1.json", {"generators": [{"a": "1"}, {"b": "1"}]})
+    s2 = files("s2.json", {"generators": [{"c": "1"}]})
+    _, proof_obj = run(capsys, "derive", "--space", space_file, "--left", s1, "--right", s2)
+    gamma = files("gamma.json", proof_obj["hypotheses"])
+    proof = files("proof.json", proof_obj)
+    if where == "space":
+        obj = {"points": ["a", "b"], "dist": [["a", "b", "BIG"]]}
+        argv = ["validate-space", "--space", "FILE"]
+    elif where == "distribution":
+        obj = {"a": "BIG", "b": "9/10"}
+        argv = ["kantorovich", "--space", space_file, "--left", "FILE", "--right", s2]
+    elif where == "gamma":
+        obj = proof_obj["hypotheses"]
+        obj[0]["eps"] = "BIG"
+        argv = ["check", "--space", space_file, "--gamma", "FILE", "--proof", proof]
+    else:
+        obj = proof_obj
+        obj["conclusion"]["eps"] = "BIG"
+        argv = ["check", "--space", space_file, "--gamma", gamma, "--proof", "FILE"]
+    text = json.dumps(obj).replace('"BIG"', big)
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    code, out, err = _run_quietly([str(path) if a == "FILE" else a for a in argv])
+    assert code == 1
+    assert out.count("\n") == 1
+    reply = json.loads(out)
+    assert reply["error"] == "ParseError"
+    assert reply["position"] == text.index(big)
+    assert "Traceback" not in err
+
+
+def test_hk_projects_each_base_point_once(capsys, space_file, files, monkeypatch):
+    calls = []
+    project = lifting.nearest_point
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(lifting, "nearest_point", counting)
+    left = files("l.json", [{"a": "1"}, {"b": "1"}])
+    right = files("r.json", [{"c": "1"}, {"a": "1/2", "c": "1/2"}])
+    code, out = run(capsys, "hk", "--space", space_file, "--left", left, "--right", right)
+    assert code == 0
+    assert out == {"left_to_right": "1/2", "right_to_left": "1/2", "value": "1/2"}
+    assert len(calls) == 2 + 2
 
 
 def test_space_without_dist_is_a_domain_error(capsys, files):

@@ -15,6 +15,7 @@ from hkconvex import (
     metric_hypotheses,
     term_distance,
 )
+from hkconvex import convex, linprog
 from hkconvex.convex import nearest_point
 from hkconvex.terms import Gen
 from hkconvex.proofs import (
@@ -90,6 +91,30 @@ def test_derive_hk_projects_each_base_point_once(x3, monkeypatch):
     assert calls == [(g, t) for g in s.base] + [(g, s) for g in t.base]
     monkeypatch.undo()
     assert d.conclusion.eps == hk_distance(x3, s, t)
+    assert check_derivation(x3, d.hypotheses, d).ok
+
+
+def test_derive_hk_builds_no_set_and_runs_no_hull_lp(x3, monkeypatch):
+    # The padded sides span the hulls of the two given sets, so their bases
+    # are the sets' own: no unique_base, and no hull membership LP.
+    s = ConvexSet(x3, [dirac(x3, "a"), Dist(x3, {"b": "1/2", "c": "1/2"})])
+    t = ConvexSet(x3, [dirac(x3, "b"), dirac(x3, "c"), Dist(x3, {"a": "1/4", "c": "3/4"})])
+    calls = {"unique_base": 0, "is_feasible": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(convex, "unique_base")
+    counted(linprog, "is_feasible")
+    d = derive_hk(x3, s, t)
+    assert calls == {"unique_base": 0, "is_feasible": 0}
+    monkeypatch.undo()
     assert check_derivation(x3, d.hypotheses, d).ok
 
 
