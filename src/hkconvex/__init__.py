@@ -10,8 +10,6 @@ over Python ints and `fractions.Fraction`; floats never appear.
 
 from .convex import (
     ConvexSet,
-    LawReport,
-    check_monad_laws,
     functor_map,
     in_hull,
     monad_mult,
@@ -54,6 +52,7 @@ from .errors import (
     DuplicateLabel,
     EmptyInput,
     EmptySet,
+    FileNotFound,
     MalformedInput,
     MarginalMismatch,
     OutOfRange,
@@ -73,8 +72,10 @@ from .lifting import (
 from .presentation import (
     EMAlgebra,
     FreeAlgebraCarrier,
+    LawReport,
     QuantConvexSemilattice,
     SpaceCarrier,
+    check_monad_laws,
     corrupt_alpha,
     eval_canonical,
     free_em_algebra,

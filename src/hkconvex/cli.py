@@ -20,17 +20,23 @@ import json
 import re
 import sys
 
-from .convex import ConvexSet, check_monad_laws, monad_mult, oplus, plus_p
-from .core import Dist, FiniteMetricSpace, as_fraction, format_fraction, json_list
+from .convex import ConvexSet, _generator_entries, monad_mult, oplus, plus_p
+from .core import Dist, FiniteMetricSpace, as_fraction, format_fraction
 from .deduction import (
     check_derivation,
     derivation_from_json_dict,
     derivation_to_json_dict,
     equations_from_json_list,
 )
-from .errors import DomainError, MalformedInput, ParseError, TooDeep
+from .errors import DomainError, FileNotFound, MalformedInput, ParseError, TooDeep
 from .lifting import directed_hausdorff, hk_directed
-from .presentation import free_em_algebra, functor_F, roundtrip_FG, roundtrip_GF
+from .presentation import (
+    check_monad_laws,
+    free_em_algebra,
+    functor_F,
+    roundtrip_FG,
+    roundtrip_GF,
+)
 from .proofs import derive_hk
 from .terms import normalize, nu, parse_term, print_term, term_distance
 from .transport import kantorovich
@@ -41,8 +47,15 @@ _JSON_INT = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![\w.+-])(-?\d+)(?![\w.])')
 
 
 def _load_json(path: str):
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    """The JSON document in a file. A file that cannot be read as UTF-8
+    text, or that is not JSON, raises a DomainError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except FileNotFoundError as exc:
+        raise FileNotFound(str(exc)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInput(f"cannot read {path} as UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -73,19 +86,13 @@ def _load_dist(space: FiniteMetricSpace, path: str) -> Dist:
     return Dist.from_json_dict(space, _load_json(path))
 
 
-def _generator_entries(data):
-    if isinstance(data, list):
-        return data
-    return json_list(data, "generators", "convex set")
-
-
 def _load_dists(space: FiniteMetricSpace, path: str) -> list[Dist]:
     entries = _generator_entries(_load_json(path))
     return [Dist.from_json_dict(space, entry) for entry in entries]
 
 
 def _load_set(space: FiniteMetricSpace, path: str) -> ConvexSet:
-    return ConvexSet(space, _load_dists(space, path))
+    return ConvexSet.from_json_dict(space, _load_json(path))
 
 
 def _load_nested(space: FiniteMetricSpace, path: str) -> ConvexSet:
@@ -103,10 +110,7 @@ def _load_nested(space: FiniteMetricSpace, path: str) -> ConvexSet:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise MalformedInput(f"nested generator entry {pair!r} is not [set, weight]")
             set_data, raw_w = pair
-            inner = ConvexSet(
-                space,
-                [Dist.from_json_dict(space, d) for d in _generator_entries(set_data)],
-            )
+            inner = ConvexSet.from_json_dict(space, set_data)
             weights[inner] = weights.get(inner, 0) + as_fraction(raw_w)
         gens.append(Dist(space, weights))
     return ConvexSet(space, gens)
@@ -353,10 +357,6 @@ def main(argv=None) -> int:
     except RecursionError:
         # Every reader and checker recurses on the nesting of its input.
         return _fail(TooDeep(sys.getrecursionlimit()))
-    except FileNotFoundError as exc:
-        _emit({"error": "FileNotFound", "detail": str(exc)})
-        print(str(exc), file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

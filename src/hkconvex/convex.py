@@ -25,8 +25,7 @@ Fractions appear only in what they return: exact weights and values.
 
 Because Dist supports ConvexSet-valued items, the same two classes give
 distributions over sets, convex sets of those, and so on; the monad
-multiplication walks one level down this tower. `check_monad_laws`
-exercises unit and associativity on pseudo-random instances.
+multiplication walks one level down this tower.
 """
 
 from __future__ import annotations
@@ -238,9 +237,16 @@ class ConvexSet:
 
     @classmethod
     def from_json_dict(cls, space: FiniteMetricSpace, data) -> "ConvexSet":
-        entries = json_list(data, "generators", "convex set")
-        gens = [Dist.from_json_dict(space, entry) for entry in entries]
+        """Read {"generators": [dist, ...]} or a bare list of dists."""
+        gens = [Dist.from_json_dict(space, entry) for entry in _generator_entries(data)]
         return cls(space, gens)
+
+
+def _generator_entries(data) -> list:
+    """The generator entries of a convex set in either JSON form."""
+    if isinstance(data, list):
+        return data
+    return json_list(data, "generators", "convex set")
 
 
 def monad_unit(space: FiniteMetricSpace, item) -> ConvexSet:
@@ -351,45 +357,3 @@ def nearest_point(space: FiniteMetricSpace, target: Dist, s: ConvexSet, metric=N
     lambdas = tuple(result.solution[nx * ny + k] for k in range(nb))
     mixture = convex_combine(list(zip(lambdas, base)))
     return result.value, mixture, lambdas
-
-
-class LawReport:
-    """Outcome of randomized monad-law checking."""
-
-    __slots__ = ("trials", "failures")
-
-    def __init__(self, trials: int, failures: list[str]):
-        self.trials = trials
-        self.failures = failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {"trials": self.trials, "failures": self.failures, "ok": self.ok}
-
-
-def check_monad_laws(seed: int, trials: int) -> LawReport:
-    """Left/right unit and associativity on pseudo-random towers."""
-    import random
-
-    from . import sampling
-
-    rng = random.Random(seed)
-    failures: list[str] = []
-    for t in range(trials):
-        space = sampling.rand_space(rng, max_points=4)
-        s = sampling.rand_convex_set(rng, space, max_base=3, max_support=3)
-        unit_outer = monad_unit(space, s)
-        if monad_mult(unit_outer) != s:
-            failures.append(f"trial {t}: mult after outer unit")
-        via_inner = functor_map(lambda x: monad_unit(space, x), s)
-        if monad_mult(via_inner) != s:
-            failures.append(f"trial {t}: mult after mapped unit")
-        u = sampling.rand_set_of_sets_of_sets(rng, space)
-        flat_inner = monad_mult(functor_map(monad_mult, u))
-        flat_outer = monad_mult(monad_mult(u))
-        if flat_inner != flat_outer:
-            failures.append(f"trial {t}: associativity")
-    return LawReport(trials, failures)

@@ -69,7 +69,12 @@ class TooLarge(DomainError):
 
 
 class MalformedInput(DomainError):
-    """Input data of the wrong shape: a missing field or a bad rational."""
+    """Input of the wrong shape: a missing field, a bad rational, or a
+    path that cannot be read as UTF-8 text (such as a directory)."""
+
+
+class FileNotFound(DomainError):
+    """An input path names no file."""
 
 
 class TooDeep(DomainError):

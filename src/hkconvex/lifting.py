@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .convex import ConvexSet, nearest_point
-from .core import Dist, FiniteMetricSpace
+from .core import FiniteMetricSpace
 from .errors import EmptySet
 
 
@@ -37,21 +37,12 @@ def hausdorff(metric: Callable, left: Iterable, right: Iterable) -> Fraction:
     )
 
 
-def hk_projections(
-    space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet, metric=None
-) -> list[tuple[Fraction, Dist]]:
-    """(distance, nearest mixture) of each base point of `left`, in base
-    order, projected exactly onto the right convex set. `metric` is the
-    ground metric on support items, `space.d` by default."""
-    return [nearest_point(space, g, right, metric)[:2] for g in left.base]
-
-
 def hk_directed(
     space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet, metric=None
 ) -> Fraction:
     """Directed Hausdorff-Kantorovich term: worst base point's exact
     projection distance onto the right convex set."""
-    return max(value for value, _ in hk_projections(space, left, right, metric))
+    return max(nearest_point(space, g, right, metric)[0] for g in left.base)
 
 
 def hk_distance(

@@ -10,11 +10,13 @@ function-backed:
   ``x (+) y = alpha(cc{dirac x, dirac y})`` and
   ``x +_p y = alpha({p x + (1-p) y})``.
 * ``functor_G`` rebuilds a structure map by interpreting the canonical
-  term of a set inside the algebra (the same fold that `terms.nu` uses).
+  term `terms.nu(S)` of a set inside the algebra.
 
 Carriers are never tabulated: even over a finite space the convex sets
 form an infinite carrier, so all laws and both round-trips are checked
-pointwise on seeded pseudo-random samples.  The flagship instance is
+pointwise on seeded pseudo-random samples, each into a `LawReport`;
+`check_monad_laws` checks the monad laws of the convex-set monad
+itself the same way.  The flagship instance is
 ``free_em_algebra``, whose carrier is the convex sets themselves and
 whose structure map is one level of `monad_mult`; there every check is
 exactly computable.
@@ -30,21 +32,59 @@ import random
 from fractions import Fraction
 from typing import Callable
 
-from .convex import (
-    ConvexSet,
-    LawReport,
-    functor_map,
-    monad_mult,
-    monad_unit,
-    plus_p,
-)
+from .convex import ConvexSet, functor_map, monad_mult, monad_unit, plus_p
 from .core import Dist, FiniteMetricSpace, convex_combine, dirac
 from .errors import OutOfRange
 from .lifting import hk_distance
-from .sampling import rand_convex_set, rand_prob, rand_weights
+from .sampling import (
+    rand_convex_set,
+    rand_prob,
+    rand_set_of_sets_of_sets,
+    rand_space,
+    rand_weights,
+)
+from .terms import Gen, Oplus, Term, nu
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class LawReport:
+    """Outcome of randomized law checking."""
+
+    __slots__ = ("trials", "failures")
+
+    def __init__(self, trials: int, failures: list[str]):
+        self.trials = trials
+        self.failures = failures
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def to_json_dict(self) -> dict:
+        return {"trials": self.trials, "failures": self.failures, "ok": self.ok}
+
+
+def check_monad_laws(seed: int, trials: int) -> LawReport:
+    """Left/right unit and associativity on pseudo-random towers."""
+    rng = random.Random(seed)
+    failures: list[str] = []
+    for t in range(trials):
+        space = rand_space(rng, max_points=4)
+        s = rand_convex_set(rng, space, max_base=3, max_support=3)
+        unit_outer = monad_unit(space, s)
+        if monad_mult(unit_outer) != s:
+            failures.append(f"trial {t}: mult after outer unit")
+        via_inner = functor_map(lambda x: monad_unit(space, x), s)
+        if monad_mult(via_inner) != s:
+            failures.append(f"trial {t}: mult after mapped unit")
+        u = rand_set_of_sets_of_sets(rng, space)
+        flat_inner = monad_mult(functor_map(monad_mult, u))
+        flat_outer = monad_mult(monad_mult(u))
+        if flat_inner != flat_outer:
+            failures.append(f"trial {t}: associativity")
+    return LawReport(trials, failures)
 
 
 class SpaceCarrier:
@@ -235,26 +275,22 @@ def functor_F(em: EMAlgebra) -> QuantConvexSemilattice:
 
 
 def eval_canonical(qa: QuantConvexSemilattice, s: ConvexSet):
-    """Interpret the canonical term of `s` with the algebra's operations.
+    """Interpret the canonical term `terms.nu(s)` with the algebra's operations.
 
-    Mirrors the fold of `terms.nu`: each base distribution becomes a
-    left-nested mixture chain, the results are joined left to right.
-    Works over any carrier because support items are used directly as
-    carrier points instead of going through term labels.
+    `Gen` gives its label, `Oplus` gives `op_oplus` and `PlusP` gives
+    `op_plusp(p, ...)`. The labels of `nu(s)` are the support items of
+    `s`'s base, so they are carrier points (for the free algebra,
+    `ConvexSet`s) and the term is interpreted over any carrier.
     """
-    values = [_eval_dist(qa, g.items()) for g in s.base]
-    acc = values[0]
-    for v in values[1:]:
-        acc = qa.op_oplus(acc, v)
-    return acc
 
+    def value(term: Term):
+        if isinstance(term, Gen):
+            return term.label
+        if isinstance(term, Oplus):
+            return qa.op_oplus(value(term.left), value(term.right))
+        return qa.op_plusp(term.p, value(term.left), value(term.right))
 
-def _eval_dist(qa: QuantConvexSemilattice, items: tuple):
-    if len(items) == 1:
-        return items[0][0]
-    keep = ONE - items[-1][1]
-    prefix = tuple((item, w / keep) for item, w in items[:-1])
-    return qa.op_plusp(keep, _eval_dist(qa, prefix), items[-1][0])
+    return value(nu(qa.space, s))
 
 
 def functor_G(qa: QuantConvexSemilattice) -> EMAlgebra:

@@ -35,7 +35,7 @@ from .convex import (
     ConvexSet,
     in_hull,
     monad_unit,
-    nearest_point,  # noqa: F401  (unused here; bench/test_bench.py traces this name)
+    nearest_point,
     oplus as set_oplus,
     plus_p as set_plus_p,
 )
@@ -50,8 +50,7 @@ from .deduction import (
     metric_hypotheses,
 )
 from .errors import SpaceMismatch
-from .lifting import hk_projections
-from .terms import Gen, Oplus, PlusP, Term, _fold_items, dist_term, nu
+from .terms import Gen, Oplus, PlusP, Term, _fold_items, dist_term, nu, oc_term
 from .transport import kantorovich
 
 ZERO = Fraction(0)
@@ -247,13 +246,6 @@ def prove_dist(space: FiniteMetricSpace, t: Term) -> Derivation:
 
 
 # ---------------------------------------------------- comb engine (oplus)
-
-def oc_term(leaves: list[Term]) -> Term:
-    t = leaves[0]
-    for leaf in leaves[1:]:
-        t = Oplus(t, leaf)
-    return t
-
 
 def _under_comb(pf: Derivation, suffix) -> Derivation:
     """Lift pf about a comb under the suffix leaves."""
@@ -652,8 +644,8 @@ def derive_hk(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> De
     all pairs to h with Max, folds them under the oplus congruence, and
     removes the padding with eps-0 canonicalization.
     """
-    to_right = hk_projections(space, left, right)
-    to_left = hk_projections(space, right, left)
+    to_right = [nearest_point(space, g, right)[:2] for g in left.base]
+    to_left = [nearest_point(space, g, left)[:2] for g in right.base]
     h = max(value for value, _ in to_right + to_left)
     pairs = [(s, mix) for s, (_, mix) in zip(left.base, to_right)] + [
         (mix, t) for (_, mix), t in zip(to_left, right.base)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from string import ascii_lowercase
+from typing import Callable
 
 from .convex import ConvexSet
 from .core import Dist, FiniteMetricSpace
@@ -67,20 +69,27 @@ def rand_convex_set(
     return ConvexSet(space, [rand_dist(rng, space, max_support) for _ in range(k)])
 
 
+def _rand_distinct_dist(
+    rng: random.Random, space: FiniteMetricSpace, max_support: int, draw: Callable
+) -> Dist:
+    """A distribution over 1 to `max_support` distinct items `draw()`."""
+    k = rng.randint(1, max_support)
+    items = []
+    while len(items) < k:
+        candidate = draw()
+        if candidate not in items:
+            items.append(candidate)
+    return Dist(space, dict(zip(items, rand_weights(rng, k))))
+
+
 def rand_dist_over_sets(
     rng: random.Random,
     space: FiniteMetricSpace,
     max_support: int = 2,
     max_base: int = 2,
 ) -> Dist:
-    k = rng.randint(1, max_support)
-    sets = []
-    while len(sets) < k:
-        candidate = rand_convex_set(rng, space, max_base=max_base, max_support=2)
-        if candidate not in sets:
-            sets.append(candidate)
-    weights = rand_weights(rng, len(sets))
-    return Dist(space, dict(zip(sets, weights)))
+    draw = partial(rand_convex_set, rng, space, max_base=max_base, max_support=2)
+    return _rand_distinct_dist(rng, space, max_support, draw)
 
 
 def rand_set_of_sets(
@@ -95,18 +104,9 @@ def rand_set_of_sets(
 
 
 def rand_set_of_sets_of_sets(rng: random.Random, space: FiniteMetricSpace) -> ConvexSet:
+    draw = partial(rand_set_of_sets, rng, space)
     k = rng.randint(1, 2)
-    dists = []
-    for _ in range(k):
-        m = rng.randint(1, 2)
-        inner = []
-        while len(inner) < m:
-            candidate = rand_set_of_sets(rng, space)
-            if candidate not in inner:
-                inner.append(candidate)
-        weights = rand_weights(rng, m)
-        dists.append(Dist(space, dict(zip(inner, weights))))
-    return ConvexSet(space, dists)
+    return ConvexSet(space, [_rand_distinct_dist(rng, space, 2, draw) for _ in range(k)])
 
 
 def rand_term(rng: random.Random, space: FiniteMetricSpace, max_depth: int = 4) -> Term:

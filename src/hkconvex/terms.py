@@ -379,13 +379,17 @@ def _fold_items(items: list[tuple[str, int]]) -> Term:
     return term
 
 
-def nu(space: FiniteMetricSpace, s: ConvexSet) -> Term:
-    """Canonical term of a convex set: left-fold of oplus over the base."""
-    parts = [dist_term(d) for d in s.base]
-    term = parts[0]
-    for part in parts[1:]:
-        term = Oplus(term, part)
+def oc_term(leaves: list[Term]) -> Term:
+    """Left comb of oplus over the leaves: (((l0 + l1) + l2) + ...)."""
+    term = leaves[0]
+    for leaf in leaves[1:]:
+        term = Oplus(term, leaf)
     return term
+
+
+def nu(space: FiniteMetricSpace, s: ConvexSet) -> Term:
+    """Canonical term of a convex set: left comb of oplus over the base."""
+    return oc_term([dist_term(d) for d in s.base])
 
 
 def term_distance(space: FiniteMetricSpace, left: Term, right: Term) -> Fraction:

@@ -244,9 +244,11 @@ def test_subcommands_in_one_process_print_what_fresh_processes_do(capsys, space_
 
 
 def test_missing_file_reports_error(capsys, space_file):
-    code, out = run(capsys, "kantorovich", "--space", space_file, "--left", "no.json", "--right", "no.json")
+    code = main(["kantorovich", "--space", space_file, "--left", "no.json", "--right", "no.json"])
     assert code == 1
-    assert out["error"] == "FileNotFound"
+    assert capsys.readouterr().out == (
+        '{"detail": "[Errno 2] No such file or directory: \'no.json\'", "error": "FileNotFound"}\n'
+    )
 
 
 def test_output_is_byte_stable(capsys, space_file, files):
@@ -538,3 +540,26 @@ def test_malformed_files_get_a_json_reply(space, cset, gamma, proof, nested):
             assert out.endswith("\n") and out.count("\n") == 1, argv
             json.loads(out)
             assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("unreadable", ["not-utf8", "directory"])
+@pytest.mark.parametrize("option", ["--space", "--gamma", "--proof"])
+def test_unreadable_file_gets_a_json_reply(tmp_path, option, unreadable):
+    good = _write(str(tmp_path), space=X3, gamma=PROOF["hypotheses"], proof=PROOF)
+    if unreadable == "directory":
+        bad = tmp_path / "folder"
+        bad.mkdir()
+    else:
+        bad = tmp_path / "bytes.json"
+        bad.write_bytes(b'{"points": ["\xff"]}')
+    paths = {"--space": good["space"], "--gamma": good["gamma"], "--proof": good["proof"]}
+    paths[option] = str(bad)
+    if option == "--space":
+        argv = ["validate-space", "--space", paths["--space"]]
+    else:
+        argv = ["check", *(part for pair in paths.items() for part in pair)]
+    code, out, err = _run_quietly(argv)
+    assert code == 1
+    assert json.loads(out)["error"] == "MalformedInput"
+    assert out.count("\n") == 1
+    assert "Traceback" not in err

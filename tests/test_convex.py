@@ -71,6 +71,12 @@ def test_empty_generator_list_rejected(x3):
         ConvexSet(x3, [])
 
 
+def test_from_json_dict_reads_a_bare_list_as_the_wrapped_form(x3):
+    bare = ConvexSet.from_json_dict(x3, [{"a": "1"}])
+    assert bare == ConvexSet.from_json_dict(x3, {"generators": [{"a": "1"}]})
+    assert bare == ConvexSet(x3, [dirac(x3, "a")])
+
+
 def test_membership(x3):
     s = ConvexSet(x3, [dirac(x3, "a"), dirac(x3, "b")])
     assert _mid(x3, "a", "b", F(1, 3)) in s
