@@ -12,9 +12,9 @@ the generators it keeps by those ints. A generator is kept without an
 LP when one of three functionals is strictly largest on it, tried in
 this order: its coordinate's top weight, f = <g, .>, and f = n*g - S
 (g minus the mean of the others, scaled). Only the generators left over
-run a hull LP, through the phase-1-only `linprog.is_feasible`;
-membership (`in`) uses the same integer path. `plus_p` and weighted
-Minkowski sums mix through `core.convex_combine`, on ints.
+run a hull LP, through the phase-1-only `linprog.is_feasible` and with
+no normalization row (`_in_int_hull`); `in` uses the same path. `plus_p`
+and weighted Minkowski sums mix through `core.convex_combine`, on ints.
 
 `in_hull` and `nearest_point` build their LP rows from the same ints,
 every row on the one common denominator, the normalization row too. A
@@ -101,20 +101,15 @@ def _int_vectors(dists: Sequence[Dist]) -> tuple[list[list[int]], dict]:
 def _in_int_hull(target: list[int], others: list[list[int]]) -> bool:
     """Whether `target` is a convex combination of `others`: a hull LP.
 
-    All vectors are over the same coordinates and denominator. Weights are
-    nonnegative, so a coordinate where the target is 0 forces weight 0 on
-    every vector positive there: those vectors drop out, and with them
-    every row outside the target's support.
+    All vectors share coordinates and denominator D, so each sums to D. A
+    coordinate where the target is 0 forces weight 0 on every vector
+    positive there: those drop out, maybe all, and so does every row off
+    the target's support. Adding the rows left gives sum(weights) = 1.
     """
     zeros = [j for j, t in enumerate(target) if not t]
     cols = [h for h in others if not any(h[j] for j in zeros)]
-    if not cols:
-        return False
     rows = [[h[j] for h in cols] for j, t in enumerate(target) if t]
-    rhs = [t for t in target if t]
-    rows.append([1] * len(cols))
-    rhs.append(1)
-    return linprog.is_feasible(rows, rhs)
+    return linprog.is_feasible(rows, [t for t in target if t])
 
 
 def _strict_max(values: list[int], k: int) -> bool:

@@ -25,12 +25,12 @@ on the rational tableau. Bland's smallest-index rule picks the entering
 and leaving variables, which rules out cycling, so termination is
 unconditional and the pivot sequence is that of the rational simplex.
 
-`is_feasible` is the boolean entry point for callers that only need to
-know whether A.x = b, x >= 0 has a solution, with A and b already
-integers: it runs phase 1 alone, on the rows as given (no rescaling, unit
-artificial costs, no drive-out, no phase 2, no solution built). It shares
-phase 1's tableau set-up (`_phase1`) and the simplex (`_iterate`,
-`_pivot`) with `solve_lp`.
+`is_feasible` answers only whether A.x = b, x >= 0 has a solution, for
+integer A and b: phase 1 on [A | b] alone, artificials at cost 1 but
+with no columns, so one that leaves the basis stays at 0; that still
+ends at 0 exactly when the system is feasible. `solve_lp` keeps the
+columns (`_phase1`), as its whole Bland sequence picks its vertex; a
+boolean does not depend on the pivots. Both share `_iterate`, `_pivot`.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _phase1(tab: list[list[int]], n: int, weights: Sequence[int]) -> tuple[list[
     Appends the identity artificial columns and the objective row that
     minimises sum(weights[i] * artificial_i), and runs the simplex to its
     optimum; returns (basis, d). The system is feasible exactly when the
-    objective row's rhs, tab[-1][-1], ends at 0.
+    objective row's rhs, tab[-1][-1], ends at 0. Only `solve_lp` runs it.
     """
     m = len(tab)
     obj = [0] * n + list(weights) + [0]
@@ -202,11 +202,16 @@ def feasible_point(
 def is_feasible(eq_rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
     """Whether A.x = b has a solution x >= 0, for integer A and b.
 
-    Phase 1 only, on the rows as given: no rescaling, no drive-out, no
-    phase 2 and no solution. Feasibility does not depend on which sum of
-    artificials phase 1 minimises, so every artificial costs 1.
+    Phase 1 without artificial columns (see the module docstring): the
+    objective row holds the reduced costs with every artificial basic.
     """
     n = len(eq_rows[0]) if eq_rows else 0
+    if len(rhs) != len(eq_rows):
+        raise ValueError("constraint rows and rhs differ in length")
+    if any(len(row) != n for row in eq_rows):
+        raise ValueError("ragged constraint matrix")
     tab = [[-v for v in row] + [-b] if b < 0 else [*row, b] for row, b in zip(eq_rows, rhs)]
-    _phase1(tab, n, [1] * len(tab))
+    # the objective row; [0] when there are no rows, so [] is feasible
+    tab.append([-sum(column) for column in zip(*tab)] or [0])
+    _iterate(tab, list(range(n, n + len(eq_rows))), n, 1)
     return tab[-1][-1] == 0

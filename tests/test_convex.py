@@ -29,7 +29,8 @@ from hkconvex import (
     unique_base,
     wms,
 )
-from hkconvex.convex import MINKOWSKI_PRODUCT_CAP
+from hkconvex.convex import MINKOWSKI_PRODUCT_CAP, _in_int_hull
+from hkconvex.linprog import is_feasible
 
 F = Fraction
 
@@ -365,6 +366,59 @@ def test_membership_matches_in_hull(gens):
     if len(distinct) > 1:
         target, rest = distinct[0], distinct[1:]
         assert (target in ConvexSet(target.space, rest)) == in_hull(target, rest)[0]
+
+
+@st.composite
+def _monad_sized_generator_lists(draw):
+    # the monad workload re-bases up to 12 generators on 4-5 points, with
+    # hull LPs up to 5 x 11: a few drawn generators, then mixtures of them,
+    # which no functional certifies, so each runs a hull LP
+    space = draw(sts.spaces(min_points=4, max_points=5))
+    gens = draw(st.lists(sts.dists(space, max_support=5), min_size=2, max_size=7))
+    for _ in range(draw(st.integers(0, 12 - len(gens)))):
+        d, e = draw(st.lists(st.sampled_from(gens), min_size=2, max_size=2))
+        p = draw(st.sampled_from([F(1, 2), F(1, 3), F(3, 4)]))
+        gens.append(convex_combine([(p, d), (1 - p, e)]))
+    return draw(st.permutations(gens))
+
+
+@settings(max_examples=40)
+@given(_monad_sized_generator_lists())
+def test_base_and_membership_at_the_monad_workload_sizes(gens):
+    assert unique_base(gens) == _base_by_lp_only(gens)
+    distinct = list(dict.fromkeys(gens))
+    if len(distinct) > 1:
+        target, rest = distinct[0], distinct[1:]
+        assert (target in ConvexSet(target.space, rest)) == in_hull(target, rest)[0]
+
+
+@st.composite
+def _int_hull_cases(draw):
+    """A target and 1-12 other vectors of 1-5 nonnegative ints, all with one
+    sum; half the time the target is a mixture of the others."""
+    dim, den = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+
+    def vector():
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=dim - 1, max_size=dim - 1)))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+
+    others = [vector() for _ in range(draw(st.integers(1, 12)))]
+    if not draw(st.booleans()):
+        return vector(), others
+    size = len(others)
+    coef = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+    target = [sum(c * h[j] for c, h in zip(coef, others)) for j in range(dim)]
+    return target, [[sum(coef) * v for v in h] for h in others]
+
+
+@settings(max_examples=200)
+@given(_int_hull_cases())
+def test_int_hull_needs_no_normalization_row(case):
+    # every vector sums to one denominator, so the coordinate rows already
+    # force the weights to sum to 1
+    target, others = case
+    rows = [list(column) for column in zip(*others)] + [[1] * len(others)]
+    assert _in_int_hull(target, others) == is_feasible(rows, [*target, 1])
 
 
 def test_tied_functionals_certify_nothing(x2):

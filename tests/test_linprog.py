@@ -192,6 +192,25 @@ def test_is_feasible_reads_phase_1_only():
     assert is_feasible([[1, 0], [0, 1], [1, 1]], [1, 2, 3])
 
 
+def test_is_feasible_edge_cases():
+    # no rows: the empty system holds; rows with no columns read 0 = b
+    assert is_feasible([], [])
+    assert is_feasible([[]], [0])
+    assert not is_feasible([[]], [1])
+    assert not is_feasible([[], []], [0, -2])
+
+
+def test_is_feasible_rejects_malformed_systems():
+    # as solve_lp does: a missing rhs must not drop its row, nor may a
+    # short row shift the columns
+    with pytest.raises(ValueError, match="rhs differ in length"):
+        is_feasible([[1, 1], [1, -1]], [2])
+    with pytest.raises(ValueError, match="rhs differ in length"):
+        is_feasible([], [1])
+    with pytest.raises(ValueError, match="ragged"):
+        is_feasible([[1, 1], [1]], [2, 1])
+
+
 @st.composite
 def _int_systems(draw):
     """Integer systems A.x = b whose rows are often copies, multiples or
