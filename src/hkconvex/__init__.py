@@ -41,6 +41,7 @@ from .deduction import (
     check_derivation,
     derivation_from_json_dict,
     derivation_to_json_dict,
+    derivation_to_json_text,
     equation_from_json_dict,
     equation_to_json_dict,
     metric_hypotheses,

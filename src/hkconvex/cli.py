@@ -25,7 +25,7 @@ from .core import Dist, FiniteMetricSpace, as_fraction, format_fraction
 from .deduction import (
     check_derivation,
     derivation_from_json_dict,
-    derivation_to_json_dict,
+    derivation_to_json_text,
     equations_from_json_list,
 )
 from .errors import DomainError, FileNotFound, MalformedInput, ParseError, TooDeep
@@ -224,7 +224,7 @@ def _cmd_mu(args) -> int:
 def _cmd_derive(args) -> int:
     space = _load_space(args.space)
     d = derive_hk(space, _load_set(space, args.left), _load_set(space, args.right))
-    _emit(derivation_to_json_dict(d))
+    print(derivation_to_json_text(d))
     return 0
 
 

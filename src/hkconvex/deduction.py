@@ -17,16 +17,19 @@ fields, like the terms (see `terms._Node`): a node is equal only to a
 node of its class with equal fields and hashes as the tuple of its
 fields; `_replace` returns a copy with some fields changed.
 `QuantEquation` checks its eps in `__new__`. A derivation may hold one
-node object at several places: the JSON writer builds one dict for it,
-the reader turns equal nodes of a document into one object, and the
-checker proves each (node, hypotheses) pair once.
+node object at several places: the JSON writers build its dict or its
+text once (`derivation_to_json_text` copies the text's pieces where the
+node occurs again), the reader turns equal nodes of a document into one
+object, and the checker proves each (node, hypotheses) pair once.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .core import FiniteMetricSpace, as_fraction, format_fraction
@@ -118,7 +121,16 @@ class Derivation(_Node, _DerivationFields):
     __slots__ = ()
 
     def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
+        """The number of nodes, counting a shared node at each place; a
+        derivation nested deeper than the recursion limit raises TooDeep."""
+        try:
+            return _size(self)
+        except RecursionError:
+            raise TooDeep(sys.getrecursionlimit()) from None
+
+
+def _size(d: Derivation) -> int:
+    return 1 + sum(_size(p) for p in d.premises)
 
 
 @dataclass(frozen=True, slots=True)
@@ -427,22 +439,27 @@ def _term(text, table: dict) -> Term:
     return parse_term(text, table) if term is None else term
 
 
+_PLAIN_KEYS = frozenset(("rule", "conclusion", "premises", "axiom"))
+
+
 class _Reader:
     """Reads equations and derivations of one document, sharing equal ones.
 
     Terms go through `table` (see `parse_term`). Its own tables map each
     distinct eps string to one Fraction, each equation (left and right
-    term objects, eps string) to one `QuantEquation`, and each node without
-    `subst`, `theta` or `hypotheses` (rule, conclusion object, axiom,
-    premise objects) to one `Derivation`. Every object a key names by id
-    is held by these tables or by the tree being built, so no id is reused
-    during the read.
+    term objects, eps string) to one `QuantEquation`, the three texts of
+    each conclusion in the shape `derive` writes to that equation, and
+    each node without `subst`, `theta` or `hypotheses` (rule, conclusion
+    object, axiom, premise objects) to one `Derivation`. Every object a
+    key names by id is held by these tables or by the tree being built,
+    so no id is reused during the read.
     """
 
     def __init__(self, table: dict):
         self.table = table
         self.eps: dict[str, Fraction] = {}
         self.equations: dict[tuple, QuantEquation] = {}
+        self.by_text: dict[tuple[str, str, str], QuantEquation] = {}
         self.nodes: dict[tuple, Derivation] = {}
 
     def equation(self, obj) -> QuantEquation:
@@ -465,6 +482,27 @@ class _Reader:
         return tuple(self.equation(eq) for eq in _json_list(items, what))
 
     def derivation(self, obj) -> Derivation:
+        # Nodes as `derive` writes them look their equation up by its three
+        # texts; any other node takes the checked path below.
+        if isinstance(obj, dict) and obj.keys() <= _PLAIN_KEYS:
+            rule = obj.get("rule")
+            axiom = obj.get("axiom")
+            items = obj.get("premises", [])
+            conclusion = obj.get("conclusion")
+            if (
+                isinstance(rule, str)
+                and (axiom is None or isinstance(axiom, str))
+                and isinstance(items, list)
+                and isinstance(conclusion, dict)
+            ):
+                key = (conclusion.get("l"), conclusion.get("r"), conclusion.get("eps"))
+                left, right, eps = key
+                if isinstance(left, str) and isinstance(right, str) and isinstance(eps, str):
+                    eq = self.by_text.get(key)
+                    if eq is None:
+                        eq = self.by_text[key] = self.equation(conclusion)
+                    premises = tuple(map(self.derivation, items))
+                    return self._shared(rule, eq, premises, axiom)
         obj = _json_object(obj, "derivation")
         rule = _field(obj, "rule", "derivation")
         conclusion = self.equation(_field(obj, "conclusion", "derivation"))
@@ -478,6 +516,9 @@ class _Reader:
             return self._annotated(obj, rule, conclusion, premises, axiom)
         if not (isinstance(rule, str) and (axiom is None or isinstance(axiom, str))):
             return Derivation(rule, conclusion, premises, axiom)
+        return self._shared(rule, conclusion, premises, axiom)
+
+    def _shared(self, rule, conclusion, premises, axiom) -> Derivation:
         key = (rule, id(conclusion), axiom, *map(id, premises))
         node = self.nodes.get(key)
         if node is None:
@@ -522,9 +563,13 @@ def derivation_to_json_dict(d: Derivation, printed: dict | None = None) -> dict:
     returned document (`json.dumps` writes it out at each place). The
     derivation keeps every node and term it holds alive during the call,
     so memos keyed by object id serve the whole document: one for node
-    dicts, and `printed` for `print_term`.
+    dicts, and `printed` for `print_term`. A derivation nested deeper than
+    the recursion limit raises TooDeep.
     """
-    return _derivation_dict(d, {} if printed is None else printed, {})
+    try:
+        return _derivation_dict(d, {} if printed is None else printed, {})
+    except RecursionError:
+        raise TooDeep(sys.getrecursionlimit()) from None
 
 
 def _derivation_dict(d: Derivation, printed: dict, built: dict) -> dict:
@@ -547,6 +592,69 @@ def _derivation_dict(d: Derivation, printed: dict, built: dict) -> dict:
         out["hypotheses"] = [equation_to_json_dict(eq, printed) for eq in d.hypotheses]
     built[id(d)] = out
     return out
+
+
+def _json_value(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value, sort_keys=True)
+
+
+def derivation_to_json_text(d: Derivation) -> str:
+    """`json.dumps(derivation_to_json_dict(d), sort_keys=True)`, in one walk.
+
+    The text is one list of pieces, joined at the end. The JSON string of
+    each term and eps object is made once, and so are the pieces of each
+    node object: a node object met again copies its span of the list, so
+    no node holds the text of its subtree. Memos are keyed by object id,
+    which `d` keeps alive. A derivation nested deeper than the recursion
+    limit raises TooDeep.
+    """
+    out: list[str] = []
+    try:
+        _write_node(d, out, {}, {}, {})
+    except RecursionError:
+        raise TooDeep(sys.getrecursionlimit()) from None
+    return "".join(out)
+
+
+def _write_node(d: Derivation, out: list, spans: dict, strings: dict, printed: dict):
+    span = spans.get(id(d))
+    if span is not None:
+        out.extend(out[span[0] : span[1]])
+        return
+    start = len(out)
+    left, right, eps = (_json_string(x, strings, printed) for x in d.conclusion)
+    head = "{" if d.axiom is None else f'{{"axiom": {_json_value(d.axiom)}, '
+    out.extend((head, '"conclusion": {"eps": ', eps, ', "l": ', left, ', "r": ', right, "}"))
+    if d.hypotheses:
+        hypotheses = [equation_to_json_dict(eq, printed) for eq in d.hypotheses]
+        out.append(', "hypotheses": ' + json.dumps(hypotheses, sort_keys=True))
+    if d.premises:
+        sep = ', "premises": ['
+        for p in d.premises:
+            out.append(sep)
+            _write_node(p, out, spans, strings, printed)
+            sep = ", "
+        out.append("]")
+    out.append(', "rule": ' + _json_value(d.rule))
+    if d.subst is not None:
+        subst = {var: print_term(t, printed) for var, t in d.subst}
+        out.append(', "subst": ' + json.dumps(subst, sort_keys=True))
+    if d.theta is not None:
+        theta = [equation_to_json_dict(eq, printed) for eq in d.theta]
+        out.append(', "theta": ' + json.dumps(theta, sort_keys=True))
+    out.append("}")
+    spans[id(d)] = (start, len(out))
+
+
+def _json_string(x, strings: dict, printed: dict) -> str:
+    """The JSON text of a term or eps object, made once per object."""
+    text = strings.get(id(x))
+    if text is None:
+        raw = format_fraction(x) if isinstance(x, (int, Fraction)) else print_term(x, printed)
+        text = strings[id(x)] = _json_value(raw)
+    return text
 
 
 def derivation_from_json_dict(obj: dict, table: dict | None = None) -> Derivation:

@@ -6,6 +6,9 @@ sets of distributions via `normalize`; `nu` picks the canonical term of
 a convex set, and the two are mutually inverse up to the theory.
 
 Concrete syntax is s-expressions: "(oplus a b)", "(p+ 1/2 a b)".
+`parse_term` can share one table of texts across many calls; a new text
+is then split around the subterms the table already holds, and only a
+text of unusual shape is tokenized.
 
 Terms are immutable tuples of their fields: `Gen(label)`, `Oplus(left,
 right)` and `PlusP(p, left, right)`, each a `typing.NamedTuple` under the
@@ -222,6 +225,113 @@ class _Parser:
         return term
 
 
+# '(', the head and, for p+, the probability, each followed by whitespace.
+_HEAD = re.compile(r"\(\s*(?:oplus|p\+\s+([^\s()]+))\s+")
+_GEN_TOKEN = re.compile(r"[^\s()]+")
+
+
+class _Unexpected(Exception):
+    """A text that `_Skipper` leaves to `_Parser`."""
+
+
+class _Skipper:
+    """Reads a text slice by slice, settling each known slice by one lookup.
+
+    A group `(head [p] A B)` not in the table is split without tokenizing
+    it: the header is matched from the left, B's extent is found from the
+    closing paren, and A is the slice between. A slice is read further
+    only if the table misses it, in `_Parser`'s order, and is entered
+    under its exact text, so the table gains the keys `_Parser` would
+    add. The backward scan records the '(' of each ')' it closes, so no
+    paren is scanned twice. Anything unusual (no whitespace between
+    children, a bad head or probability, unbalanced parens) raises
+    `_Unexpected`.
+    """
+
+    def __init__(self, text: str, table: dict):
+        self.text = text
+        self.table = table
+        self.opener: dict[int, int] = {}
+
+    def read(self, lo: int, hi: int, key: str) -> Term:
+        """The term of `key`, the slice text[lo:hi], which the table does
+        not hold; enters it there."""
+        text = self.text
+        table = self.table
+        if key[0] != "(":
+            if _GEN_TOKEN.fullmatch(key) is None:
+                raise _Unexpected
+            table[key] = term = Gen(key)
+            return term
+        if text[hi - 1] != ")":
+            raise _Unexpected
+        head = _HEAD.match(text, lo, hi)
+        if head is None:
+            raise _Unexpected
+        p = head.group(1)
+        if p is not None:
+            try:
+                p = parse_rational(p)
+            except (ValueError, ZeroDivisionError):
+                raise _Unexpected from None
+            if not 0 < p.numerator < p.denominator:
+                raise _Unexpected
+        a = head.end()  # A's first character: the header ends in whitespace
+        b_end = hi - 1
+        while b_end - 1 > a and text[b_end - 1].isspace():
+            b_end -= 1
+        if text[b_end - 1] == ")":
+            b = self.open_of(b_end - 1, a)
+        else:  # a token, checked when it is read or looked up
+            b = b_end - 1
+            while b > a and not text[b - 1].isspace():
+                b -= 1
+        if b <= a or not text[b - 1].isspace():
+            raise _Unexpected
+        a_end = b - 1
+        while text[a_end - 1].isspace():
+            a_end -= 1
+        a_key = text[a:a_end]
+        left = table.get(a_key)
+        if left is None:
+            left = self.read(a, a_end, a_key)
+        b_key = text[b:b_end]
+        right = table.get(b_key)
+        if right is None:
+            right = self.read(b, b_end, b_key)
+        table[key] = term = Oplus(left, right) if p is None else PlusP(p, left, right)
+        return term
+
+    def open_of(self, close: int, lo: int) -> int:
+        """The index of the '(' that closes at `close`, or -1 if none does
+        at or after `lo`."""
+        opener = self.opener
+        found = opener.get(close)
+        if found is not None:
+            return found if found >= lo else -1
+        text = self.text
+        stack = [close]
+        at_open = text.rfind("(", lo, close)
+        at_close = text.rfind(")", lo, close)
+        while True:
+            if at_close > at_open:
+                inner = opener.get(at_close)
+                if inner is None:
+                    stack.append(at_close)
+                    at_close = text.rfind(")", lo, at_close)
+                else:
+                    at_close = text.rfind(")", lo, inner)
+                    if at_open >= inner:
+                        at_open = text.rfind("(", lo, inner)
+            elif at_open < 0:
+                return -1
+            else:
+                opener[stack.pop()] = at_open
+                if not stack:
+                    return at_open
+                at_open = text.rfind("(", lo, at_open)
+
+
 def parse_term(text: str, table: dict[str, Term] | None = None) -> Term:
     """Parse one term; equal subterms within `table`'s scope are one object.
 
@@ -229,7 +339,10 @@ def parse_term(text: str, table: dict[str, Term] | None = None) -> Term:
     parse (the whole text, each parenthesised subterm and each generator).
     Passing one table to many calls reads each distinct subterm once and
     shares it; without a table the sharing is confined to this text.
-    A term nested deeper than the recursion limit raises TooDeep.
+    A new text is split around the subterms the table holds (`_Skipper`);
+    one of unusual shape is tokenized by `_Parser`, which raises
+    ParseError or BadProbability on malformed input. A term nested deeper
+    than the recursion limit raises TooDeep.
     """
     if table is None:
         table = {}
@@ -237,6 +350,11 @@ def parse_term(text: str, table: dict[str, Term] | None = None) -> Term:
         term = table.get(text)
         if term is not None:
             return term
+    if text:
+        try:
+            return _Skipper(text, table).read(0, len(text), text)
+        except (_Unexpected, RecursionError):
+            pass
     parser = _Parser(text, table)
     try:
         term = parser.term()

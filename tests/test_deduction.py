@@ -1,13 +1,16 @@
 import json
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies as sts
 from hkconvex import (
     AXIOMS,
+    RULES,
     Derivation,
     FiniteMetricSpace,
     MalformedInput,
@@ -18,13 +21,16 @@ from hkconvex import (
     check_derivation,
     derivation_from_json_dict,
     derivation_to_json_dict,
+    derivation_to_json_text,
     equation_from_json_dict,
     equation_to_json_dict,
     metric_hypotheses,
     term_distance,
 )
 from hkconvex.deduction import equations_from_json_list
-from hkconvex.terms import Gen, parse_term
+from hkconvex.proofs import derive_hk
+from hkconvex.sampling import rand_convex_set, rand_space
+from hkconvex.terms import Gen, Oplus, PlusP, parse_term
 
 F = Fraction
 
@@ -340,6 +346,58 @@ def test_derivation_json_builds_one_dict_per_node_object():
     assert derivation_from_json_dict(doc) == shared
 
 
+# Labels that JSON must escape: a quote, a backslash, a control character,
+# non-ASCII ones inside and outside the BMP.
+ODD_LABELS = st.text(st.sampled_from('ab"\\\x01\u00e9\u2003\U0001d538'), min_size=1, max_size=3)
+ODD_TERMS = st.recursive(
+    st.builds(Gen, ODD_LABELS),
+    lambda inner: st.builds(Oplus, inner, inner) | st.builds(PlusP, sts.probabilities(), inner, inner),
+    max_leaves=4,
+)
+ODD_EQUATIONS = st.builds(
+    QuantEquation, ODD_TERMS, ODD_TERMS, st.integers(0, 8).map(lambda k: F(k, 8))
+)
+
+
+@st.composite
+def odd_derivations(draw):
+    """Trees, not proofs: every field the writer handles, node objects
+    shared as premises, and substitutions that may repeat a variable."""
+    pool = []
+    for _ in range(draw(st.integers(1, 5))):
+        premises = draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
+        subst = st.lists(st.tuples(st.sampled_from(["x", "y", '"\u00e9']), ODD_TERMS), max_size=3)
+        pool.append(
+            Derivation(
+                draw(st.sampled_from(RULES) | ODD_LABELS),
+                draw(ODD_EQUATIONS),
+                tuple(premises),
+                draw(st.none() | st.sampled_from(AXIOMS) | ODD_LABELS),
+                draw(st.none() | subst.map(tuple)),
+                draw(st.none() | st.lists(ODD_EQUATIONS, max_size=2).map(tuple)),
+                tuple(draw(st.lists(ODD_EQUATIONS, max_size=2))),
+            )
+        )
+    return pool[-1]
+
+
+@given(odd_derivations())
+@settings(max_examples=60)
+def test_text_writer_matches_the_dict_writer(d):
+    assert derivation_to_json_text(d) == json.dumps(derivation_to_json_dict(d), sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 23])
+def test_text_writer_matches_the_dict_writer_on_derived_proofs(seed):
+    rng = random.Random(seed)
+    for _ in range(8):
+        space = rand_space(rng)
+        d = derive_hk(space, rand_convex_set(rng, space), rand_convex_set(rng, space))
+        text = derivation_to_json_text(d)
+        assert text == json.dumps(derivation_to_json_dict(d), sort_keys=True)
+        assert derivation_from_json_dict(json.loads(text)) == d
+
+
 def test_generator_labelled_like_an_eps_reads_and_checks():
     space = FiniteMetricSpace(["1/2", "b"], {("1/2", "b"): F(1, 2)})
     hop = Derivation("Assum", eq("1/2", "b", "1/2"))
@@ -429,6 +487,20 @@ def test_derivation_json_prints_each_term_in_full():
 CONCLUSION = {"l": "a", "r": "a", "eps": "0"}
 
 
+def after_shared(node: dict) -> dict:
+    """A valid proof of (oplus a a) =0 (oplus a a) whose last node in
+    pre-order is `node`, after a Refl node read twice (so shared)."""
+    shared = {"rule": "Refl", "conclusion": CONCLUSION}
+    return {
+        "rule": "NExpOplus",
+        "conclusion": {"l": "(oplus a a)", "r": "(oplus a a)", "eps": "0"},
+        "premises": [
+            shared,
+            {"rule": "Triang", "conclusion": CONCLUSION, "premises": [dict(shared), node]},
+        ],
+    }
+
+
 @pytest.mark.parametrize(
     "doc,detail",
     [
@@ -453,12 +525,51 @@ CONCLUSION = {"l": "a", "r": "a", "eps": "0"}
          "hypotheses must be a JSON list, got dict"),
         ({"rule": "Refl", "conclusion": CONCLUSION, "hypotheses": [[]]},
          "equation must be a JSON object, got list"),
+        (after_shared({"conclusion": CONCLUSION}),
+         "derivation object missing field 'rule'"),
+        (after_shared({"rule": "Symm", "conclusion": CONCLUSION, "premises": {}}),
+         "premises must be a JSON list, got dict"),
+        (after_shared({"rule": "Symm", "conclusion": CONCLUSION, "premises": None}),
+         "premises must be a JSON list, got NoneType"),
+        (after_shared({"rule": "Refl", "conclusion": {"l": "a", "r": "a"}}),
+         "equation object missing field 'eps'"),
+        (after_shared({"rule": "Refl", "conclusion": {"l": "a", "r": ["a"], "eps": "0"}}),
+         "term must be a string, got list"),
+        (after_shared({"rule": "Refl", "conclusion": ["a", "a", "0"]}),
+         "equation must be a JSON object, got list"),
     ],
 )
 def test_wrong_shapes_are_parse_errors(doc, detail):
     with pytest.raises(ParseError) as exc:
         derivation_from_json_dict(doc)
     assert str(exc.value) == f"{detail} (at offset 0)"
+
+
+# Nodes that read without error but not as `derive` writes them; each is
+# read as before, and checked with the same reply.
+@pytest.mark.parametrize(
+    "node,expected,reply",
+    [
+        ({"rule": 5, "conclusion": CONCLUSION}, Derivation(5, eq("a", "a", 0)),
+         (False, (1, 1), "unknown rule 5")),
+        ({"rule": "AxiomCS", "conclusion": CONCLUSION, "axiom": 5},
+         Derivation("AxiomCS", eq("a", "a", 0), axiom=5), (False, (1, 1), "unknown axiom 5")),
+        ({"rule": "Refl", "conclusion": CONCLUSION, "axiom": ["I"]},
+         Derivation("Refl", eq("a", "a", 0), axiom=["I"]), (True, (), "")),
+        ({"rule": "Refl", "conclusion": {"l": "a", "r": "a", "eps": 0}}, refl("a"), (True, (), "")),
+        ({"rule": "Assum", "conclusion": {"l": "a", "r": "a", "eps": 0}},
+         Derivation("Assum", eq("a", "a", 0)),
+         (False, (1, 1), "Assum cites an equation outside the hypotheses")),
+        ({"rule": "Refl", "conclusion": CONCLUSION, "note": "x"}, refl("a"), (True, (), "")),
+    ],
+)
+def test_odd_nodes_after_a_shared_sibling_read_as_before(x3, node, expected, reply):
+    back = derivation_from_json_dict(after_shared(node))
+    first, (second, last) = back.premises[0], back.premises[1].premises
+    assert first is second
+    assert last == expected
+    res = check_derivation(x3, (), back)
+    assert (res.ok, res.path, res.reason) == reply
 
 
 def test_too_deep_documents_raise_too_deep():
@@ -473,6 +584,15 @@ def test_too_deep_documents_raise_too_deep():
         doc = {"rule": "Symm", "conclusion": CONCLUSION, "premises": [doc]}
     with pytest.raises(TooDeep):
         derivation_from_json_dict(doc)
+
+
+def test_too_deep_derivations_raise_too_deep_in_every_walker():
+    d = refl("a")
+    for _ in range(sys.getrecursionlimit() + 200):
+        d = Derivation("Symm", d.conclusion, (d,))
+    for walk in (Derivation.size, derivation_to_json_dict, derivation_to_json_text):
+        with pytest.raises(TooDeep):
+            walk(d)
 
 
 def test_check_derivation_on_a_deep_premise_chain_raises_too_deep(x3):

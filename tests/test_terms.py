@@ -1,9 +1,14 @@
 import collections
+import json
+import random
+import re
 import sys
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
@@ -32,6 +37,16 @@ from hkconvex import (
     term_equal_mod_theory,
     term_labels,
 )
+from hkconvex import terms
+from hkconvex.deduction import (
+    derivation_from_json_dict,
+    derivation_to_json_text,
+    equation_to_json_dict,
+    equations_from_json_list,
+    metric_hypotheses,
+)
+from hkconvex.proofs import derive_hk
+from hkconvex.sampling import rand_convex_set, rand_space
 from hkconvex.terms import Gen, Oplus, PlusP, _fold_items
 
 F = Fraction
@@ -264,10 +279,10 @@ def _spaced(text: str, pads: list[str]) -> str:
     return "".join(out) + pads[k % len(pads)]
 
 
-@given(
-    st.lists(sts.space_with_terms(1, max_depth=4), min_size=1, max_size=6),
-    st.lists(st.sampled_from(["", " ", "\t", "\n ", "\u00a0", "\u2003"]), min_size=1),
-)
+PADS = st.lists(st.sampled_from(["", " ", "\t", "\n ", "\u00a0", "\u2003"]), min_size=1)
+
+
+@given(st.lists(sts.space_with_terms(1, max_depth=4), min_size=1, max_size=6), PADS)
 @settings(max_examples=40)
 def test_shared_table_parses_like_a_fresh_one(bundles, pads):
     shared: dict = {}
@@ -279,6 +294,108 @@ def test_shared_table_parses_like_a_fresh_one(bundles, pads):
             assert alone == fresh == again == t
             assert print_term(again) == print_term(t)
             assert parse_term(text, shared) is again
+
+
+class _TokensOnly:
+    """Stands in for `terms._Skipper`: every text goes to `_Parser`."""
+
+    def __init__(self, text, table):
+        pass
+
+    def read(self, lo, hi, key):
+        raise terms._Unexpected
+
+
+class _Refused:
+    def __init__(self, text, table):
+        raise AssertionError(f"_Parser reached on {text!r}")
+
+
+def _outcome(text, table):
+    """The term parse_term reads, or its exception's type, message and offset."""
+    try:
+        return parse_term(text, table)
+    except (ParseError, BadProbability) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+BAD_PROBABILITIES = ["0", "1", "3/2", "-1/2", "x", "1/0", "1e3", "(", ")", ""]
+
+
+@st.composite
+def printed_and_mutated(draw):
+    """A printed term, and the same term spaced out and maybe broken: a
+    paren dropped or added, a run of spaces dropped, two tokens swapped, a bad
+    probability, or trailing input."""
+    _, t = draw(sts.space_with_terms(1, max_depth=4))
+    text = _spaced(print_term(t), draw(PADS))
+    kind = draw(st.sampled_from(["none", "drop", "squeeze", "add", "swap", "p", "trail"]))
+    if kind in ("drop", "squeeze"):
+        found = list(re.finditer(r"[()]" if kind == "drop" else r"\s+", text))
+        if found:
+            m = draw(st.sampled_from(found))
+            text = text[: m.start()] + text[m.end() :]
+    elif kind == "add":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from("()")) + text[i:]
+    elif kind == "swap":
+        spans = [m.span() for m in re.finditer(r"[()]|[^\s()]+", text)]
+        i = draw(st.integers(0, len(spans) - 1))
+        j = draw(st.integers(0, len(spans) - 1))
+        (a, b), (c, d) = sorted((spans[i], spans[j]))
+        if b <= c:
+            text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+    elif kind == "p":
+        probs = list(re.finditer(r"p\+\s+([^\s()]+)", text))
+        if probs:
+            m = draw(st.sampled_from(probs))
+            text = text[: m.start(1)] + draw(st.sampled_from(BAD_PROBABILITIES)) + text[m.end(1) :]
+    else:
+        text += draw(st.sampled_from(["", " a", ")", "(", " (oplus a b)", "b"]))
+    return [print_term(t), text]
+
+
+@given(st.lists(printed_and_mutated(), min_size=1, max_size=6))
+@example([["(oplus a b)", "(oplus a(oplus a b))"], ["(oplus(oplus a b) a)", "(oplus a b)(oplus a b)"]])
+@example([[" (oplus a b)", "( oplus a b )"], ["(p+ 1/2(oplus a b) a)", "(oplus (oplus a b)(p+ 1/2 a b))"]])
+@settings(max_examples=150)
+def test_skipping_reader_agrees_with_the_token_parser(pairs):
+    # Both tables grow over the texts, so later texts hold known subterms.
+    skipped, tokens = {}, {}
+    for text in [text for pair in pairs for text in pair]:
+        got = _outcome(text, skipped)
+        with mock.patch.object(terms, "_Skipper", _TokensOnly):
+            want = _outcome(text, tokens)
+        assert got == want, text
+        assert skipped == tokens, text
+
+
+def test_a_derived_document_is_read_without_the_token_parser(monkeypatch):
+    rng = random.Random(5)
+    cases = []
+    for _ in range(12):
+        space = rand_space(rng)
+        d = derive_hk(space, rand_convex_set(rng, space), rand_convex_set(rng, space))
+        gamma = [equation_to_json_dict(e) for e in metric_hypotheses(space)]
+        cases.append((d, gamma, json.loads(derivation_to_json_text(d))))
+    monkeypatch.setattr(terms, "_Parser", _Refused)
+    for d, gamma, doc in cases:
+        assert derivation_from_json_dict(doc) == d
+        table = {}
+        equations_from_json_list(gamma, "hypotheses", table)
+        assert derivation_from_json_dict(doc, table) == d
+
+
+def test_right_nested_terms_parse_in_linear_time():
+    # A scan that counts depth back from each closing paren again would
+    # take seconds here.
+    text = "a"
+    for _ in range(900):
+        text = f"(oplus (p+ 1/2 (oplus (oplus a b) (oplus b c)) (oplus c d)) {text})"
+    start = time.perf_counter()
+    t = parse_term(text)
+    assert time.perf_counter() - start < 1.0
+    assert print_term(t) == text
 
 
 def _subterms(term):
