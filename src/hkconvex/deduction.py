@@ -19,21 +19,23 @@ fields; `_replace` returns a copy with some fields changed.
 `QuantEquation` checks its eps in `__new__`. A derivation may hold one
 node object at several places: the JSON writers build its dict or its
 text once (`derivation_to_json_text` copies the text's pieces where the
-node occurs again), the reader turns equal nodes of a document into one
-object, and the checker proves each (node, hypotheses) pair once.
+node occurs again), the reader reads every node down one checked path
+and turns equal nodes of a document into one object (see `_Reader`),
+and the checker proves each (node, hypotheses) pair once. `size` and the
+checker's scan for Assum under a Subst visit each node object once.
+Every recursive walk raises TooDeep through `errors.guard_depth`.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .core import FiniteMetricSpace, as_fraction, format_fraction
-from .errors import MalformedInput, OutOfRange, ParseError, TooDeep
+from .errors import MalformedInput, OutOfRange, ParseError, guard_depth
 from .terms import (
     Gen,
     Oplus,
@@ -121,16 +123,17 @@ class Derivation(_Node, _DerivationFields):
     __slots__ = ()
 
     def size(self) -> int:
-        """The number of nodes, counting a shared node at each place; a
-        derivation nested deeper than the recursion limit raises TooDeep."""
-        try:
-            return _size(self)
-        except RecursionError:
-            raise TooDeep(sys.getrecursionlimit()) from None
+        """The number of nodes, counting a shared node at each place, in
+        one visit per node object; a derivation nested deeper than the
+        recursion limit raises TooDeep."""
+        return guard_depth(_size, self, {})
 
 
-def _size(d: Derivation) -> int:
-    return 1 + sum(_size(p) for p in d.premises)
+def _size(d: Derivation, counted: dict[int, int]) -> int:
+    n = counted.get(id(d))
+    if n is None:
+        n = counted[id(d)] = 1 + sum(_size(p, counted) for p in d.premises)
+    return n
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,17 +244,19 @@ def _match_axiom(name: str, left: Term, right: Term) -> bool:
     return False
 
 
-def _uses_assumption(d: Derivation) -> bool:
+def _uses_assumption(d: Derivation, seen: set[int]) -> bool:
+    """Does an Assum node lie under `d`? Visits each node object once:
+    `seen` holds the ids of the nodes visited so far."""
     if d.rule == "Assum":
         return True
-    return any(_uses_assumption(p) for p in d.premises)
+    seen.add(id(d))
+    return any(_uses_assumption(p, seen) for p in d.premises if id(p) not in seen)
 
 
 _PROVED = CheckResult(True)
 
 
 def _check_node(
-    space: FiniteMetricSpace,
     gamma: frozenset[QuantEquation],
     d: Derivation,
     path: tuple[int, ...],
@@ -323,7 +328,7 @@ def _check_node(
     elif rule == "Subst":
         if d.subst is None:
             return _fail(path, "Subst needs a substitution")
-        if _uses_assumption(d.premises[0]):
+        if _uses_assumption(d.premises[0], set()):
             return _fail(path, "Subst premise must not use hypotheses")
         mapping = dict(d.subst)
         prem = d.premises[0].conclusion
@@ -347,12 +352,11 @@ def _check_node(
         if d.premises[-1].conclusion != goal:
             return _fail(path, "Cut final premise must conclude the goal")
         for i, eq in enumerate(d.theta):
-            sub = _check_node(space, gamma, d.premises[i], path + (i,), proved)
+            sub = _check_node(gamma, d.premises[i], path + (i,), proved)
             if not sub.ok:
                 return sub
-        sub = _check_node(
-            space, frozenset(d.theta), d.premises[-1], path + (len(d.theta),), proved
-        )
+        last = len(d.theta)
+        sub = _check_node(frozenset(d.theta), d.premises[last], path + (last,), proved)
         if sub.ok:
             proved.add(key)
         return sub
@@ -371,7 +375,7 @@ def _check_node(
             return _fail(path, f"conclusion is not an instance of axiom {d.axiom}")
 
     for i, prem in enumerate(d.premises):
-        sub = _check_node(space, gamma, prem, path + (i,), proved)
+        sub = _check_node(gamma, prem, path + (i,), proved)
         if not sub.ok:
             return sub
     proved.add(key)
@@ -385,14 +389,13 @@ def check_derivation(
 ) -> CheckResult:
     """Validate every node; on failure report the path from the root.
 
-    A node object met again under the same hypotheses is checked once;
-    the first failing node in pre-order is reported either way. A
-    derivation nested deeper than the recursion limit raises TooDeep.
+    No rule reads `space`: the metric enters only through `gamma`, as
+    its ground hypotheses (see `metric_hypotheses`). A node object met
+    again under the same hypotheses is checked once; the first failing
+    node in pre-order is reported either way. A derivation nested deeper
+    than the recursion limit raises TooDeep.
     """
-    try:
-        return _check_node(space, frozenset(gamma), d, (), set())
-    except RecursionError:
-        raise TooDeep(sys.getrecursionlimit()) from None
+    return guard_depth(_check_node, frozenset(gamma), d, (), set())
 
 
 def metric_hypotheses(space: FiniteMetricSpace) -> tuple[QuantEquation, ...]:
@@ -439,93 +442,74 @@ def _term(text, table: dict) -> Term:
     return parse_term(text, table) if term is None else term
 
 
-_PLAIN_KEYS = frozenset(("rule", "conclusion", "premises", "axiom"))
-
-
 class _Reader:
     """Reads equations and derivations of one document, sharing equal ones.
 
-    Terms go through `table` (see `parse_term`). Its own tables map each
-    distinct eps string to one Fraction, each equation (left and right
-    term objects, eps string) to one `QuantEquation`, the three texts of
-    each conclusion in the shape `derive` writes to that equation, and
-    each node without `subst`, `theta` or `hypotheses` (rule, conclusion
-    object, axiom, premise objects) to one `Derivation`. Every object a
-    key names by id is held by these tables or by the tree being built,
-    so no id is reused during the read.
+    Terms go through `table` (see `parse_term`). Three memos of its own
+    share the rest: eps text to one Fraction; the (l, r, eps) text triple
+    of an equation whose three fields are strings to one `QuantEquation`;
+    and a node whose rule and axiom are strings or absent, by (rule,
+    conclusion object, axiom, premise objects) and the objects of its
+    `subst`, `theta` and `hypotheses` if it has any, to one `Derivation`.
+    Every object a key names by id is held by these memos or by the tree
+    being built, so no id is reused during the read.
     """
 
     def __init__(self, table: dict):
         self.table = table
         self.eps: dict[str, Fraction] = {}
-        self.equations: dict[tuple, QuantEquation] = {}
-        self.by_text: dict[tuple[str, str, str], QuantEquation] = {}
+        self.equations: dict[tuple[str, str, str], QuantEquation] = {}
         self.nodes: dict[tuple, Derivation] = {}
 
     def equation(self, obj) -> QuantEquation:
         obj = _json_object(obj, "equation")
+        key = ltext, rtext, text = obj.get("l"), obj.get("r"), obj.get("eps")
+        if isinstance(ltext, str) and isinstance(rtext, str) and isinstance(text, str):
+            eq = self.equations.get(key)
+            if eq is not None:
+                return eq
         left = _term(_field(obj, "l", "equation"), self.table)
         right = _term(_field(obj, "r", "equation"), self.table)
-        text = _field(obj, "eps", "equation")
         if not isinstance(text, str):
-            return QuantEquation(left, right, as_fraction(text))
-        key = (id(left), id(right), text)
-        eq = self.equations.get(key)
-        if eq is None:
-            eps = self.eps.get(text)
-            if eps is None:
-                eps = self.eps[text] = as_fraction(text)
-            eq = self.equations[key] = QuantEquation(left, right, eps)
+            return QuantEquation(left, right, as_fraction(_field(obj, "eps", "equation")))
+        eps = self.eps.get(text)
+        if eps is None:
+            eps = self.eps[text] = as_fraction(text)
+        eq = self.equations[key] = QuantEquation(left, right, eps)
         return eq
 
     def equations_list(self, items, what: str) -> tuple[QuantEquation, ...]:
         return tuple(self.equation(eq) for eq in _json_list(items, what))
 
     def derivation(self, obj) -> Derivation:
-        # Nodes as `derive` writes them look their equation up by its three
-        # texts; any other node takes the checked path below.
-        if isinstance(obj, dict) and obj.keys() <= _PLAIN_KEYS:
-            rule = obj.get("rule")
-            axiom = obj.get("axiom")
-            items = obj.get("premises", [])
-            conclusion = obj.get("conclusion")
-            if (
-                isinstance(rule, str)
-                and (axiom is None or isinstance(axiom, str))
-                and isinstance(items, list)
-                and isinstance(conclusion, dict)
-            ):
-                key = (conclusion.get("l"), conclusion.get("r"), conclusion.get("eps"))
-                left, right, eps = key
-                if isinstance(left, str) and isinstance(right, str) and isinstance(eps, str):
-                    eq = self.by_text.get(key)
-                    if eq is None:
-                        eq = self.by_text[key] = self.equation(conclusion)
-                    premises = tuple(map(self.derivation, items))
-                    return self._shared(rule, eq, premises, axiom)
         obj = _json_object(obj, "derivation")
         rule = _field(obj, "rule", "derivation")
         conclusion = self.equation(_field(obj, "conclusion", "derivation"))
         premises = ()
         if "premises" in obj:
-            premises = tuple(
-                self.derivation(p) for p in _json_list(obj["premises"], "premises")
-            )
+            premises = tuple(map(self.derivation, _json_list(obj["premises"], "premises")))
         axiom = obj.get("axiom")
+        notes = ()
         if "subst" in obj or "theta" in obj or "hypotheses" in obj:
-            return self._annotated(obj, rule, conclusion, premises, axiom)
+            notes = self._annotations(obj)
         if not (isinstance(rule, str) and (axiom is None or isinstance(axiom, str))):
-            return Derivation(rule, conclusion, premises, axiom)
-        return self._shared(rule, conclusion, premises, axiom)
-
-    def _shared(self, rule, conclusion, premises, axiom) -> Derivation:
+            return Derivation(rule, conclusion, premises, axiom, *notes)
         key = (rule, id(conclusion), axiom, *map(id, premises))
+        if notes:
+            subst, theta, hypotheses = notes
+            key = (
+                key,
+                subst and tuple((var, id(t)) for var, t in subst),
+                theta and tuple(map(id, theta)),
+                tuple(map(id, hypotheses)),
+            )
         node = self.nodes.get(key)
         if node is None:
-            node = self.nodes[key] = Derivation(rule, conclusion, premises, axiom)
+            node = self.nodes[key] = Derivation(rule, conclusion, premises, axiom, *notes)
         return node
 
-    def _annotated(self, obj, rule, conclusion, premises, axiom) -> Derivation:
+    def _annotations(self, obj) -> tuple:
+        """The `subst`, `theta` and `hypotheses` fields of a node."""
         subst = None
         if "subst" in obj:
             subst = tuple(
@@ -540,7 +524,7 @@ class _Reader:
         hypotheses = ()
         if "hypotheses" in obj:
             hypotheses = self.equations_list(obj["hypotheses"], "hypotheses")
-        return Derivation(rule, conclusion, premises, axiom, subst, theta, hypotheses)
+        return subst, theta, hypotheses
 
 
 def equation_from_json_dict(obj: dict, table: dict | None = None) -> QuantEquation:
@@ -555,7 +539,7 @@ def equations_from_json_list(
     return _Reader({} if table is None else table).equations_list(items, what)
 
 
-def derivation_to_json_dict(d: Derivation, printed: dict | None = None) -> dict:
+def derivation_to_json_dict(d: Derivation) -> dict:
     """The derivation as JSON, building each node object's dict once.
 
     A node object that occurs at several places of the tree is written as
@@ -563,13 +547,10 @@ def derivation_to_json_dict(d: Derivation, printed: dict | None = None) -> dict:
     returned document (`json.dumps` writes it out at each place). The
     derivation keeps every node and term it holds alive during the call,
     so memos keyed by object id serve the whole document: one for node
-    dicts, and `printed` for `print_term`. A derivation nested deeper than
+    dicts, and one passed to `print_term`. A derivation nested deeper than
     the recursion limit raises TooDeep.
     """
-    try:
-        return _derivation_dict(d, {} if printed is None else printed, {})
-    except RecursionError:
-        raise TooDeep(sys.getrecursionlimit()) from None
+    return guard_depth(_derivation_dict, d, {}, {})
 
 
 def _derivation_dict(d: Derivation, printed: dict, built: dict) -> dict:
@@ -611,10 +592,7 @@ def derivation_to_json_text(d: Derivation) -> str:
     limit raises TooDeep.
     """
     out: list[str] = []
-    try:
-        _write_node(d, out, {}, {}, {})
-    except RecursionError:
-        raise TooDeep(sys.getrecursionlimit()) from None
+    guard_depth(_write_node, d, out, {}, {}, {})
     return "".join(out)
 
 
@@ -666,7 +644,4 @@ def derivation_from_json_dict(obj: dict, table: dict | None = None) -> Derivatio
     of the wrong shape raises ParseError; input nested deeper than the
     recursion limit (premises or terms) raises TooDeep.
     """
-    try:
-        return _Reader({} if table is None else table).derivation(obj)
-    except RecursionError:
-        raise TooDeep(sys.getrecursionlimit()) from None
+    return guard_depth(_Reader({} if table is None else table).derivation, obj)

@@ -3,9 +3,13 @@
 Every exception that signals a violated domain contract derives from
 DomainError so callers (and the CLI) can distinguish bad input from bugs.
 Each class carries enough structure to report the offending data exactly.
+`guard_depth(walk, *args)` is the one place that turns a walk nested
+deeper than the recursion limit into `TooDeep`.
 """
 
 from __future__ import annotations
+
+import sys
 
 
 class DomainError(Exception):
@@ -83,6 +87,14 @@ class TooDeep(DomainError):
     def __init__(self, limit: int):
         self.limit = limit
         super().__init__(f"input nested too deeply (recursion limit {limit})")
+
+
+def guard_depth(walk, *args):
+    """`walk(*args)`, raising TooDeep where it raises RecursionError."""
+    try:
+        return walk(*args)
+    except RecursionError:
+        raise TooDeep(sys.getrecursionlimit()) from None
 
 
 class EmptySet(DomainError):

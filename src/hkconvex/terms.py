@@ -21,14 +21,13 @@ derivations the same way.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
 from .convex import ConvexSet, plus_p
 from .core import Dist, FiniteMetricSpace, format_fraction, parse_rational
-from .errors import BadProbability, MalformedInput, ParseError, TooDeep, UnknownPoint
+from .errors import BadProbability, MalformedInput, ParseError, UnknownPoint, guard_depth
 from .lifting import hk_distance
 
 
@@ -112,10 +111,7 @@ def print_term(term: Term, printed: dict[int, str] | None = None) -> str:
     term it has seen is alive: the id of a collected object can be reused.
     A term nested deeper than the recursion limit raises TooDeep.
     """
-    try:
-        return _print_term(term, printed)
-    except RecursionError:
-        raise TooDeep(sys.getrecursionlimit()) from None
+    return guard_depth(_print_term, term, printed)
 
 
 def _print_term(term: Term, printed: dict[int, str] | None) -> str:
@@ -356,10 +352,7 @@ def parse_term(text: str, table: dict[str, Term] | None = None) -> Term:
         except (_Unexpected, RecursionError):
             pass
     parser = _Parser(text, table)
-    try:
-        term = parser.term()
-    except RecursionError:
-        raise TooDeep(sys.getrecursionlimit()) from None
+    term = guard_depth(parser.term)
     if parser.pos < len(parser.tokens):
         raise ParseError(
             f"trailing input {parser.tokens[parser.pos]!r}", parser.starts[parser.pos]
@@ -371,10 +364,7 @@ def parse_term(text: str, table: dict[str, Term] | None = None) -> Term:
 def term_labels(term: Term) -> set[str]:
     """The generator labels of a term; one nested deeper than the
     recursion limit raises TooDeep."""
-    try:
-        return _term_labels(term)
-    except RecursionError:
-        raise TooDeep(sys.getrecursionlimit()) from None
+    return guard_depth(_term_labels, term)
 
 
 def _term_labels(term: Term) -> set[str]:
@@ -388,10 +378,7 @@ def substitute(term: Term, mapping: dict[str, Term]) -> Term:
 
     A term nested deeper than the recursion limit raises TooDeep.
     """
-    try:
-        return _substitute(term, mapping)
-    except RecursionError:
-        raise TooDeep(sys.getrecursionlimit()) from None
+    return guard_depth(_substitute, term, mapping)
 
 
 def _substitute(term: Term, mapping: dict[str, Term]) -> Term:
@@ -413,10 +400,7 @@ def normalize(space: FiniteMetricSpace, term: Term) -> ConvexSet:
     A term nested deeper than the recursion limit through p+ raises
     TooDeep; oplus nesting of any depth is walked without recursion.
     """
-    try:
-        return _normalize(space, term)
-    except RecursionError:
-        raise TooDeep(sys.getrecursionlimit()) from None
+    return guard_depth(_normalize, space, term)
 
 
 def _normalize(space: FiniteMetricSpace, term: Term) -> ConvexSet:

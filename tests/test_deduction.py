@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -396,6 +398,72 @@ def test_text_writer_matches_the_dict_writer_on_derived_proofs(seed):
         text = derivation_to_json_text(d)
         assert text == json.dumps(derivation_to_json_dict(d), sort_keys=True)
         assert derivation_from_json_dict(json.loads(text)) == d
+
+
+def _distinct_nodes(d: Derivation) -> list[Derivation]:
+    """Each node object of `d` once."""
+    seen, stack, nodes = set(), [d], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.premises)
+    return nodes
+
+
+def _padded(doc, spaces):
+    """A copy of a derivation document with every l and r text respelled:
+    each space widened and the text wrapped in spaces, by varying amounts."""
+    if isinstance(doc, list):
+        return [_padded(x, spaces) for x in doc]
+    if not isinstance(doc, dict):
+        return doc
+    out = {key: _padded(value, spaces) for key, value in doc.items()}
+    for key in ("l", "r"):
+        if isinstance(doc.get(key), str):
+            pad = " " * (1 + next(spaces) % 3)
+            out[key] = pad + doc[key].replace(" ", pad) + pad
+    return out
+
+
+@pytest.mark.parametrize("seed", [2, 11, 29])
+def test_reader_shares_each_node_and_conclusion_value_of_derived_proofs(seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        space = rand_space(rng)
+        d = derive_hk(space, rand_convex_set(rng, space), rand_convex_set(rng, space))
+        doc = json.loads(derivation_to_json_text(d))
+        gamma_doc = [equation_to_json_dict(e) for e in metric_hypotheses(space)]
+        replies = []
+        for document in (doc, _padded(doc, itertools.count())):
+            # Gamma and then the proof through one table, as `check` reads them.
+            table = {}
+            gamma = equations_from_json_list(gamma_doc, "hypotheses", table)
+            back = derivation_from_json_dict(document, table)
+            assert back == d
+            res = check_derivation(space, gamma, back)
+            replies.append((res.ok, res.path, res.reason))
+            if document is doc:
+                nodes = _distinct_nodes(back)
+                assert len(nodes) == len(set(nodes))
+                conclusions = {id(node.conclusion): node.conclusion for node in nodes}
+                assert len(conclusions) == len(set(conclusions.values()))
+        assert replies[0] == replies[1] == (True, (), "")
+
+
+def test_shared_premises_cost_one_visit_per_node_object(x3):
+    # 64 levels of Triang(d, d) over a =0 a: 65 node objects, 2**65 - 1 nodes.
+    d = refl("a")
+    for _ in range(64):
+        d = Derivation("Triang", d.conclusion, (d, d))
+    start = time.perf_counter()
+    assert d.size() == 2**65 - 1
+    assert time.perf_counter() - start < 1
+    renamed = Derivation("Subst", eq("b", "b", 0), (d,), subst=(("a", Gen("b")),))
+    start = time.perf_counter()
+    assert check_derivation(x3, (), renamed).ok
+    assert time.perf_counter() - start < 1
 
 
 def test_generator_labelled_like_an_eps_reads_and_checks():
