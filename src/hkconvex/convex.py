@@ -17,11 +17,11 @@ no normalization row (`_in_int_hull`); `in` uses the same path. `plus_p`
 and weighted Minkowski sums mix through `core.convex_combine`, on ints.
 
 `in_hull` and `nearest_point` build their LP rows from the same ints,
-every row on the one common denominator, the normalization row too. A
-uniform row scale keeps the phase-1 objective of `linprog.solve_lp` a
-positive multiple of the rational one, so every Bland pivot, and hence
-every vertex and mixture returned, is that of the rational rows.
-Fractions appear only in what they return: exact weights and values.
+every row on the one common denominator, the normalization row too, so
+`linprog.solve_lp` takes them as they are (its one-denominator rule):
+every Bland pivot, and hence every vertex and mixture returned, is that
+of the rational rows. Fractions appear only in what they return: exact
+weights and values.
 
 Because Dist supports ConvexSet-valued items, the same two classes give
 distributions over sets, convex sets of those, and so on; the monad
@@ -51,8 +51,9 @@ from .errors import BadProbability, EmptyInput, SpaceMismatch, TooLarge
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Largest number of base choices one weighted Minkowski sum may enumerate;
-# each choice is a generator that re-basing then tests with a hull LP.
+# Largest number of base choices one weighted Minkowski sum or one `plus_p`
+# may enumerate; each choice is a generator that re-basing then tests with
+# a hull LP.
 MINKOWSKI_PRODUCT_CAP = 1024
 
 
@@ -263,6 +264,9 @@ def plus_p(p, left: ConvexSet, right: ConvexSet) -> ConvexSet:
         raise BadProbability(p)
     if left.space != right.space:
         raise SpaceMismatch()
+    count = len(left.base) * len(right.base)
+    if count > MINKOWSKI_PRODUCT_CAP:
+        raise TooLarge("p+ mixture product", count, MINKOWSKI_PRODUCT_CAP)
     gens = [
         convex_combine([(p, d), (ONE - p, e)])
         for d in left.base

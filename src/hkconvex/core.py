@@ -23,6 +23,7 @@ call.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -40,6 +41,10 @@ from .errors import (
 )
 
 ZERO = Fraction(0)
+
+# A point label: one generator token of the term syntax (`terms`), so that
+# every term over the space prints and parses back.
+LABEL_TOKEN = re.compile(r"[^\s()]+")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -109,8 +114,10 @@ class FiniteMetricSpace:
 
     Point order is the order given at construction; it is the canonical
     order used everywhere (serialization, distribution supports, term
-    folds). The distance table is validated exactly: identity, symmetry,
-    and every triangle inequality.
+    folds). A label is one generator token of the term syntax
+    (`LABEL_TOKEN`): anything else is MalformedInput, an empty or
+    non-string label UnknownPoint. The distance table is validated
+    exactly: identity, symmetry, and every triangle inequality.
 
     Distances are held as ints: `_rows[i][j] / _den == d(points[i],
     points[j])`, where `_den` is the LCM of the distance denominators;
@@ -125,6 +132,10 @@ class FiniteMetricSpace:
         for p in pts:
             if not isinstance(p, str) or not p:
                 raise UnknownPoint(p)
+            if LABEL_TOKEN.fullmatch(p) is None:
+                raise MalformedInput(
+                    f"point label {p!r} must be one token without whitespace or parentheses"
+                )
             if p in seen:
                 raise DuplicateLabel(p)
             seen.add(p)

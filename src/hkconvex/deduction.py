@@ -339,7 +339,7 @@ def _check_node(
         if goal.eps != prem.eps:
             return _fail(path, "Subst preserves eps")
     elif rule == "Cut":
-        if d.theta is None or not d.theta:
+        if not d.theta:
             return _fail(path, "Cut needs a nonempty intermediate set")
         if len(d.premises) != len(d.theta) + 1:
             return _fail(

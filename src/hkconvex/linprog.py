@@ -5,15 +5,13 @@ Fractions (`core.scaled_ints` takes them as they are and coerces
 anything else, so floats are rejected), outputs are Fractions, and the
 tableau holds Python ints.
 
-Each row [A_i | b_i] is scaled by the LCM s_i of its denominators, and
-negated when b_i < 0, before the identity artificial columns are
-appended. The phase-1 cost of artificial i is L // s_i with L = lcm(s_i):
-the scaled artificial is s_i times the original one, so the phase-1 row
-is L times the rational one and minimises the same sum (unit costs would
-minimise another sum and pivot differently on degenerate LPs). An int
-row scales by 1, so callers that put every row on one common
-denominator (`convex.in_hull`, `convex.nearest_point`) get unit costs
-and a phase 1 that minimises that denominator times the rational sum.
+`solve_lp` puts every row and right-hand side on one common denominator
+L with a single `core.scaled_ints` call (int rows, which `convex.in_hull`
+and `convex.nearest_point` pass, come back as they are, over 1). Scaling
+every row by the same positive L leaves each sign, each ratio test and
+each Bland choice of the rational tableau as it is, and the scaled
+artificials are L times the rational ones, so phase 1 runs at unit
+artificial costs and minimises L times the rational sum.
 
 Pivots are Edmonds/Bareiss integer-preserving steps: with pivot p and
 previous pivot d (1 at first), the pivot row stays and every other row,
@@ -25,18 +23,22 @@ on the rational tableau. Bland's smallest-index rule picks the entering
 and leaving variables, which rules out cycling, so termination is
 unconditional and the pivot sequence is that of the rational simplex.
 
-`is_feasible` answers only whether A.x = b, x >= 0 has a solution, for
-integer A and b: phase 1 on [A | b] alone, artificials at cost 1 but
-with no columns, so one that leaves the basis stays at 0; that still
-ends at 0 exactly when the system is feasible. `solve_lp` keeps the
-columns (`_phase1`), as its whole Bland sequence picks its vertex; a
-boolean does not depend on the pivots. Both share `_iterate`, `_pivot`.
+`_phase1_tableau` is the one phase-1 set-up: it checks the system's
+shape, negates the rows whose rhs is negative and appends the objective
+row of minus the column sums (the reduced costs with every artificial
+basic at unit cost). `is_feasible` answers only whether A.x = b, x >= 0
+has a solution, for integer A and b: phase 1 on that tableau alone, with
+no artificial columns, so an artificial that leaves the basis stays at
+0; that still ends at 0 exactly when the system is feasible. `solve_lp`
+starts from the same tableau and inserts the identity artificial
+columns, as its whole Bland sequence picks its vertex; a boolean does
+not depend on the pivots. Both share `_iterate`, `_pivot`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain, islice
 from typing import Sequence
 
 from .core import scaled_ints
@@ -108,24 +110,22 @@ def _iterate(
         basis[leave] = enter
 
 
-def _phase1(tab: list[list[int]], n: int, weights: Sequence[int]) -> tuple[list[int], int]:
-    """Phase 1 on integer rows [A_i | b_i] with n columns and b_i >= 0, in place.
+def _phase1_tableau(
+    eq_rows: Sequence[Sequence[int]], rhs: Sequence[int], n: int
+) -> list[list[int]]:
+    """Phase-1 tableau of integer rows [A_i | b_i] with n columns.
 
-    Appends the identity artificial columns and the objective row that
-    minimises sum(weights[i] * artificial_i), and runs the simplex to its
-    optimum; returns (basis, d). The system is feasible exactly when the
-    objective row's rhs, tab[-1][-1], ends at 0. Only `solve_lp` runs it.
+    Each row with b_i < 0 is negated; last comes the objective row, minus
+    the column sums, for unit artificial costs with every artificial basic
+    (all 0 when there are no rows, so the empty system is feasible).
     """
-    m = len(tab)
-    obj = [0] * n + list(weights) + [0]
-    for i, r in enumerate(tab):
-        tab[i] = r = r[:n] + [0] * i + [1] + [0] * (m - 1 - i) + r[n:]
-        obj = [o - weights[i] * v for o, v in zip(obj, r)]
-    tab.append(obj)
-    basis = [n + i for i in range(m)]
-    status, d = _iterate(tab, basis, n + m, 1)
-    assert status == OPTIMAL, "phase 1 is bounded below by zero"
-    return basis, d
+    if len(rhs) != len(eq_rows):
+        raise ValueError("constraint rows and rhs differ in length")
+    if any(len(row) != n for row in eq_rows):
+        raise ValueError("ragged constraint matrix")
+    tab = [[-v for v in row] + [-b] if b < 0 else [*row, b] for row, b in zip(eq_rows, rhs)]
+    tab.append([-sum(column) for column in zip(*tab)] if tab else [0] * (n + 1))
+    return tab
 
 
 def solve_lp(
@@ -135,21 +135,17 @@ def solve_lp(
 ) -> LPResult:
     n = len(objective)
     cost, scale = scaled_ints(objective)
-    if len(rhs) != len(eq_rows):
-        raise ValueError("constraint rows and rhs differ in length")
-    tab: list[list[int]] = []
-    scales: list[int] = []
-    for row, b in zip(eq_rows, rhs):
-        if len(row) != n:
-            raise ValueError("ragged constraint matrix")
-        r, s = scaled_ints([*row, b])
-        tab.append([-v for v in r] if r[-1] < 0 else r)
-        scales.append(s)
+    flat = iter(scaled_ints([*chain.from_iterable(eq_rows), *rhs])[0])
+    tab = _phase1_tableau([list(islice(flat, len(row))) for row in eq_rows], list(flat), n)
 
-    # Phase 1: minimize L times the sum of the (unscaled) artificials.
-    m = len(tab)
-    total = lcm(*scales)
-    basis, d = _phase1(tab, n, [total // s for s in scales])
+    # Phase 1 with the identity artificial columns inserted before the rhs;
+    # their reduced costs in the objective row, tab[m], are 0.
+    m = len(eq_rows)
+    for i, r in enumerate(tab):
+        tab[i] = r[:n] + [int(i == k) for k in range(m)] + r[n:]
+    basis = [n + i for i in range(m)]
+    status, d = _iterate(tab, basis, n + m, 1)
+    assert status == OPTIMAL, "phase 1 is bounded below by zero"
     if tab[-1][-1] != 0:
         return LPResult(INFEASIBLE, None, None)
 
@@ -206,12 +202,6 @@ def is_feasible(eq_rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
     objective row holds the reduced costs with every artificial basic.
     """
     n = len(eq_rows[0]) if eq_rows else 0
-    if len(rhs) != len(eq_rows):
-        raise ValueError("constraint rows and rhs differ in length")
-    if any(len(row) != n for row in eq_rows):
-        raise ValueError("ragged constraint matrix")
-    tab = [[-v for v in row] + [-b] if b < 0 else [*row, b] for row, b in zip(eq_rows, rhs)]
-    # the objective row; [0] when there are no rows, so [] is feasible
-    tab.append([-sum(column) for column in zip(*tab)] or [0])
+    tab = _phase1_tableau(eq_rows, rhs, n)
     _iterate(tab, list(range(n, n + len(eq_rows))), n, 1)
     return tab[-1][-1] == 0

@@ -26,7 +26,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .convex import ConvexSet, plus_p
-from .core import Dist, FiniteMetricSpace, format_fraction, parse_rational
+from .core import LABEL_TOKEN, Dist, FiniteMetricSpace, format_fraction, parse_rational
 from .errors import BadProbability, MalformedInput, ParseError, UnknownPoint, guard_depth
 from .lifting import hk_distance
 
@@ -133,7 +133,7 @@ def _print_term(term: Term, printed: dict[int, str] | None) -> str:
     return text
 
 
-_TOKEN = re.compile(r"[()]|[^\s()]+")
+_TOKEN = re.compile(r"[()]|" + LABEL_TOKEN.pattern)
 
 
 def _parse_fraction(token: str, position: int) -> Fraction:
@@ -223,7 +223,6 @@ class _Parser:
 
 # '(', the head and, for p+, the probability, each followed by whitespace.
 _HEAD = re.compile(r"\(\s*(?:oplus|p\+\s+([^\s()]+))\s+")
-_GEN_TOKEN = re.compile(r"[^\s()]+")
 
 
 class _Unexpected(Exception):
@@ -255,7 +254,7 @@ class _Skipper:
         text = self.text
         table = self.table
         if key[0] != "(":
-            if _GEN_TOKEN.fullmatch(key) is None:
+            if LABEL_TOKEN.fullmatch(key) is None:
                 raise _Unexpected
             table[key] = term = Gen(key)
             return term
@@ -311,14 +310,8 @@ class _Skipper:
         at_close = text.rfind(")", lo, close)
         while True:
             if at_close > at_open:
-                inner = opener.get(at_close)
-                if inner is None:
-                    stack.append(at_close)
-                    at_close = text.rfind(")", lo, at_close)
-                else:
-                    at_close = text.rfind(")", lo, inner)
-                    if at_open >= inner:
-                        at_open = text.rfind("(", lo, inner)
+                stack.append(at_close)
+                at_close = text.rfind(")", lo, at_close)
             elif at_open < 0:
                 return -1
             else:

@@ -58,6 +58,22 @@ def test_validate_space_domain_error(capsys, files):
     assert out["error"] == "OutOfRange"
 
 
+@pytest.mark.parametrize("command", ["validate-space", "derive"])
+def test_label_the_term_syntax_cannot_write_is_a_domain_error(capsys, files, command):
+    # otherwise derive writes a proof whose conclusion does not parse back
+    space = files("space.json", {"points": ["a b", "c"], "dist": [["a b", "c", "1/2"]]})
+    argv = [command, "--space", space]
+    if command == "derive":
+        s1 = files("s1.json", {"generators": [{"a b": "1"}]})
+        s2 = files("s2.json", {"generators": [{"a b": "1/2", "c": "1/2"}]})
+        argv += ["--left", s1, "--right", s2]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    reply = json.loads(lines[0])
+    assert reply["error"] == "MalformedInput" and "'a b'" in reply["detail"]
+
+
 def test_kantorovich_golden(capsys, space_file, files):
     da = files("da.json", {"a": "1"})
     db = files("db.json", {"b": "1"})

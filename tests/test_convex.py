@@ -29,6 +29,7 @@ from hkconvex import (
     unique_base,
     wms,
 )
+from hkconvex import convex
 from hkconvex.convex import MINKOWSKI_PRODUCT_CAP, _in_int_hull
 from hkconvex.linprog import is_feasible
 
@@ -438,6 +439,28 @@ def test_unique_base_ties_go_to_the_lp(x3):
     # the centre ties at its top weight 1/2 on a and is inside the hull
     centre = Dist(x3, {"a": F(1, 2), "b": F(1, 4), "c": F(1, 4)})
     assert unique_base([centre, ab, ac]) == (ab, ac)
+
+
+def _discrete_space(labels: list) -> FiniteMetricSpace:
+    return FiniteMetricSpace(
+        labels, {(x, y): F(1) for i, x in enumerate(labels) for y in labels[i + 1 :]}
+    )
+
+
+def test_plus_p_product_over_the_cap_is_refused_before_mixing(monkeypatch):
+    labels = [f"x{i}" for i in range(65)]
+    space = _discrete_space(labels)
+    left = ConvexSet(space, [dirac(space, x) for x in labels[:33]])
+    right = ConvexSet(space, [dirac(space, x) for x in labels[33:]])
+    assert 33 * 32 > MINKOWSKI_PRODUCT_CAP
+
+    def no_mixing(*args):
+        raise AssertionError("mixed before the cap was checked")
+
+    monkeypatch.setattr(convex, "convex_combine", no_mixing)
+    with pytest.raises(TooLarge) as exc:
+        plus_p(F(1, 2), left, right)
+    assert exc.value.actual == 33 * 32
 
 
 def test_minkowski_product_over_the_cap_is_refused(x2):

@@ -108,6 +108,21 @@ def test_space_rejects_duplicate_labels():
         FiniteMetricSpace(["a", "a"], {("a", "a"): 0})
 
 
+@pytest.mark.parametrize("label", ["a b", "(a", "a)", "a\tb", "x\n", " "])
+def test_space_rejects_labels_the_term_syntax_cannot_write(label):
+    # a label is one generator token, so every term over the space prints
+    # and parses back
+    with pytest.raises(MalformedInput, match="point label") as err:
+        FiniteMetricSpace([label, "c"], {(label, "c"): "1/2"})
+    assert repr(label) in str(err.value)
+
+
+@pytest.mark.parametrize("label", ["", 3, None])
+def test_space_rejects_empty_and_non_string_labels_as_unknown_points(label):
+    with pytest.raises(UnknownPoint):
+        FiniteMetricSpace([label, "c"], {})
+
+
 def test_space_rejects_triangle_violation():
     with pytest.raises(AxiomViolation):
         FiniteMetricSpace(

@@ -688,3 +688,240 @@ def test_checker_soundness_on_assumption_chains(bundle):
     res = check_derivation(space, gamma, deriv)
     assert res.ok
     assert value >= term_distance(space, t, s)
+
+
+# One tampered node per rejection reason of the checker, under the
+# hypotheses _GAMMA. Each node is valid but for the one condition it
+# breaks, so a checker without that condition accepts it or names another
+# reason; the wrapped rows put the node below a valid root, which checks
+# the reported path.
+_GAMMA = (eq("a", "b", "1/2"), eq("b", "c", "1/4"), eq("c", "b", "1/4"))
+
+
+def _node(rule, conclusion, *premises, **fields):
+    return Derivation(rule, conclusion, premises, **fields)
+
+
+def _assum(l, r, e):
+    return _node("Assum", eq(l, r, e))
+
+
+def _under_symm(d):
+    return _node("Symm", d.conclusion.flip(), d)
+
+
+def _under_triang(d):
+    left = d.conclusion.left
+    return _node("Triang", d.conclusion, Derivation("Refl", QuantEquation(left, left, F(0))), d)
+
+
+_AB, _BC = _assum("a", "b", "1/2"), _assum("b", "c", "1/4")
+_CB = _assum("c", "b", "1/4")
+_AXIOM_C = _node("AxiomCS", eq("(oplus a b)", "(oplus b a)", 0), axiom="C")
+_A_TO_C = (("a", Gen("c")),)
+_AC = _node("Triang", eq("a", "c", "3/4"), _AB, _BC)
+_THETA = (_AB.conclusion, _BC.conclusion)
+
+_REJECTIONS = [
+    ("unknown-rule", _node("Foo", eq("a", "a", 0)), (), "unknown rule 'Foo'"),
+    (
+        "arity",
+        _under_symm(_node("Triang", eq("a", "a", 0), refl("a"))),
+        (0,),
+        "Triang expects 2 premise(s), got 1",
+    ),
+    ("refl-sides", _node("Refl", eq("a", "b", 0)), (), "Refl needs syntactically equal sides"),
+    ("refl-eps", _under_triang(_node("Refl", eq("a", "a", "1/2"))), (1,), "Refl needs eps 0"),
+    (
+        "symm-flip",
+        _node("Symm", eq("a", "b", "1/2"), _AB),
+        (),
+        "Symm conclusion must flip the premise",
+    ),
+    (
+        "triang-middle",
+        _node("Triang", eq("a", "b", "3/4"), _AB, _CB),
+        (),
+        "Triang premises must share the middle term",
+    ),
+    (
+        "triang-left-end",
+        _under_symm(_node("Triang", eq("b", "c", "3/4"), _AB, _BC)),
+        (0,),
+        "Triang conclusion endpoints do not match premises",
+    ),
+    (
+        "triang-right-end",
+        _node("Triang", eq("a", "b", "3/4"), _AB, _BC),
+        (),
+        "Triang conclusion endpoints do not match premises",
+    ),
+    (
+        "triang-eps",
+        _node("Triang", eq("a", "c", "1/2"), _AB, _BC),
+        (),
+        "Triang eps must be the capped sum of premise eps",
+    ),
+    ("max-left", _node("Max", eq("c", "b", "3/4"), _AB), (), "Max must keep both terms"),
+    (
+        "max-right",
+        _under_triang(_node("Max", eq("a", "c", "3/4"), _AB)),
+        (1,),
+        "Max must keep both terms",
+    ),
+    ("max-eps", _node("Max", eq("a", "b", "1/4"), _AB), (), "Max cannot decrease eps"),
+    (
+        "oplus-left",
+        _node("NExpOplus", eq("(oplus b a)", "(oplus b c)", "1/2"), _AB, _BC),
+        (),
+        "NExpOplus conclusion must pair the premises under oplus",
+    ),
+    (
+        "oplus-right",
+        _under_symm(_node("NExpOplus", eq("(oplus a b)", "(oplus c b)", "1/2"), _AB, _BC)),
+        (0,),
+        "NExpOplus conclusion must pair the premises under oplus",
+    ),
+    (
+        "oplus-eps",
+        _node("NExpOplus", eq("(oplus a b)", "(oplus b c)", "1/4"), _AB, _BC),
+        (),
+        "NExpOplus eps must be the max of premise eps",
+    ),
+    (
+        "plusp-left-side",
+        _node("NExpPlusP", eq("(oplus a b)", "(p+ 1/3 b c)", "1/3"), _AB, _BC),
+        (),
+        "NExpPlusP conclusion sides must be p+ terms",
+    ),
+    (
+        "plusp-right-side",
+        _node("NExpPlusP", eq("(p+ 1/3 a b)", "(oplus b c)", "1/3"), _AB, _BC),
+        (),
+        "NExpPlusP conclusion sides must be p+ terms",
+    ),
+    (
+        "plusp-probability",
+        _under_triang(_node("NExpPlusP", eq("(p+ 1/3 a b)", "(p+ 1/2 b c)", "1/3"), _AB, _BC)),
+        (1,),
+        "NExpPlusP sides must share the probability",
+    ),
+    (
+        "plusp-left-pair",
+        _node("NExpPlusP", eq("(p+ 1/3 b b)", "(p+ 1/3 b c)", "1/3"), _AB, _BC),
+        (),
+        "NExpPlusP conclusion must pair the premises under p+",
+    ),
+    (
+        "plusp-right-pair",
+        _node("NExpPlusP", eq("(p+ 1/3 a b)", "(p+ 1/3 b b)", "1/3"), _AB, _BC),
+        (),
+        "NExpPlusP conclusion must pair the premises under p+",
+    ),
+    (
+        "plusp-eps",
+        _node("NExpPlusP", eq("(p+ 1/3 a b)", "(p+ 1/3 b c)", "1/2"), _AB, _BC),
+        (),
+        "NExpPlusP eps must be the p-weighted sum",
+    ),
+    (
+        "subst-missing",
+        _node("Subst", eq("(oplus c b)", "(oplus b c)", 0), _AXIOM_C),
+        (),
+        "Subst needs a substitution",
+    ),
+    (
+        "subst-hypotheses",
+        _under_symm(
+            _node("Subst", eq("b", "c", "1/2"), _under_symm(_AB), subst=_A_TO_C)
+        ),
+        (0,),
+        "Subst premise must not use hypotheses",
+    ),
+    (
+        "subst-left",
+        _node("Subst", eq("(oplus a b)", "(oplus b c)", 0), _AXIOM_C, subst=_A_TO_C),
+        (),
+        "Subst conclusion must be the substituted premise",
+    ),
+    (
+        "subst-right",
+        _node("Subst", eq("(oplus c b)", "(oplus b a)", 0), _AXIOM_C, subst=_A_TO_C),
+        (),
+        "Subst conclusion must be the substituted premise",
+    ),
+    (
+        "subst-eps",
+        _node("Subst", eq("(oplus c b)", "(oplus b c)", "1/2"), _AXIOM_C, subst=_A_TO_C),
+        (),
+        "Subst preserves eps",
+    ),
+    (
+        "cut-no-theta",
+        _node("Cut", eq("a", "b", "1/2"), _AB),
+        (),
+        "Cut needs a nonempty intermediate set",
+    ),
+    (
+        "cut-empty-theta",
+        _under_symm(_node("Cut", eq("a", "b", "1/2"), _AB, theta=())),
+        (0,),
+        "Cut needs a nonempty intermediate set",
+    ),
+    (
+        "cut-premise-count",
+        _node("Cut", eq("a", "b", "1/2"), _AB, theta=(_AB.conclusion,)),
+        (),
+        "Cut expects one premise per intermediate equation plus the final one",
+    ),
+    (
+        "cut-theta-premise",
+        _node("Cut", _AC.conclusion, _AB, _CB, _AC, theta=_THETA),
+        (),
+        "Cut premise 1 does not conclude theta[1]",
+    ),
+    (
+        "cut-final-premise",
+        _under_triang(_node("Cut", eq("a", "c", 1), _AB, _BC, _AC, theta=_THETA)),
+        (1,),
+        "Cut final premise must conclude the goal",
+    ),
+    (
+        "cut-final-under-theta",
+        _node("Cut", eq("a", "b", "1/2"), _BC, _AB, theta=(_BC.conclusion,)),
+        (1,),
+        "Assum cites an equation outside the hypotheses",
+    ),
+    (
+        "assum",
+        _under_triang(_under_symm(_assum("a", "c", 1))),
+        (1, 0),
+        "Assum cites an equation outside the hypotheses",
+    ),
+    (
+        "axiom-name",
+        _node("AxiomCS", _AXIOM_C.conclusion, axiom="Z"),
+        (),
+        "unknown axiom 'Z'",
+    ),
+    (
+        "axiom-eps",
+        _node("AxiomCS", eq("(oplus a b)", "(oplus b a)", "1/2"), axiom="C"),
+        (),
+        "axiom instances have eps 0",
+    ),
+    (
+        "axiom-instance",
+        _under_symm(_node("AxiomCS", eq("(oplus a b)", "(oplus a b)", 0), axiom="C")),
+        (0,),
+        "conclusion is not an instance of axiom C",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "node, path, reason", [row[1:] for row in _REJECTIONS], ids=[row[0] for row in _REJECTIONS]
+)
+def test_every_rejection_reason_is_reported_at_its_node(x3, node, path, reason):
+    res = check_derivation(x3, _GAMMA, node)
+    assert (res.ok, res.path, res.reason) == (False, path, reason)

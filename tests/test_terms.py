@@ -17,10 +17,12 @@ from hkconvex import (
     ConvexSet,
     Derivation,
     Dist,
+    FiniteMetricSpace,
     MalformedInput,
     ParseError,
     QuantEquation,
     TooDeep,
+    TooLarge,
     UnknownPoint,
     dirac,
     dist_term,
@@ -602,3 +604,20 @@ def test_substitute_and_term_labels_raise_too_deep():
         substitute(deep, {"a": Gen("c")})
     with pytest.raises(TooDeep):
         term_labels(deep)
+
+
+def test_nested_plus_p_over_oplus_hits_the_product_cap():
+    # (p+ 1/2 (oplus a0 b0) (p+ 1/2 (oplus a1 b1) ... (oplus a10 b10))): each
+    # level doubles the base, so the outermost p+ would mix 2 x 1024 points
+    k = 11
+    labels = [f"{c}{i}" for i in range(k) for c in "ab"]
+    space = FiniteMetricSpace(
+        labels, {(x, y): Fraction(1) for i, x in enumerate(labels) for y in labels[i + 1 :]}
+    )
+    text = f"(oplus a{k - 1} b{k - 1})"
+    for i in reversed(range(k - 1)):
+        text = f"(p+ 1/2 (oplus a{i} b{i}) {text})"
+    with pytest.raises(TooLarge) as exc:
+        normalize(space, parse_term(text))
+    assert exc.value.actual == 2 * 2 ** (k - 1)
+
