@@ -130,10 +130,13 @@ def unique_base(generators: Sequence[Dist]) -> tuple[Dist, ...]:
     - f = <g, .>;
     - f = n*g - S, with S the sum of all n generators (g minus the mean
       of the others, scaled by n - 1).
-    Each needs strict inequality: a tie certifies nothing.
+    Each needs strict inequality: a tie certifies nothing. No generators
+    raise EmptyInput, for `ConvexSet` too.
     """
     distinct = list(dict.fromkeys(generators))
     n = len(distinct)
+    if not n:
+        raise EmptyInput("a convex set needs at least one generator")
     if n == 1:
         return (distinct[0],)
     space = distinct[0].space
@@ -184,8 +187,6 @@ class ConvexSet:
 
     def __init__(self, space: FiniteMetricSpace, generators: Iterable[Dist]):
         gens = list(generators)
-        if not gens:
-            raise EmptyInput("a convex set needs at least one generator")
         for g in gens:
             if not isinstance(g, Dist):
                 raise TypeError("generators must be Dist values")

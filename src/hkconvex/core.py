@@ -24,7 +24,6 @@ call.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
@@ -253,8 +252,10 @@ class Dist:
 
     Weights are held only as ints `_num[item] / _den`: one positive int
     `_den`, the LCM of the reduced weight denominators, and a map `_num`
-    from item to positive int, in lowest terms. Equality, hashing, mixing,
-    pushforward and re-basing run on these ints. The public constructor
+    from item to positive int, in lowest terms. Equality, the hash (of
+    these two fields alone), mixing, pushforward and re-basing run on
+    these ints. Every constructor keeps the support to one kind of item,
+    so `is_ground` reads the first. The public constructor
     converts the Fractions it validates; `dirac`, `convex_combine` and
     `pushforward` build through the trusted `_from_ints`; `weight` and
     `items` build Fractions per call.
@@ -324,7 +325,7 @@ class Dist:
         return tuple([(item, Fraction(num[item], den)) for item in self._support])
 
     def is_ground(self) -> bool:
-        return all(isinstance(item, str) for item in self._support)
+        return isinstance(self._support[0], str)
 
     def sort_key(self):
         if self._sort_key is None:
@@ -342,19 +343,9 @@ class Dist:
         )
 
     def __hash__(self) -> int:
-        # Equal to hash(frozenset(self.items())): a weight n / den hashes
-        # as n * den^-1 modulo the numeric hash modulus, which is an int
-        # below the modulus and so its own hash.
+        # The fields `__eq__` compares, hashed once.
         if self._hash is None:
-            den, num = self._den, self._num
-            try:
-                inv = pow(den, -1, _HASH_MODULUS)
-            except ValueError:
-                self._hash = hash(frozenset(self.items()))
-            else:
-                self._hash = hash(
-                    frozenset([(item, n * inv % _HASH_MODULUS) for item, n in num.items()])
-                )
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -371,9 +362,6 @@ class Dist:
         if not isinstance(data, Mapping):
             raise MalformedInput(f"distribution {data!r} is not an object of weights")
         return cls(space, dict(data))
-
-
-_HASH_MODULUS = sys.hash_info.modulus
 
 
 def _item_kind(space: FiniteMetricSpace, item) -> str:

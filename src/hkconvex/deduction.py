@@ -438,8 +438,7 @@ def _field(obj: dict, key: str, what: str):
 def _term(text, table: dict) -> Term:
     if not isinstance(text, str):
         raise ParseError(f"term must be a string, got {type(text).__name__}", 0)
-    term = table.get(text)
-    return parse_term(text, table) if term is None else term
+    return parse_term(text, table)
 
 
 class _Reader:

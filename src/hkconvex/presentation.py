@@ -34,7 +34,7 @@ from typing import Callable
 
 from .convex import ConvexSet, functor_map, monad_mult, monad_unit, plus_p
 from .core import Dist, FiniteMetricSpace, convex_combine, dirac
-from .errors import OutOfRange
+from .errors import EmptyInput, OutOfRange
 from .lifting import hk_distance
 from .sampling import (
     rand_convex_set,
@@ -98,6 +98,8 @@ class SpaceCarrier:
         return self.space.d(x, y)
 
     def rand_point(self, rng: random.Random):
+        if not self.space.points:
+            raise EmptyInput("cannot draw from a space with no points")
         return rng.choice(self.space.points)
 
 

@@ -16,6 +16,7 @@ from typing import Callable
 
 from .convex import ConvexSet
 from .core import Dist, FiniteMetricSpace
+from .errors import EmptyInput
 from .terms import Gen, Oplus, PlusP, Term
 
 ONE = Fraction(1)
@@ -53,6 +54,8 @@ def rand_weights(rng: random.Random, k: int) -> list[Fraction]:
 
 
 def rand_dist(rng: random.Random, space: FiniteMetricSpace, max_support: int = 3) -> Dist:
+    if not space.points:
+        raise EmptyInput("cannot draw from a space with no points")
     k = rng.randint(1, min(max_support, len(space.points)))
     support = rng.sample(space.points, k)
     weights = rand_weights(rng, k)

@@ -6,9 +6,10 @@ sets of distributions via `normalize`; `nu` picks the canonical term of
 a convex set, and the two are mutually inverse up to the theory.
 
 Concrete syntax is s-expressions: "(oplus a b)", "(p+ 1/2 a b)".
-`parse_term` can share one table of texts across many calls; a new text
-is then split around the subterms the table already holds, and only a
-text of unusual shape is tokenized.
+`parse_term` can share one table of texts across many calls. Only
+`parse_term` and `_Skipper` look texts up in it: a new text is split
+around the subterms the table already holds, and only a text of unusual
+shape is tokenized by `_Parser`, which parses every slice and enters it.
 
 Terms are immutable tuples of their fields: `Gen(label)`, `Oplus(left,
 right)` and `PlusP(p, left, right)`, each a `typing.NamedTuple` under the
@@ -144,14 +145,14 @@ def _parse_fraction(token: str, position: int) -> Fraction:
 
 
 class _Parser:
-    """Recursive descent over the tokens of one text, sharing through `table`.
+    """Recursive descent over the tokens of one text: the grammar and its
+    error messages.
 
-    `table` maps a text to the term it parses to. Each generator token and
-    each parenthesised subterm that parses is entered under its exact
-    source slice; a subterm whose slice is already there is returned from
-    the table and its tokens are skipped. The grammar is context-free, so
-    a slice always parses to the same term, and errors are raised exactly
-    where a full reading would raise them.
+    Each generator token and each parenthesised subterm that parses is
+    entered in `table` under its exact source slice with `setdefault`, so
+    a slice the table already holds returns the table's object. The
+    parser reads no entry before it has parsed a slice, so a subterm the
+    table holds still counts toward the recursion limit.
     """
 
     def __init__(self, text: str, table: dict):
@@ -160,14 +161,6 @@ class _Parser:
         matches = list(_TOKEN.finditer(text))
         self.tokens = [m.group() for m in matches]
         self.starts = [m.start() for m in matches]
-        # close[i] is the index of the ')' matching a '(' at index i, else -1.
-        self.close = [-1] * len(self.tokens)
-        opened = []
-        for i, tok in enumerate(self.tokens):
-            if tok == "(":
-                opened.append(i)
-            elif tok == ")" and opened:
-                self.close[opened.pop()] = i
         self.pos = 0
         self.end = len(text)
 
@@ -178,47 +171,31 @@ class _Parser:
         self.pos = pos + 1
         return self.tokens[pos], self.starts[pos]
 
-    def expect(self, text: str) -> None:
+    def expect(self, text: str) -> int:
         tok, at = self.take()
         if tok != text:
             raise ParseError(f"expected {text!r}, got {tok!r}", at)
+        return at
 
     def term(self) -> Term:
-        index = self.pos
         tok, at = self.take()
-        table = self.table
         if tok == ")":
             raise ParseError("unexpected ')'", at)
         if tok != "(":
-            term = table.get(tok)
-            if term is None:
-                term = table[tok] = Gen(tok)
-            return term
-        # A subterm that parses ends at its matching ')', so an unmatched
-        # '(' cannot be in the table and needs no key.
-        close = self.close[index]
-        key = self.text[at : self.starts[close] + 1] if close >= 0 else None
-        term = table.get(key)
-        if term is not None:
-            self.pos = close + 1
-            return term
+            return self.table.setdefault(tok, Gen(tok))
         head, head_at = self.take()
         if head == "oplus":
-            left = self.term()
-            right = self.term()
-            self.expect(")")
-            term = Oplus(left, right)
+            p = None
         elif head == "p+":
             ptok, pat = self.take()
             p = _parse_fraction(ptok, pat)
-            left = self.term()
-            right = self.term()
-            self.expect(")")
-            term = PlusP(p, left, right)
         else:
             raise ParseError(f"expected 'oplus' or 'p+', got {head!r}", head_at)
-        table[key] = term
-        return term
+        left = self.term()
+        right = self.term()
+        close = self.expect(")")
+        term = Oplus(left, right) if p is None else PlusP(p, left, right)
+        return self.table.setdefault(self.text[at : close + 1], term)
 
 
 # '(', the head and, for p+, the probability, each followed by whitespace.
@@ -329,9 +306,10 @@ def parse_term(text: str, table: dict[str, Term] | None = None) -> Term:
     Passing one table to many calls reads each distinct subterm once and
     shares it; without a table the sharing is confined to this text.
     A new text is split around the subterms the table holds (`_Skipper`);
-    one of unusual shape is tokenized by `_Parser`, which raises
-    ParseError or BadProbability on malformed input. A term nested deeper
-    than the recursion limit raises TooDeep.
+    one of unusual shape, such as a hand-spaced one, is parsed in full by
+    `_Parser`, which raises ParseError or BadProbability on malformed
+    input. A term nested deeper than the recursion limit raises TooDeep;
+    on the full parse that counts the subterms the table already holds.
     """
     if table is None:
         table = {}

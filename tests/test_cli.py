@@ -579,3 +579,77 @@ def test_unreadable_file_gets_a_json_reply(tmp_path, option, unreadable):
     assert json.loads(out)["error"] == "MalformedInput"
     assert out.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_roundtrip_on_a_space_with_no_points(capsys, files):
+    empty = files("empty.json", {"points": [], "dist": []})
+    code = main(["roundtrip", "--space", empty, "--samples", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0])["error"] == "EmptyInput"
+    code, out = run(capsys, "roundtrip", "--space", empty, "--samples", "0")
+    assert code == 0
+    assert out["gf"]["ok"] is True and out["fg"]["ok"] is True
+
+
+# Every subcommand over a small table of inputs: a reply is one JSON object
+# and exit code 0 or 1, never a traceback.
+SPACES = {
+    "x3": X3,
+    "no-points": {"points": [], "dist": []},
+    "one-point": {"points": ["a"], "dist": []},
+    "null": None,
+}
+DOCS = {
+    "null": None,
+    "int": 3,
+    "str": "x",
+    "list": [],
+    "object": {},
+    "null-list": [None],
+    "set": SET,
+    "dist": {"a": "1/2", "b": "1/2"},
+    "proof": PROOF,
+    "gamma": PROOF["hypotheses"],
+}
+# Each subcommand: its file options with a valid document, then other arguments.
+COMMANDS = {
+    "validate-space": ({}, []),
+    "kantorovich": ({"--left": "dist", "--right": "dist"}, []),
+    "hausdorff": ({"--left": "family", "--right": "family"}, []),
+    "hk": ({"--left": "set", "--right": "set"}, []),
+    "base": ({"--set": "set"}, []),
+    "normalize": ({}, ["--term", "(oplus a (p+ 1/2 a b))"]),
+    "nu": ({"--set": "set"}, []),
+    "tdist": ({}, ["a", "(p+ 1/2 a b)"]),
+    "oplus": ({"--left": "set", "--right": "set"}, []),
+    "plusp": ({"--left": "set", "--right": "set"}, ["--p", "1/2"]),
+    "mu": ({"--set": "nested"}, []),
+    "derive": ({"--left": "set", "--right": "set"}, []),
+    "check": ({"--gamma": "gamma", "--proof": "proof"}, []),
+    "laws": ({}, ["--trials", "2"]),
+    "roundtrip": ({}, ["--samples", "2"]),
+}
+
+
+def _cli_inputs(paths):
+    """argv lists: each subcommand under every space, with its valid files
+    and with each file option in turn holding every document."""
+    for command, (options, extra) in COMMANDS.items():
+        choices = [options] + [{**options, o: doc} for o in options for doc in DOCS]
+        for space in SPACES:
+            for chosen in choices:
+                files = [part for option, doc in chosen.items() for part in (option, paths[doc])]
+                yield [command, "--space", paths["space-" + space], *files, *extra]
+
+
+def test_no_cli_input_ends_in_a_traceback(tmp_path):
+    docs = {"family": [DOCS["dist"]], "nested": NESTED, **DOCS}
+    docs.update({"space-" + name: space for name, space in SPACES.items()})
+    paths = _write(str(tmp_path), **docs)
+    for argv in _cli_inputs(paths):
+        code, out, err = _run_quietly(argv)
+        assert code in (0, 1), argv
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        assert isinstance(json.loads(out), dict), argv
+        assert "Traceback" not in err, argv

@@ -73,6 +73,12 @@ def test_empty_generator_list_rejected(x3):
         ConvexSet(x3, [])
 
 
+def test_unique_base_of_no_generators_is_empty_input():
+    with pytest.raises(EmptyInput) as exc:
+        unique_base([])
+    assert str(exc.value) == "a convex set needs at least one generator"
+
+
 def test_from_json_dict_reads_a_bare_list_as_the_wrapped_form(x3):
     bare = ConvexSet.from_json_dict(x3, [{"a": "1"}])
     assert bare == ConvexSet.from_json_dict(x3, {"generators": [{"a": "1"}]})

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import strategies as sts
 from hkconvex import (
     AxiomViolation,
+    ConvexSet,
     Coupling,
     Dist,
     DuplicateLabel,
@@ -21,6 +22,8 @@ from hkconvex import (
     convex_combine,
     dirac,
     format_fraction,
+    normalize,
+    parse_term,
     product_coupling,
     pushforward,
     validate_space,
@@ -384,7 +387,7 @@ def _assert_matches(space, d, ref):
             assert d.weight(label) == 0
     rebuilt = Dist(space, ref)
     assert d == rebuilt and rebuilt == d
-    assert hash(d) == hash(frozenset(ref.items())) == hash(rebuilt)
+    assert hash(d) == hash(rebuilt)
     assert d.sort_key() == tuple((item_sort_key(space, item), ref[item]) for item in order)
     assert d.sort_key() == rebuilt.sort_key()
     if d.is_ground():
@@ -447,10 +450,36 @@ def test_int_dist_matches_fraction_reference(data):
     _assert_matches(space, pushforward(lambda item: first, mixed), merged_ref)
 
 
-def test_hash_matches_fraction_hash_when_the_denominator_is_the_modulus(x3):
-    # the int hash needs den invertible modulo the numeric hash modulus
+def test_is_ground_is_right_for_every_constructor(x3):
+    half = Fraction(1, 2)
+    s = ConvexSet(x3, [dirac(x3, "a"), Dist(x3, {"b": half, "c": half})])
+    t = ConvexSet(x3, [dirac(x3, "c")])
+    over_labels = Dist(x3, {"a": half, "b": half})
+    over_sets = Dist(x3, {s: half, t: half})
+    ground = [
+        over_labels,
+        dirac(x3, "b"),
+        convex_combine([(half, dirac(x3, "a")), (half, dirac(x3, "c"))]),
+        pushforward(lambda x: "c", over_labels),
+        pushforward(lambda u: "b" if u == s else "a", over_sets),
+        *normalize(x3, parse_term("(oplus (p+ 1/3 a b) (oplus c (p+ 1/2 b c)))")).base,
+    ]
+    over = [
+        over_sets,
+        dirac(x3, s),
+        convex_combine([(half, dirac(x3, s)), (half, over_sets)]),
+        pushforward(lambda x: s if x == "a" else t, over_labels),
+        pushforward(lambda u: t, over_sets),
+    ]
+    assert all(d.is_ground() for d in ground)
+    assert not any(d.is_ground() for d in over)
+
+
+def test_hash_is_consistent_when_the_denominator_is_the_modulus(x3):
+    # a denominator the numeric hash modulus divides hashes like any other
     m = sys.hash_info.modulus
     ref = {"a": Fraction(1, m), "b": Fraction(m - 1, m)}
     d = convex_combine([(ref["a"], dirac(x3, "a")), (ref["b"], dirac(x3, "b"))])
-    assert d == Dist(x3, ref)
-    assert hash(d) == hash(frozenset(ref.items())) == hash(Dist(x3, ref))
+    rebuilt = Dist(x3, ref)
+    assert d == rebuilt
+    assert hash(d) == hash(rebuilt)

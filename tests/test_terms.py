@@ -428,6 +428,29 @@ def test_subterm_texts_enter_the_table():
     assert parse_term("(oplus c (p+ 1/2 a b))", table).right is t.left
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        " (oplus (p+ 1/2 a b) c)",
+        "(oplus  (p+ 1/2 a b)\t(oplus c a))\n",
+        "(oplus(p+ 1/2 a b)(oplus c a))",
+        "(p+ 1/3 (oplus c a)(p+ 1/2 a b))",
+    ],
+)
+def test_the_token_parser_returns_the_subterms_the_table_holds(text):
+    table: dict = {}
+    for held in ("(p+ 1/2 a b)", "(oplus c a)"):
+        parse_term(held, table)
+    before = dict(table)
+    with pytest.raises(terms._Unexpected):
+        terms._Skipper(text, dict(table)).read(0, len(text), text)
+    t = parse_term(text, table)
+    subterms = list(_subterms(t))
+    for key, held in before.items():
+        assert any(sub is held for sub in subterms) == (parse_term(key) in subterms), key
+    assert all(table[k] is v for k, v in before.items())
+
+
 # Malformed inputs and what the parser reports: exception type, message and
 # offset. A shared table must not change any of them.
 MALFORMED = [
