@@ -9,12 +9,12 @@ Arithmetic on weights runs on the ints of each Dist (see `core.Dist`).
 `unique_base` puts the distinct generators' int numerators onto one
 common denominator, over their joint support coordinates, and orders
 the generators it keeps by those ints. A generator is kept without an
-LP when one of three functionals is strictly largest on it, tried in
-this order: its coordinate's top weight, f = <g, .>, and f = n*g - S
-(g minus the mean of the others, scaled). Only the generators left over
-run a hull LP, through the phase-1-only `linprog.is_feasible` and with
-no normalization row (`_in_int_hull`); `in` uses the same path. `plus_p`
-and weighted Minkowski sums mix through `core.convex_combine`, on ints.
+LP when it is the lexicographic maximum of those ints under one of 4d
+signed orders of the d coordinates, which makes it a vertex (see
+`unique_base`). Only the generators left over run a hull LP, through
+the phase-1-only `linprog.is_feasible` and with no normalization row
+(`_in_int_hull`); `in` uses the same path. `plus_p` and weighted
+Minkowski sums mix through `core.convex_combine`, on ints.
 
 `in_hull` and `nearest_point` build their LP rows from the same ints,
 every row on the one common denominator, the normalization row too, so
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import linprog
@@ -48,7 +47,6 @@ from .core import (
 )
 from .errors import BadProbability, EmptyInput, SpaceMismatch, TooLarge
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # Largest number of base choices one weighted Minkowski sum or one `plus_p`
@@ -113,25 +111,20 @@ def _in_int_hull(target: list[int], others: list[list[int]]) -> bool:
     return linprog.is_feasible(rows, [t for t in target if t])
 
 
-def _strict_max(values: list[int], k: int) -> bool:
-    """Whether values[k] is strictly larger than every other entry."""
-    top = values[k]
-    return max(values) == top and values.count(top) == 1
-
-
 def unique_base(generators: Sequence[Dist]) -> tuple[Dist, ...]:
     """Minimal generating set: distinct generators extreme in the hull.
 
-    A generator g is extreme when some linear functional f has
-    f(h) < f(g) for every other generator h, since every mixture of the
-    others then has f below f(g). Three such certificates, on the integer
-    weight vectors, are tried in order before g's hull LP:
-    - g alone holds the top weight on some coordinate;
-    - f = <g, .>;
-    - f = n*g - S, with S the sum of all n generators (g minus the mean
-      of the others, scaled by n - 1).
-    Each needs strict inequality: a tie certifies nothing. No generators
-    raise EmptyInput, for `ConvexSet` too.
+    Lexicographic extremes of the distinct integer weight vectors are kept
+    with no LP: for each coordinate j and sign s, the generators largest
+    (s = +1) or smallest (s = -1) on j, narrowed to one over j+1, ..., d-1,
+    0, ..., j-1 once by largest and once by smallest values (t = +1, -1).
+    Were such a g = sum_i l_i h_i, all l_i > 0, h_i != g, no h_i would pass
+    g on the first coordinate of the order, so all tie with g there, and
+    so on: h_i = g. Entries lie in [0, D], D the common denominator, so
+    f(x) = sum_r s_r (D+1)^(d-1-r) x[c_r] over that order c_0 = j, ...,
+    with s_0 = s and s_r = t after, is strictly largest at g. Generators
+    left over run a hull LP. No generators raise EmptyInput, for
+    `ConvexSet` too.
     """
     distinct = list(dict.fromkeys(generators))
     n = len(distinct)
@@ -143,24 +136,28 @@ def unique_base(generators: Sequence[Dist]) -> tuple[Dist, ...]:
     if any(g.space != space for g in distinct):
         raise SpaceMismatch()
     vecs, index = _int_vectors(distinct)
-    certified = set()
-    for column in zip(*vecs):
-        top = max(column)
-        if column.count(top) == 1:
-            certified.add(column.index(top))
-    # dots[h] = <S, h>, built on first use.
-    dots = None
+    columns = list(zip(*vecs))
+    certified: set[int] = set()
+    for j, column in enumerate(columns):
+        order = columns[j + 1 :] + columns[:j]
+        for top in (max(column), min(column)):
+            if column.count(top) == 1:
+                certified.add(column.index(top))
+                continue
+            tied = [k for k, v in enumerate(column) if v == top]
+            for t in (max, min):
+                left = tied
+                for other in order:
+                    best = t([other[k] for k in left])
+                    left = [k for k in left if other[k] == best]
+                    if len(left) == 1:
+                        break
+                certified.add(left[0])
+        if len(certified) == n:
+            break
     interior: set[int] = set()
     for k, g in enumerate(vecs):
         if k in certified:
-            continue
-        gram = [sum(map(mul, g, h)) for h in vecs]
-        if _strict_max(gram, k):
-            continue
-        if dots is None:
-            total = [sum(column) for column in zip(*vecs)]
-            dots = [sum(map(mul, total, h)) for h in vecs]
-        if _strict_max([n * a - b for a, b in zip(gram, dots)], k):
             continue
         # A point inside the hull of the others is a combination of extreme
         # points only, so dropping the interior points found so far from
@@ -326,8 +323,6 @@ def nearest_point(space: FiniteMetricSpace, target: Dist, s: ConvexSet, metric=N
     for other in (target.space, s.space):
         if other is not space and other != space:
             raise SpaceMismatch()
-    if metric is None:
-        metric = space.d
     base = list(s.base)
     vecs, index = _int_vectors([*base, target])
     tvec = vecs.pop()
@@ -351,9 +346,14 @@ def nearest_point(space: FiniteMetricSpace, target: Dist, s: ConvexSet, metric=N
         rhs.append(0)
     rows.append([0] * (nx * ny) + [den] * nb)
     rhs.append(den)
-    objective = [metric(x, y) for x in xs for y in ys] + [ZERO] * nb
-    result = linprog.solve_lp(objective, rows, rhs)
+    if metric is None:
+        table = [space._rows[space.index(x)] for x in xs]
+        at = [space.index(y) for y in ys]
+        cost, scale = [r[j] for r in table for j in at], space._den
+    else:
+        cost, scale = [metric(x, y) for x in xs for y in ys], 1
+    result = linprog.solve_lp(cost + [0] * nb, rows, rhs)
     assert result.status == linprog.OPTIMAL, "projection LP is always feasible"
     lambdas = tuple(result.solution[nx * ny + k] for k in range(nb))
     mixture = convex_combine(list(zip(lambdas, base)))
-    return result.value, mixture, lambdas
+    return result.value / scale, mixture, lambdas

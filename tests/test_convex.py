@@ -29,7 +29,7 @@ from hkconvex import (
     unique_base,
     wms,
 )
-from hkconvex import convex
+from hkconvex import convex, linprog
 from hkconvex.convex import MINKOWSKI_PRODUCT_CAP, _in_int_hull
 from hkconvex.linprog import is_feasible
 
@@ -399,6 +399,74 @@ def test_base_and_membership_at_the_monad_workload_sizes(gens):
         assert (target in ConvexSet(target.space, rest)) == in_hull(target, rest)[0]
 
 
+def _kept_without_lp(gens):
+    # the distinct generators that unique_base keeps without a hull LP, as
+    # indices into the distinct list, and their integer vectors
+    distinct = list(dict.fromkeys(gens))
+    vecs = convex._int_vectors(distinct)[0]
+    targets = []
+    real = convex._in_int_hull
+
+    def recording(target, others):
+        targets.append(target)
+        return real(target, others)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(convex, "_in_int_hull", recording)
+        unique_base(gens)
+    return {k for k, v in enumerate(vecs) if v not in targets}, vecs
+
+
+def _functional_maxima(vecs):
+    # where each of the 4d integer functionals of unique_base's docstring,
+    # f(x) = sum_r s_r (D+1)^(d-1-r) x[c_r], is largest; each is strict
+    den, d = sum(vecs[0]), len(vecs[0])
+    found = set()
+    for j in range(d):
+        order = [*range(j, d), *range(j)]
+        for s in (1, -1):
+            for t in (1, -1):
+                weights = [s * (den + 1) ** (d - 1)]
+                weights += [t * (den + 1) ** (d - 1 - r) for r in range(1, d)]
+                f = [sum(w * v[c] for w, c in zip(weights, order)) for v in vecs]
+                assert f.count(max(f)) == 1
+                found.add(f.index(max(f)))
+    return found
+
+
+@settings(max_examples=80)
+@given(st.one_of(_generator_lists(), _monad_sized_generator_lists()))
+def test_generators_kept_without_lp_are_the_functional_maxima(gens):
+    kept, vecs = _kept_without_lp(gens)
+    assert kept == _functional_maxima(vecs)
+    distinct = list(dict.fromkeys(gens))
+    assert {distinct[k] for k in kept} <= set(_base_by_lp_only(gens))
+
+
+@pytest.fixture
+def hull_lps(monkeypatch):
+    # the right-hand side of every hull LP run, in call order
+    calls = []
+    real = linprog.is_feasible
+
+    def counted(rows, rhs):
+        calls.append(rhs)
+        return real(rows, rhs)
+
+    monkeypatch.setattr(linprog, "is_feasible", counted)
+    return calls
+
+
+def test_a_tie_broken_by_the_smallest_weight_needs_no_lp(x3, hull_lps):
+    # over 6ths: g = (4, 2, 0), a = (6, 0, 0), bc = (0, 3, 3). g ties with a
+    # for the smallest weight on c; keeping the smallest weight on a next
+    # leaves g alone, so g is a lexicographic extreme and runs no LP
+    g = Dist(x3, {"a": F(2, 3), "b": F(1, 3)})
+    a, bc = dirac(x3, "a"), _mid(x3, "b", "c")
+    assert unique_base([g, a, bc]) == (g, a, bc)
+    assert hull_lps == []
+
+
 @st.composite
 def _int_hull_cases(draw):
     """A target and 1-12 other vectors of 1-5 nonnegative ints, all with one
@@ -428,23 +496,29 @@ def test_int_hull_needs_no_normalization_row(case):
     assert _in_int_hull(target, others) == is_feasible(rows, [*target, 1])
 
 
-def test_tied_functionals_certify_nothing(x2):
-    # on mid = (a + b) / 2 both separating functionals tie with the
-    # endpoints: <mid, a> = <mid, b> = <mid, mid>, and n*mid - S is 0 on all
-    # three. A tie must not keep mid; the hull LP drops it
+def test_tied_functionals_certify_nothing(x2, hull_lps):
+    # mid = (a + b) / 2 is neither largest nor smallest on any coordinate:
+    # a and b hold both extremes of each, so no lexicographic order picks
+    # mid. An interior point must not be kept; its one hull LP drops it
     a, b, mid = dirac(x2, "a"), dirac(x2, "b"), _mid(x2, "a", "b")
     assert unique_base([mid, a, b]) == (a, b)
+    assert len(hull_lps) == 1
     assert unique_base([a, mid, b, mid]) == (a, b)
+    assert len(hull_lps) == 2
 
 
-def test_unique_base_ties_go_to_the_lp(x3):
-    # every coordinate's largest weight is shared by two generators, so no
-    # generator is certified without an LP; all three are still extreme
+def test_unique_base_ties_go_to_the_lp(x3, hull_lps):
+    # every coordinate's largest weight is shared by two generators; the
+    # tie-break on the next coordinate, and each coordinate's unshared
+    # smallest weight, keep all three without an LP
     ab, ac, bc = _mid(x3, "a", "b"), _mid(x3, "a", "c"), _mid(x3, "b", "c")
     assert unique_base([bc, ab, ac, ab]) == (ab, ac, bc)
-    # the centre ties at its top weight 1/2 on a and is inside the hull
+    assert hull_lps == []
+    # the centre ties with both others at its weight 1/2 on a, lies strictly
+    # between them on b and c, and is inside the hull: only its LP runs
     centre = Dist(x3, {"a": F(1, 2), "b": F(1, 4), "c": F(1, 4)})
     assert unique_base([centre, ab, ac]) == (ab, ac)
+    assert len(hull_lps) == 1
 
 
 def _discrete_space(labels: list) -> FiniteMetricSpace:
