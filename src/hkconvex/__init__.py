@@ -92,20 +92,13 @@ from .proofs import (
     prove_dist,
     tightest_derivable,
 )
+from .syntax import Gen, Oplus, PlusP, Term, parse_term, print_term, substitute
 from .terms import (
-    Gen,
-    Oplus,
-    PlusP,
-    Term,
     dist_term,
     normalize,
     nu,
-    parse_term,
-    print_term,
-    substitute,
     term_distance,
     term_equal_mod_theory,
-    term_labels,
 )
 from .transport import (
     TransportResult,

@@ -38,7 +38,8 @@ from .presentation import (
     roundtrip_GF,
 )
 from .proofs import derive_hk
-from .terms import normalize, nu, parse_term, print_term, term_distance
+from .syntax import parse_term, print_term
+from .terms import normalize, nu, term_distance
 from .transport import kantorovich
 
 

@@ -167,11 +167,11 @@ def unique_base(generators: Sequence[Dist]) -> tuple[Dist, ...]:
             interior.add(k)
     # Dist.sort_key order, with each weight read off the integer vector:
     # all share one denominator, so the ints compare as the weights do.
+    item_keys = {item: item_sort_key(space, item) for item in index}
     kept = [k for k in range(n) if k not in interior]
     kept.sort(
         key=lambda k: [
-            (item_sort_key(space, item), vecs[k][index[item]])
-            for item in distinct[k].support
+            (item_keys[item], vecs[k][index[item]]) for item in distinct[k].support
         ]
     )
     return tuple(distinct[k] for k in kept)

@@ -13,7 +13,7 @@ axioms at eps 0, either orientation).
 
 `QuantEquation(left, right, eps)` and `Derivation(rule, conclusion,
 premises, axiom, subst, theta, hypotheses)` are immutable tuples of their
-fields, like the terms (see `terms._Node`): a node is equal only to a
+fields, like the terms (see `syntax._Node`): a node is equal only to a
 node of its class with equal fields and hashes as the tuple of its
 fields; `_replace` returns a copy with some fields changed.
 `QuantEquation` checks its eps in `__new__`. A derivation may hold one
@@ -24,6 +24,9 @@ and turns equal nodes of a document into one object (see `_Reader`),
 and the checker proves each (node, hypotheses) pair once. `size` and the
 checker's scan for Assum under a Subst visit each node object once.
 Every recursive walk raises TooDeep through `errors.guard_depth`.
+
+The checker reads syntax only: this module imports `syntax`, `core` and
+`errors`, and nothing that normalizes a term or solves an LP.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 from .core import FiniteMetricSpace, as_fraction, format_fraction
 from .errors import MalformedInput, OutOfRange, ParseError, guard_depth
-from .terms import (
+from .syntax import (
     Gen,
     Oplus,
     PlusP,

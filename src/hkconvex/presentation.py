@@ -43,7 +43,8 @@ from .sampling import (
     rand_space,
     rand_weights,
 )
-from .terms import Gen, Oplus, Term, nu
+from .syntax import Gen, Oplus, Term
+from .terms import nu
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

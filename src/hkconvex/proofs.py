@@ -50,7 +50,8 @@ from .deduction import (
     metric_hypotheses,
 )
 from .errors import SpaceMismatch
-from .terms import Gen, Oplus, PlusP, Term, _fold_items, dist_term, nu, oc_term
+from .syntax import Gen, Oplus, PlusP, Term, _fold_items, oc_term
+from .terms import dist_term, nu
 from .transport import kantorovich
 
 ZERO = Fraction(0)

@@ -17,7 +17,7 @@ from typing import Callable
 from .convex import ConvexSet
 from .core import Dist, FiniteMetricSpace
 from .errors import EmptyInput
-from .terms import Gen, Oplus, PlusP, Term
+from .syntax import Gen, Oplus, PlusP, Term
 
 ONE = Fraction(1)
 

@@ -11,7 +11,7 @@ from itertools import combinations
 import hypothesis.strategies as st
 
 from hkconvex import ConvexSet, Dist, FiniteMetricSpace
-from hkconvex.terms import Gen, Oplus, PlusP
+from hkconvex.syntax import Gen, Oplus, PlusP
 
 LETTERS = "abcdef"
 

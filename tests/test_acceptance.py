@@ -37,7 +37,7 @@ from hkconvex import (
 from hkconvex import sampling
 from hkconvex.deduction import Derivation, QuantEquation
 from hkconvex.proofs import derive_hk, derive_kantorovich, tightest_derivable
-from hkconvex.terms import parse_term, substitute
+from hkconvex.syntax import parse_term, substitute
 
 F = Fraction
 ONE = F(1)

@@ -32,7 +32,7 @@ from hkconvex import (
 from hkconvex.deduction import equations_from_json_list
 from hkconvex.proofs import derive_hk
 from hkconvex.sampling import rand_convex_set, rand_space
-from hkconvex.terms import Gen, Oplus, PlusP, parse_term
+from hkconvex.syntax import Gen, Oplus, PlusP, parse_term
 
 F = Fraction
 

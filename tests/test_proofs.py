@@ -17,7 +17,6 @@ from hkconvex import (
 )
 from hkconvex import convex, linprog
 from hkconvex.convex import nearest_point
-from hkconvex.terms import Gen
 from hkconvex.proofs import (
     canon_proof,
     derive_hk,
@@ -25,7 +24,8 @@ from hkconvex.proofs import (
     prove_dist,
     tightest_derivable,
 )
-from hkconvex.terms import normalize, nu, parse_term, print_term
+from hkconvex.syntax import Gen, parse_term, print_term
+from hkconvex.terms import normalize, nu
 
 F = Fraction
 

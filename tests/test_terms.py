@@ -37,9 +37,8 @@ from hkconvex import (
     substitute,
     term_distance,
     term_equal_mod_theory,
-    term_labels,
 )
-from hkconvex import terms
+from hkconvex import syntax
 from hkconvex.deduction import (
     derivation_from_json_dict,
     derivation_to_json_text,
@@ -49,7 +48,7 @@ from hkconvex.deduction import (
 )
 from hkconvex.proofs import derive_hk
 from hkconvex.sampling import rand_convex_set, rand_space
-from hkconvex.terms import Gen, Oplus, PlusP, _fold_items
+from hkconvex.syntax import Gen, Oplus, PlusP, _fold_items
 
 F = Fraction
 
@@ -190,10 +189,6 @@ def test_dist_term_folds_prefix_sums(x3):
     assert print_term(dist_term(d)) == "(p+ 1/2 (p+ 1/3 a b) c)"
 
 
-def test_term_labels():
-    assert term_labels(parse_term("(oplus (p+ 1/2 a b) a)")) == {"a", "b"}
-
-
 def test_substitute():
     t = parse_term("(oplus x (p+ 1/2 x y))")
     s = substitute(t, {"x": parse_term("(oplus a b)"), "y": Gen("c")})
@@ -299,13 +294,13 @@ def test_shared_table_parses_like_a_fresh_one(bundles, pads):
 
 
 class _TokensOnly:
-    """Stands in for `terms._Skipper`: every text goes to `_Parser`."""
+    """Stands in for `syntax._Skipper`: every text goes to `_Parser`."""
 
     def __init__(self, text, table):
         pass
 
     def read(self, lo, hi, key):
-        raise terms._Unexpected
+        raise syntax._Unexpected
 
 
 class _Refused:
@@ -366,7 +361,7 @@ def test_skipping_reader_agrees_with_the_token_parser(pairs):
     skipped, tokens = {}, {}
     for text in [text for pair in pairs for text in pair]:
         got = _outcome(text, skipped)
-        with mock.patch.object(terms, "_Skipper", _TokensOnly):
+        with mock.patch.object(syntax, "_Skipper", _TokensOnly):
             want = _outcome(text, tokens)
         assert got == want, text
         assert skipped == tokens, text
@@ -380,7 +375,7 @@ def test_a_derived_document_is_read_without_the_token_parser(monkeypatch):
         d = derive_hk(space, rand_convex_set(rng, space), rand_convex_set(rng, space))
         gamma = [equation_to_json_dict(e) for e in metric_hypotheses(space)]
         cases.append((d, gamma, json.loads(derivation_to_json_text(d))))
-    monkeypatch.setattr(terms, "_Parser", _Refused)
+    monkeypatch.setattr(syntax, "_Parser", _Refused)
     for d, gamma, doc in cases:
         assert derivation_from_json_dict(doc) == d
         table = {}
@@ -442,8 +437,8 @@ def test_the_token_parser_returns_the_subterms_the_table_holds(text):
     for held in ("(p+ 1/2 a b)", "(oplus c a)"):
         parse_term(held, table)
     before = dict(table)
-    with pytest.raises(terms._Unexpected):
-        terms._Skipper(text, dict(table)).read(0, len(text), text)
+    with pytest.raises(syntax._Unexpected):
+        syntax._Skipper(text, dict(table)).read(0, len(text), text)
     t = parse_term(text, table)
     subterms = list(_subterms(t))
     for key, held in before.items():
@@ -619,14 +614,12 @@ def test_deep_plus_p_nesting_raises_too_deep(x3):
 
 
 
-def test_substitute_and_term_labels_raise_too_deep():
+def test_substitute_raises_too_deep():
     deep = Gen("a")
     for _ in range(sys.getrecursionlimit() + 200):
         deep = Oplus(deep, Gen("b"))
     with pytest.raises(TooDeep):
         substitute(deep, {"a": Gen("c")})
-    with pytest.raises(TooDeep):
-        term_labels(deep)
 
 
 def test_nested_plus_p_over_oplus_hits_the_product_cap():
