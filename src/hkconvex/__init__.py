@@ -28,7 +28,6 @@ from .core import (
     convex_combine,
     dirac,
     format_fraction,
-    product_coupling,
     pushforward,
     validate_space,
 )

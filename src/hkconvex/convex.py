@@ -8,12 +8,13 @@ is exactly equality of the generated convex sets.
 Arithmetic on weights runs on the ints of each Dist (see `core.Dist`).
 `unique_base` puts the distinct generators' int numerators onto one
 common denominator, over their joint support coordinates, and orders
-the generators it keeps by those ints. A generator is kept without an
-LP when it is the lexicographic maximum of those ints under one of 4d
-signed orders of the d coordinates, which makes it a vertex (see
-`unique_base`). Only the generators left over run a hull LP, through
-the phase-1-only `linprog.is_feasible` and with no normalization row
-(`_in_int_hull`); `in` uses the same path. `plus_p` and weighted
+the generators it keeps by those ints. A generator is kept without a
+hull test when it is the lexicographic maximum of those ints under one
+of 4d signed orders of the d coordinates, which makes it a vertex (see
+`unique_base`). Only the generators left over run a hull test
+(`_in_int_hull`), and `in` runs the same one: an integer orientation
+test when the target has 1-3 support coordinates, else the phase-1-only
+`linprog.is_feasible`, with no normalization row. `plus_p` and weighted
 Minkowski sums mix through `core.convex_combine`, on ints.
 
 `in_hull` and `nearest_point` build their LP rows from the same ints,
@@ -50,8 +51,8 @@ from .errors import BadProbability, EmptyInput, SpaceMismatch, TooLarge
 ONE = Fraction(1)
 
 # Largest number of base choices one weighted Minkowski sum or one `plus_p`
-# may enumerate; each choice is a generator that re-basing then tests with
-# a hull LP.
+# may enumerate; each choice is a generator that re-basing may then run a
+# hull test on.
 MINKOWSKI_PRODUCT_CAP = 1024
 
 
@@ -98,32 +99,50 @@ def _int_vectors(dists: Sequence[Dist]) -> tuple[list[list[int]], dict]:
 
 
 def _in_int_hull(target: list[int], others: list[list[int]]) -> bool:
-    """Whether `target` is a convex combination of `others`: a hull LP.
+    """Whether `target` is a convex combination of `others`: a hull test.
 
     All vectors share coordinates and denominator D, so each sums to D. A
     coordinate where the target is 0 forces weight 0 on every vector
     positive there: those drop out, maybe all, and so does every row off
-    the target's support. Adding the rows left gives sum(weights) = 1.
+    the target's support. Adding the rows left gives sum(weights) = 1, so
+    4 or more rows run a hull LP. The vectors left on 1-3 rows lie in the
+    plane where those rows sum to D, which keeping the first and last row
+    maps one-to-one into Z^2. There the target is in the hull exactly
+    when no open half-plane through 0 holds every v = h - target. One
+    does exactly when some v = a has cross(a, v) > 0, or cross(a, v) = 0
+    < dot(a, v), for every v: then u = rot90(a) + eps*a separates, and
+    the clockwise-most v of a separated set is such an a.
     """
     zeros = [j for j, t in enumerate(target) if not t]
     cols = [h for h in others if not any(h[j] for j in zeros)]
-    rows = [[h[j] for h in cols] for j, t in enumerate(target) if t]
-    return linprog.is_feasible(rows, [t for t in target if t])
+    support = [j for j, t in enumerate(target) if t]
+    if len(support) > 3:
+        rows = [[h[j] for h in cols] for j in support]
+        return linprog.is_feasible(rows, [target[j] for j in support])
+    i, j = support[0], support[-1]
+    vs = [(h[i] - target[i], h[j] - target[j]) for h in cols]
+    for x, y in vs:
+        if all(
+            x * w - y * z > 0 or (x * w == y * z and x * z + y * w > 0)
+            for z, w in vs
+        ):
+            return False
+    return bool(vs)
 
 
 def unique_base(generators: Sequence[Dist]) -> tuple[Dist, ...]:
     """Minimal generating set: distinct generators extreme in the hull.
 
     Lexicographic extremes of the distinct integer weight vectors are kept
-    with no LP: for each coordinate j and sign s, the generators largest
-    (s = +1) or smallest (s = -1) on j, narrowed to one over j+1, ..., d-1,
-    0, ..., j-1 once by largest and once by smallest values (t = +1, -1).
-    Were such a g = sum_i l_i h_i, all l_i > 0, h_i != g, no h_i would pass
-    g on the first coordinate of the order, so all tie with g there, and
-    so on: h_i = g. Entries lie in [0, D], D the common denominator, so
+    with no hull test: for each coordinate j and sign s, the generators
+    largest (s = +1) or smallest (s = -1) on j, narrowed to one over j+1,
+    ..., d-1, 0, ..., j-1 once by largest and once by smallest values
+    (t = +1, -1). Were such a g = sum_i l_i h_i, all l_i > 0, h_i != g, no
+    h_i would pass g on the first coordinate of the order, so all tie with
+    g there, and so on: h_i = g. Entries lie in [0, D], D the common denominator, so
     f(x) = sum_r s_r (D+1)^(d-1-r) x[c_r] over that order c_0 = j, ...,
     with s_0 = s and s_r = t after, is strictly largest at g. Generators
-    left over run a hull LP. No generators raise EmptyInput, for
+    left over run a hull test. No generators raise EmptyInput, for
     `ConvexSet` too.
     """
     distinct = list(dict.fromkeys(generators))
@@ -161,7 +180,7 @@ def unique_base(generators: Sequence[Dist]) -> tuple[Dist, ...]:
             continue
         # A point inside the hull of the others is a combination of extreme
         # points only, so dropping the interior points found so far from
-        # the later LPs changes none of their answers.
+        # the later hull tests changes none of their answers.
         others = [h for i, h in enumerate(vecs) if i != k and i not in interior]
         if _in_int_hull(g, others):
             interior.add(k)

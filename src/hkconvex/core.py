@@ -534,12 +534,3 @@ def _check_marginals(left: Dist, right: Dist, den: int, num: Mapping) -> None:
         for x, q in marginal.items():
             if q * d != dnum.get(x, 0) * den:
                 raise MarginalMismatch(side, x)
-
-
-def product_coupling(left: Dist, right: Dist) -> Coupling:
-    """The independent coupling; always feasible."""
-    joint = {}
-    for x, vx in left.items():
-        for y, vy in right.items():
-            joint[(x, y)] = vx * vy
-    return Coupling(joint, left, right)

@@ -29,7 +29,9 @@ row of minus the column sums (the reduced costs with every artificial
 basic at unit cost). `is_feasible` answers only whether A.x = b, x >= 0
 has a solution, for integer A and b: phase 1 on that tableau alone, with
 no artificial columns, so an artificial that leaves the basis stays at
-0; that still ends at 0 exactly when the system is feasible. `solve_lp`
+0; that still ends at 0 exactly when the system is feasible. Its one
+caller, `convex._in_int_hull`, asks it only about targets on 4 or more
+coordinates (fewer take an integer orientation test there). `solve_lp`
 starts from the same tableau and inserts the identity artificial
 columns, as its whole Bland sequence picks its vertex; a boolean does
 not depend on the pivots. Both share `_iterate`, `_pivot`.

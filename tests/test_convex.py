@@ -89,7 +89,7 @@ def test_membership(x3):
     s = ConvexSet(x3, [dirac(x3, "a"), dirac(x3, "b")])
     assert _mid(x3, "a", "b", F(1, 3)) in s
     assert dirac(x3, "c") not in s
-    # c carries no weight of the target, so the LP runs without that vertex
+    # c carries no weight of the target, so the hull test runs without that vertex
     t = ConvexSet(x3, [dirac(x3, "a"), dirac(x3, "b"), dirac(x3, "c")])
     assert _mid(x3, "a", "b", F(1, 3)) in t
     assert _mid(x3, "a", "c") not in ConvexSet(x3, [dirac(x3, "a"), _mid(x3, "b", "c")])
@@ -378,8 +378,8 @@ def test_membership_matches_in_hull(gens):
 @st.composite
 def _monad_sized_generator_lists(draw):
     # the monad workload re-bases up to 12 generators on 4-5 points, with
-    # hull LPs up to 5 x 11: a few drawn generators, then mixtures of them,
-    # which no functional certifies, so each runs a hull LP
+    # hull tests up to 5 x 11: a few drawn generators, then mixtures of them,
+    # which no functional certifies, so each runs a hull test
     space = draw(sts.spaces(min_points=4, max_points=5))
     gens = draw(st.lists(sts.dists(space, max_support=5), min_size=2, max_size=7))
     for _ in range(draw(st.integers(0, 12 - len(gens)))):
@@ -400,7 +400,7 @@ def test_base_and_membership_at_the_monad_workload_sizes(gens):
 
 
 def _kept_without_lp(gens):
-    # the distinct generators that unique_base keeps without a hull LP, as
+    # the distinct generators that unique_base keeps without a hull test, as
     # indices into the distinct list, and their integer vectors
     distinct = list(dict.fromkeys(gens))
     vecs = convex._int_vectors(distinct)[0]
@@ -444,27 +444,27 @@ def test_generators_kept_without_lp_are_the_functional_maxima(gens):
 
 
 @pytest.fixture
-def hull_lps(monkeypatch):
-    # the right-hand side of every hull LP run, in call order
+def hull_tests(monkeypatch):
+    # the target of every hull test run, in call order
     calls = []
-    real = linprog.is_feasible
+    real = convex._in_int_hull
 
-    def counted(rows, rhs):
-        calls.append(rhs)
-        return real(rows, rhs)
+    def counted(target, others):
+        calls.append(target)
+        return real(target, others)
 
-    monkeypatch.setattr(linprog, "is_feasible", counted)
+    monkeypatch.setattr(convex, "_in_int_hull", counted)
     return calls
 
 
-def test_a_tie_broken_by_the_smallest_weight_needs_no_lp(x3, hull_lps):
+def test_a_tie_broken_by_the_smallest_weight_needs_no_lp(x3, hull_tests):
     # over 6ths: g = (4, 2, 0), a = (6, 0, 0), bc = (0, 3, 3). g ties with a
     # for the smallest weight on c; keeping the smallest weight on a next
-    # leaves g alone, so g is a lexicographic extreme and runs no LP
+    # leaves g alone, so g is a lexicographic extreme and runs no hull test
     g = Dist(x3, {"a": F(2, 3), "b": F(1, 3)})
     a, bc = dirac(x3, "a"), _mid(x3, "b", "c")
     assert unique_base([g, a, bc]) == (g, a, bc)
-    assert hull_lps == []
+    assert hull_tests == []
 
 
 @st.composite
@@ -496,29 +496,121 @@ def test_int_hull_needs_no_normalization_row(case):
     assert _in_int_hull(target, others) == is_feasible(rows, [*target, 1])
 
 
-def test_tied_functionals_certify_nothing(x2, hull_lps):
+def test_tied_functionals_certify_nothing(x2, hull_tests):
     # mid = (a + b) / 2 is neither largest nor smallest on any coordinate:
     # a and b hold both extremes of each, so no lexicographic order picks
-    # mid. An interior point must not be kept; its one hull LP drops it
+    # mid. An interior point must not be kept; its one hull test drops it
     a, b, mid = dirac(x2, "a"), dirac(x2, "b"), _mid(x2, "a", "b")
     assert unique_base([mid, a, b]) == (a, b)
-    assert len(hull_lps) == 1
+    assert len(hull_tests) == 1
     assert unique_base([a, mid, b, mid]) == (a, b)
-    assert len(hull_lps) == 2
+    assert len(hull_tests) == 2
 
 
-def test_unique_base_ties_go_to_the_lp(x3, hull_lps):
+def test_unique_base_ties_go_to_the_lp(x3, hull_tests):
     # every coordinate's largest weight is shared by two generators; the
     # tie-break on the next coordinate, and each coordinate's unshared
-    # smallest weight, keep all three without an LP
+    # smallest weight, keep all three without a hull test
     ab, ac, bc = _mid(x3, "a", "b"), _mid(x3, "a", "c"), _mid(x3, "b", "c")
     assert unique_base([bc, ab, ac, ab]) == (ab, ac, bc)
-    assert hull_lps == []
+    assert hull_tests == []
     # the centre ties with both others at its weight 1/2 on a, lies strictly
-    # between them on b and c, and is inside the hull: only its LP runs
+    # between them on b and c, and is inside the hull: only its hull test runs
     centre = Dist(x3, {"a": F(1, 2), "b": F(1, 4), "c": F(1, 4)})
     assert unique_base([centre, ab, ac]) == (ab, ac)
-    assert len(hull_lps) == 1
+    assert len(hull_tests) == 1
+
+
+@st.composite
+def _planar_hull_cases(draw):
+    """A target on 1-3 of 1-5 coordinates and 0-11 other vectors, all with
+    one sum. Scaled by 4, the target is a column, an edge's midpoint, a
+    point of a line through collinear columns, or one unit off a midpoint;
+    some columns have mass off the target's coordinates."""
+    size = draw(st.integers(1, 3))
+    dim = draw(st.integers(size, 5))
+    support = draw(st.permutations(range(dim)))[:size]
+    den = draw(st.integers(2 * size, 12))
+
+    def vector(coords):
+        k = len(coords) - 1
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=k, max_size=k)))
+        v = [0] * dim
+        for c, lo, hi in zip(coords, [0, *cuts], [*cuts, den]):
+            v[c] = 4 * (hi - lo)
+        return v
+
+    on = [vector(support) for _ in range(draw(st.integers(0, 4)))]
+    others = on + [vector(range(dim)) for _ in range(draw(st.integers(0, 3)))]
+    if not on:
+        return vector(support), others
+    a, b = draw(st.lists(st.sampled_from(on), min_size=2, max_size=2))
+
+    def point(k):  # a + k (b - a) / 4
+        return [x + k * (y - x) // 4 for x, y in zip(a, b)]
+
+    kind = draw(st.sampled_from(["column", "midpoint", "line", "outside"]))
+    target = point(2)
+    if kind == "column":
+        target = point(0)
+    elif kind == "line":
+        ks = [k for k in range(-4, 9) if min(point(k)) >= 0]
+        others += [point(k) for k in draw(st.lists(st.sampled_from(ks), max_size=4))]
+        target = point(draw(st.sampled_from(ks)))
+    elif kind == "outside":
+        i = draw(st.sampled_from(support))
+        j = draw(st.sampled_from([j for j in support if target[j]]))
+        target[i] += 1
+        target[j] -= 1
+    return target, draw(st.permutations(others))
+
+
+@settings(max_examples=300)
+@given(_planar_hull_cases())
+def test_planar_hull_test_matches_the_lp(case):
+    target, others = case
+    rows = [[h[j] for h in others] for j in range(len(target))] + [[1] * len(others)]
+    assert _in_int_hull(target, others) == is_feasible(rows, [*target, 1])
+
+
+@pytest.mark.parametrize("points", ["ab", "abc"])
+def test_membership_in_the_plane_matches_in_hull(points, x2, x3):
+    # x2: the segment from a to (a + 2b) / 3. x3: the triangle a, b and
+    # (b + c) / 2, the points with weight on c at most that on b
+    if points == "ab":
+        space, base = x2, [dirac(x2, "a"), _mid(x2, "a", "b", F(1, 3))]
+        outside = _mid(x2, "a", "b", F(1, 4))
+    else:
+        space, base = x3, [dirac(x3, "a"), dirac(x3, "b"), _mid(x3, "b", "c")]
+        outside = Dist(x3, {"a": F(1, 2), "b": F(1, 5), "c": F(3, 10)})
+    s = ConvexSet(space, base)
+    assert set(s.base) == set(base)
+    midpoint = convex_combine([(F(1, 2), base[0]), (F(1, 2), base[-1])])
+    for t, inside in ((base[-1], True), (midpoint, True), (outside, False)):
+        assert (t in s) == in_hull(t, base)[0] == inside
+
+
+def test_only_hull_tests_on_four_or_more_coordinates_run_an_lp(x3, hull_tests, monkeypatch):
+    lps = []
+    real = linprog.is_feasible
+
+    def counted(rows, rhs):
+        lps.append(rhs)
+        return real(rows, rhs)
+
+    monkeypatch.setattr(linprog, "is_feasible", counted)
+    ab, ac = _mid(x3, "a", "b"), _mid(x3, "a", "c")
+    centre = Dist(x3, {"a": F(1, 2), "b": F(1, 4), "c": F(1, 4)})
+    assert unique_base([centre, ab, ac]) == (ab, ac)
+    assert len(hull_tests) == 1
+    assert lps == []
+    # the centre of 4 point masses is on none of their extremes
+    x4 = _discrete_space(["a", "b", "c", "d"])
+    corners = [dirac(x4, p) for p in "abcd"]
+    centre = Dist(x4, dict.fromkeys("abcd", F(1, 4)))
+    assert unique_base([centre, *corners]) == tuple(corners)
+    assert len(hull_tests) == 2
+    assert len(lps) == 1
 
 
 def _discrete_space(labels: list) -> FiniteMetricSpace:

@@ -24,7 +24,6 @@ from hkconvex import (
     format_fraction,
     normalize,
     parse_term,
-    product_coupling,
     pushforward,
     validate_space,
 )
@@ -251,6 +250,15 @@ def test_coupling_from_ints_checks_both_marginals(x3):
     with pytest.raises(MarginalMismatch) as err:
         Coupling._from_ints(left, right, 6, {(0, 0): 3, (1, 1): 3})
     assert (err.value.side, err.value.point) == ("right", "b")
+
+
+def product_coupling(left, right):
+    """The independent coupling; always feasible."""
+    joint = {}
+    for x, vx in left.items():
+        for y, vy in right.items():
+            joint[(x, y)] = vx * vy
+    return Coupling(joint, left, right)
 
 
 def _fraction_marginal_error(joint, left, right):
