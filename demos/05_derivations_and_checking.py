@@ -57,19 +57,19 @@ print("set-level epsilon:", dh.conclusion.eps, "=", hk_distance(space, s, t))
 # the tightest derivable bound between two terms equals their distance
 a = parse_term("(oplus a b)")
 b = parse_term("(p+ 1/4 a c)")
-value, proof = tightest_derivable(space, None, a, b)
+value, proof = tightest_derivable(space, a, b)
 print("tightest epsilon:", value, "=", term_distance(space, a, b))
 
 # derivations survive a JSON round trip and re-check cleanly
 blob = json.dumps(derivation_to_json_dict(proof))
 recovered = derivation_from_json_dict(json.loads(blob))
-res = check_derivation(space, gamma, recovered)
+res = check_derivation(gamma, recovered)
 print("checker verdict:", res.ok)
 
 # tampering with the conclusion is caught, with the failing node's path
 forged = derivation_to_json_dict(proof)
 forged["conclusion"]["eps"] = "0"
-bad = check_derivation(space, gamma, derivation_from_json_dict(forged))
+bad = check_derivation(gamma, derivation_from_json_dict(forged))
 print("forged eps rejected:", not bad.ok, "at node", list(bad.path), "because", bad.reason)
 
 # claims must also be in range: epsilons live in [0, 1]

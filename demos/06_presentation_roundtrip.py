@@ -56,6 +56,8 @@ from hkconvex import sampling
 tower = sampling.rand_set_of_sets(random.Random(8), space)
 assert eval_canonical(qa, tower) == monad_mult(tower) == back.alpha(tower)
 print("eval_canonical(tower) == mu(tower):", True)
+other = sampling.rand_set_of_sets(random.Random(12), space)
+print("HK between two towers:", hk_distance(space, tower, other))
 
 # a corrupted structure map breaks the unit law on singleton diracs and
 # the round trip reports the mismatching samples

@@ -230,12 +230,13 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    space = _load_space(args.space)
+    # No rule reads the space, but a malformed space file is still an error.
+    _load_space(args.space)
     # One table for both files: each distinct term text is read once.
     table: dict = {}
-    gamma = equations_from_json_list(_load_json(args.gamma), "hypotheses", table)
+    gamma = equations_from_json_list(_load_json(args.gamma), table)
     proof = derivation_from_json_dict(_load_json(args.proof), table)
-    result = check_derivation(space, gamma, proof)
+    result = check_derivation(gamma, proof)
     _emit({"ok": result.ok, "path": list(result.path), "reason": result.reason})
     if not result.ok:
         print(f"invalid at node {list(result.path)}: {result.reason}", file=sys.stderr)

@@ -385,18 +385,15 @@ def _check_node(
     return _PROVED
 
 
-def check_derivation(
-    space: FiniteMetricSpace,
-    gamma,
-    d: Derivation,
-) -> CheckResult:
-    """Validate every node; on failure report the path from the root.
+def check_derivation(gamma, d: Derivation) -> CheckResult:
+    """Validate every node against the hypotheses `gamma` alone; on
+    failure report the path from the root.
 
-    No rule reads `space`: the metric enters only through `gamma`, as
-    its ground hypotheses (see `metric_hypotheses`). A node object met
-    again under the same hypotheses is checked once; the first failing
-    node in pre-order is reported either way. A derivation nested deeper
-    than the recursion limit raises TooDeep.
+    A metric enters only through `gamma`, as its ground hypotheses (see
+    `metric_hypotheses`). A node object met again under the same
+    hypotheses is checked once; the first failing node in pre-order is
+    reported either way. A derivation nested deeper than the recursion
+    limit raises TooDeep.
     """
     return guard_depth(_check_node, frozenset(gamma), d, (), set())
 
@@ -529,16 +526,17 @@ class _Reader:
         return subst, theta, hypotheses
 
 
-def equation_from_json_dict(obj: dict, table: dict | None = None) -> QuantEquation:
-    """Read one equation; `table` is passed to `parse_term` (see there)."""
-    return _Reader({} if table is None else table).equation(obj)
+def equation_from_json_dict(obj: dict) -> QuantEquation:
+    """Read one equation."""
+    return _Reader({}).equation(obj)
 
 
 def equations_from_json_list(
-    items, what: str, table: dict | None = None
+    items, table: dict | None = None
 ) -> tuple[QuantEquation, ...]:
-    """Read a list of equations; `what` names the list in errors."""
-    return _Reader({} if table is None else table).equations_list(items, what)
+    """Read a hypothesis list, named "hypotheses" in errors; `table` is
+    passed to `parse_term` (see there)."""
+    return _Reader({} if table is None else table).equations_list(items, "hypotheses")
 
 
 def derivation_to_json_dict(d: Derivation) -> dict:

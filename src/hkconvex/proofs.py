@@ -671,21 +671,14 @@ def derive_hk(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> De
     return d._replace(hypotheses=_support_hypotheses(space, supp_left, supp_right))
 
 
-def tightest_derivable(
-    space: FiniteMetricSpace,
-    gamma,
-    left: Term,
-    right: Term,
-):
+def tightest_derivable(space: FiniteMetricSpace, left: Term, right: Term):
     """(value, derivation): the least derivable eps between two terms.
 
-    gamma must contain the ground-distance hypotheses of the space;
-    pass None to use metric_hypotheses(space).
+    The derivation's hypotheses are `metric_hypotheses(space)`, the gamma
+    that `check_derivation` accepts it under.
     """
-    if gamma is None:
-        gamma = metric_hypotheses(space)
     dl, sl = canon_proof(space, left)
     dr, sr = canon_proof(space, right)
     dh = derive_hk(space, sl, sr)
     d = chain(dl, dh, symm(dr))
-    return dh.conclusion.eps, d._replace(hypotheses=tuple(gamma))
+    return dh.conclusion.eps, d._replace(hypotheses=metric_hypotheses(space))

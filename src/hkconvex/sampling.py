@@ -22,8 +22,8 @@ from .syntax import Gen, Oplus, PlusP, Term
 ONE = Fraction(1)
 
 
-def rand_prob(rng: random.Random, max_denominator: int = 8) -> Fraction:
-    den = rng.randint(2, max_denominator)
+def rand_prob(rng: random.Random) -> Fraction:
+    den = rng.randint(2, 8)
     return Fraction(rng.randint(1, den - 1), den)
 
 
@@ -85,25 +85,14 @@ def _rand_distinct_dist(
     return Dist(space, dict(zip(items, rand_weights(rng, k))))
 
 
-def rand_dist_over_sets(
-    rng: random.Random,
-    space: FiniteMetricSpace,
-    max_support: int = 2,
-    max_base: int = 2,
-) -> Dist:
-    draw = partial(rand_convex_set, rng, space, max_base=max_base, max_support=2)
-    return _rand_distinct_dist(rng, space, max_support, draw)
+def rand_dist_over_sets(rng: random.Random, space: FiniteMetricSpace) -> Dist:
+    draw = partial(rand_convex_set, rng, space, max_base=2, max_support=2)
+    return _rand_distinct_dist(rng, space, 2, draw)
 
 
-def rand_set_of_sets(
-    rng: random.Random,
-    space: FiniteMetricSpace,
-    max_base: int = 2,
-) -> ConvexSet:
-    k = rng.randint(1, max_base)
-    return ConvexSet(
-        space, [rand_dist_over_sets(rng, space) for _ in range(k)]
-    )
+def rand_set_of_sets(rng: random.Random, space: FiniteMetricSpace) -> ConvexSet:
+    k = rng.randint(1, 2)
+    return ConvexSet(space, [rand_dist_over_sets(rng, space) for _ in range(k)])
 
 
 def rand_set_of_sets_of_sets(rng: random.Random, space: FiniteMetricSpace) -> ConvexSet:

@@ -34,7 +34,7 @@ def test_canon_and_tightest_proofs_are_pinned():
         right = rand_term(rng, space, DEPTH)
         d, _ = canon_proof(space, left)
         digest.update(_document(d))
-        value, d = tightest_derivable(space, None, left, right)
+        value, d = tightest_derivable(space, left, right)
         digest.update(str(value).encode("utf-8"))
         digest.update(_document(d))
     assert digest.hexdigest() == DIGEST

@@ -86,37 +86,37 @@ def test_wrong_premise_count_is_reported_first(x3, rule):
     want = ARITY[rule]
     for count in {0, 1, 2, 3} - {want}:
         d = Derivation(rule, eq("a", "b", "1/2"), (bad_premise,) * count)
-        result = check_derivation(x3, (), d)
+        result = check_derivation((), d)
         assert (result.ok, result.path) == (False, ())
         assert result.reason == f"{rule} expects {want} premise(s), got {count}"
 
 
 def test_unknown_rule_is_reported_before_arity(x3):
     d = Derivation("Nope", eq("a", "a", "0"), (refl("a"),))
-    assert check_derivation(x3, (), d).reason == "unknown rule 'Nope'"
+    assert check_derivation((), d).reason == "unknown rule 'Nope'"
 
 
 def test_refl_valid(x3):
-    assert check_derivation(x3, (), refl("(oplus a b)")).ok
+    assert check_derivation((), refl("(oplus a b)")).ok
 
 
 def test_refl_rejects_distinct_sides(x3):
     bad = Derivation("Refl", eq("a", "b", 0))
-    res = check_derivation(x3, (), bad)
+    res = check_derivation((), bad)
     assert not res.ok and res.path == ()
 
 
 def test_symm_flips(x3):
     gamma = (eq("a", "b", "1/2"),)
     d = Derivation("Symm", eq("b", "a", "1/2"), (Derivation("Assum", eq("a", "b", "1/2")),))
-    assert check_derivation(x3, gamma, d).ok
+    assert check_derivation(gamma, d).ok
 
 
 def test_assum_requires_verbatim_membership(x3):
     gamma = (eq("a", "b", "1/2"),)
-    assert check_derivation(x3, gamma, Derivation("Assum", eq("a", "b", "1/2"))).ok
+    assert check_derivation(gamma, Derivation("Assum", eq("a", "b", "1/2"))).ok
     # same pair at a larger eps is not in gamma
-    res = check_derivation(x3, gamma, Derivation("Assum", eq("a", "b", "3/4")))
+    res = check_derivation(gamma, Derivation("Assum", eq("a", "b", "3/4")))
     assert not res.ok
 
 
@@ -125,10 +125,10 @@ def test_triang_adds_and_caps(x3):
     p1 = Derivation("Assum", eq("a", "b", "3/4"))
     p2 = Derivation("Assum", eq("b", "c", "3/4"))
     good = Derivation("Triang", eq("a", "c", "1"), (p1, p2))
-    assert check_derivation(x3, gamma, good).ok
+    assert check_derivation(gamma, good).ok
     # capped sum is exactly 1; claiming anything else is invalid
     under = Derivation("Triang", eq("a", "c", "7/8"), (p1, p2))
-    assert not check_derivation(x3, gamma, under).ok
+    assert not check_derivation(gamma, under).ok
 
 
 def test_triang_quarter_plus_quarter(x3):
@@ -138,19 +138,19 @@ def test_triang_quarter_plus_quarter(x3):
         eq("a", "c", "1/2"),
         (Derivation("Assum", eq("a", "b", "1/4")), Derivation("Assum", eq("b", "c", "1/4"))),
     )
-    assert check_derivation(x3, gamma, d).ok
+    assert check_derivation(gamma, d).ok
 
 
 def test_max_weakens_non_strictly(x3):
     gamma = (eq("a", "b", "1/2"),)
     inner = Derivation("Assum", eq("a", "b", "1/2"))
     assert check_derivation(
-        x3, gamma, Derivation("Max", eq("a", "b", "1/2"), (inner,))
+        gamma, Derivation("Max", eq("a", "b", "1/2"), (inner,))
     ).ok
     assert check_derivation(
-        x3, gamma, Derivation("Max", eq("a", "b", "3/4"), (inner,))
+        gamma, Derivation("Max", eq("a", "b", "3/4"), (inner,))
     ).ok
-    res = check_derivation(x3, gamma, Derivation("Max", eq("a", "b", "1/4"), (inner,)))
+    res = check_derivation(gamma, Derivation("Max", eq("a", "b", "1/4"), (inner,)))
     assert not res.ok
 
 
@@ -161,13 +161,13 @@ def test_oplus_congruence_takes_max(x3):
         eq("(oplus a b)", "(oplus b c)", "1/2"),
         (Derivation("Assum", eq("a", "b", "1/2")), Derivation("Assum", eq("b", "c", "1/4"))),
     )
-    assert check_derivation(x3, gamma, d).ok
+    assert check_derivation(gamma, d).ok
     claim_sum = Derivation(
         "NExpOplus",
         eq("(oplus a b)", "(oplus b c)", "3/4"),
         tuple(d.premises),
     )
-    assert not check_derivation(x3, gamma, claim_sum).ok
+    assert not check_derivation(gamma, claim_sum).ok
 
 
 def test_plusp_congruence_weights_epsilons(x3):
@@ -177,13 +177,13 @@ def test_plusp_congruence_weights_epsilons(x3):
         eq("(p+ 1/2 a b)", "(p+ 1/2 b c)", "3/8"),
         (Derivation("Assum", eq("a", "b", "1/2")), Derivation("Assum", eq("b", "c", "1/4"))),
     )
-    assert check_derivation(x3, gamma, d).ok
+    assert check_derivation(gamma, d).ok
     mismatched_p = Derivation(
         "NExpPlusP",
         eq("(p+ 1/2 a b)", "(p+ 1/4 b c)", "3/8"),
         tuple(d.premises),
     )
-    assert not check_derivation(x3, gamma, mismatched_p).ok
+    assert not check_derivation(gamma, mismatched_p).ok
 
 
 def test_axiom_instances_accepted(x3):
@@ -199,17 +199,17 @@ def test_axiom_instances_accepted(x3):
     assert set(cases) == set(AXIOMS)
     for name, (l, r) in cases.items():
         d = Derivation("AxiomCS", eq(l, r, 0), axiom=name)
-        assert check_derivation(x3, (), d).ok, name
+        assert check_derivation((), d).ok, name
         # both orientations are instances
         flipped = Derivation("AxiomCS", eq(r, l, 0), axiom=name)
-        assert check_derivation(x3, (), flipped).ok, name
+        assert check_derivation((), flipped).ok, name
 
 
 def test_axiom_rejects_non_instance(x3):
     d = Derivation("AxiomCS", eq("(oplus a b)", "a", 0), axiom="I")
-    assert not check_derivation(x3, (), d).ok
+    assert not check_derivation((), d).ok
     wrong_eps = Derivation("AxiomCS", eq("(oplus a a)", "a", "1/8"), axiom="I")
-    assert not check_derivation(x3, (), wrong_eps).ok
+    assert not check_derivation((), wrong_eps).ok
 
 
 def test_a_p_side_condition_is_exact(x3):
@@ -219,7 +219,7 @@ def test_a_p_side_condition_is_exact(x3):
         eq("(p+ 1/3 (p+ 1/2 a b) c)", "(p+ 1/6 a (p+ 1/4 b c))", 0),
         axiom="A_p",
     )
-    assert not check_derivation(x3, (), bad).ok
+    assert not check_derivation((), bad).ok
 
 
 def test_subst_requires_hypothesis_free_premise(x3):
@@ -230,7 +230,7 @@ def test_subst_requires_hypothesis_free_premise(x3):
         (inner,),
         subst=(("x", parse_term("(p+ 1/2 a b)")),),
     )
-    assert check_derivation(x3, (), d).ok
+    assert check_derivation((), d).ok
     leaky = Derivation(
         "Subst",
         eq("a", "b", "1/2"),
@@ -238,7 +238,7 @@ def test_subst_requires_hypothesis_free_premise(x3):
         subst=(),
     )
     gamma = (eq("a", "b", "1/2"),)
-    assert not check_derivation(x3, gamma, leaky).ok
+    assert not check_derivation(gamma, leaky).ok
 
 
 def test_cut_discharges_theta(x3):
@@ -248,7 +248,7 @@ def test_cut_discharges_theta(x3):
     prove_theta = Derivation("Assum", eq("a", "b", "1/2"))
     under_theta = Derivation("Assum", eq("a", "b", "1/2"))
     d = Derivation("Cut", eq("a", "b", "1/2"), (prove_theta, under_theta), theta=theta)
-    assert check_derivation(x3, gamma, d).ok
+    assert check_derivation(gamma, d).ok
 
 
 def test_cut_rejects_unproven_theta(x3):
@@ -256,7 +256,7 @@ def test_cut_rejects_unproven_theta(x3):
     prove_theta = Derivation("Assum", eq("a", "c", "1/8"))
     under_theta = Derivation("Assum", eq("a", "c", "1/8"))
     d = Derivation("Cut", eq("a", "c", "1/8"), (prove_theta, under_theta), theta=theta)
-    res = check_derivation(x3, metric_hypotheses(x3), d)
+    res = check_derivation(metric_hypotheses(x3), d)
     assert not res.ok
 
 
@@ -268,7 +268,7 @@ def test_invalid_node_path_points_into_tree(x3):
         eq("a", "a", "3/4"),
         (Derivation("Assum", eq("a", "b", "1/2")), Derivation("Symm", eq("b", "a", "1/4"), (bad_leaf,))),
     )
-    res = check_derivation(x3, gamma, d)
+    res = check_derivation(gamma, d)
     assert not res.ok
     assert res.path == (1, 0)
 
@@ -296,7 +296,7 @@ def test_derivation_json_round_trip(x3):
     )
     back = derivation_from_json_dict(derivation_to_json_dict(d))
     assert back == d
-    assert check_derivation(x3, (), back).ok
+    assert check_derivation((), back).ok
 
 
 def test_derivation_json_shares_equal_terms():
@@ -331,7 +331,7 @@ def test_derivation_json_shares_equal_subproofs_and_equations(x3):
     assert back.premises[0] is back.premises[1]
     # The Max node and its Assum premise conclude one equation object.
     assert back.premises[0].conclusion is back.premises[0].premises[0].conclusion
-    assert check_derivation(x3, metric_hypotheses(x3), back).ok
+    assert check_derivation(metric_hypotheses(x3), back).ok
     assert derivation_to_json_dict(back) == doc
 
 
@@ -439,10 +439,10 @@ def test_reader_shares_each_node_and_conclusion_value_of_derived_proofs(seed):
         for document in (doc, _padded(doc, itertools.count())):
             # Gamma and then the proof through one table, as `check` reads them.
             table = {}
-            gamma = equations_from_json_list(gamma_doc, "hypotheses", table)
+            gamma = equations_from_json_list(gamma_doc, table)
             back = derivation_from_json_dict(document, table)
             assert back == d
-            res = check_derivation(space, gamma, back)
+            res = check_derivation(gamma, back)
             replies.append((res.ok, res.path, res.reason))
             if document is doc:
                 nodes = _distinct_nodes(back)
@@ -462,7 +462,7 @@ def test_shared_premises_cost_one_visit_per_node_object(x3):
     assert time.perf_counter() - start < 1
     renamed = Derivation("Subst", eq("b", "b", 0), (d,), subst=(("a", Gen("b")),))
     start = time.perf_counter()
-    assert check_derivation(x3, (), renamed).ok
+    assert check_derivation((), renamed).ok
     assert time.perf_counter() - start < 1
 
 
@@ -478,14 +478,14 @@ def test_generator_labelled_like_an_eps_reads_and_checks():
     doc = derivation_to_json_dict(d)
     assert doc["premises"][0]["conclusion"] == {"l": "1/2", "r": "b", "eps": "1/2"}
     table = {}
-    gamma = equations_from_json_list(gamma_doc, "hypotheses", table)
+    gamma = equations_from_json_list(gamma_doc, table)
     back = derivation_from_json_dict(doc, table)
     assert back == d
     assert back.premises[0].conclusion.left == Gen("1/2")
     assert back.premises[0].conclusion.eps == F(1, 2)
     assert back.conclusion.left.p == F(1, 2)
     assert back.conclusion.left.left is back.premises[0].conclusion.left
-    assert check_derivation(space, gamma, back).ok
+    assert check_derivation(gamma, back).ok
 
 
 def test_shared_failing_subproof_is_reported_at_its_first_position(x3):
@@ -501,7 +501,7 @@ def test_shared_failing_subproof_is_reported_at_its_first_position(x3):
     }
     back = derivation_from_json_dict(doc)
     assert back.premises[1] is back.premises[0].premises[0]
-    res = check_derivation(x3, metric_hypotheses(x3), back)
+    res = check_derivation(metric_hypotheses(x3), back)
     assert not res.ok
     assert res.path == (0, 0)
     assert res.reason == "Assum cites an equation outside the hypotheses"
@@ -530,8 +530,8 @@ def test_shared_subproof_is_checked_again_under_other_hypotheses(x3):
     back = derivation_from_json_dict(doc)
     assert back.premises[1] is back.premises[0].premises[1]
     gamma = metric_hypotheses(x3)
-    assert check_derivation(x3, gamma, back.premises[0]).ok
-    res = check_derivation(x3, gamma, back)
+    assert check_derivation(gamma, back.premises[0]).ok
+    res = check_derivation(gamma, back)
     assert not res.ok
     assert res.path == (1,)
     assert res.reason == "Assum cites an equation outside the hypotheses"
@@ -636,7 +636,7 @@ def test_odd_nodes_after_a_shared_sibling_read_as_before(x3, node, expected, rep
     first, (second, last) = back.premises[0], back.premises[1].premises
     assert first is second
     assert last == expected
-    res = check_derivation(x3, (), back)
+    res = check_derivation((), back)
     assert (res.ok, res.path, res.reason) == reply
 
 
@@ -668,12 +668,12 @@ def test_check_derivation_on_a_deep_premise_chain_raises_too_deep(x3):
     for _ in range(sys.getrecursionlimit() + 200):
         d = Derivation("Symm", d.conclusion, (d,))
     with pytest.raises(TooDeep):
-        check_derivation(x3, (), d)
+        check_derivation((), d)
 
 
 def test_unknown_rule_rejected(x3):
     d = Derivation("Arch", eq("a", "a", 0))
-    assert not check_derivation(x3, (), d).ok
+    assert not check_derivation((), d).ok
 
 
 @given(sts.space_with_terms(2))
@@ -684,8 +684,8 @@ def test_checker_soundness_on_assumption_chains(bundle):
     from hkconvex.proofs import tightest_derivable
 
     gamma = metric_hypotheses(space)
-    value, deriv = tightest_derivable(space, None, t, s)
-    res = check_derivation(space, gamma, deriv)
+    value, deriv = tightest_derivable(space, t, s)
+    res = check_derivation(gamma, deriv)
     assert res.ok
     assert value >= term_distance(space, t, s)
 
@@ -923,5 +923,5 @@ _REJECTIONS = [
     "node, path, reason", [row[1:] for row in _REJECTIONS], ids=[row[0] for row in _REJECTIONS]
 )
 def test_every_rejection_reason_is_reported_at_its_node(x3, node, path, reason):
-    res = check_derivation(x3, _GAMMA, node)
+    res = check_derivation(_GAMMA, node)
     assert (res.ok, res.path, res.reason) == (False, path, reason)

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies as sts
 from hkconvex import (
     ConvexSet,
     Dist,
     EmptySet,
+    SpaceMismatch,
     convex_combine,
     dirac,
     directed_hausdorff,
@@ -15,8 +18,12 @@ from hkconvex import (
     hk_directed,
     hk_distance,
     kantorovich_metric,
+    monad_mult,
+    monad_unit,
     nearest_point,
+    sampling,
 )
+from hkconvex import lifting
 
 F = Fraction
 
@@ -155,3 +162,57 @@ def test_base_restriction_overshoots_three_point_bases_golden():
 def test_hausdorff_of_singletons_is_kantorovich(bundle):
     space, d1, d2 = bundle
     assert hausdorff(_k(space), [d1], [d2]) == _k(space)(d1, d2)
+
+
+def _towers(seed):
+    """A seeded space of 2-3 points and two sets over sets over it."""
+    rng = random.Random(seed)
+    space = sampling.rand_space(rng, max_points=3)
+    return space, sampling.rand_set_of_sets(rng, space), sampling.rand_set_of_sets(rng, space)
+
+
+@given(sts.space_with_sets(2))
+@settings(max_examples=30)
+def test_unit_is_an_isometry_over_labels(bundle):
+    space, s, t = bundle
+    assert hk_distance(space, monad_unit(space, s), monad_unit(space, t)) == hk_distance(
+        space, s, t
+    )
+
+
+@given(st.integers(0, 2**16))
+@settings(max_examples=10, deadline=None)
+def test_unit_is_an_isometry_over_sets(seed):
+    space, s, t = _towers(seed)
+    assert hk_distance(space, monad_unit(space, s), monad_unit(space, t)) == hk_distance(
+        space, s, t
+    )
+
+
+def test_multiplication_is_nonexpansive_on_towers():
+    # the paper's A3: flattening one level never grows the lifted distance
+    for seed in range(20):
+        space, s, t = _towers(seed)
+        assert hk_distance(space, monad_mult(s), monad_mult(t)) <= hk_distance(space, s, t)
+
+
+def test_hk_on_sets_of_sets_golden():
+    # the ground metric of sets over sets is hk_distance one level down
+    space, s, t = _towers(5)
+    assert hk_distance(space, s, t) == F(7, 8)
+    assert hk_distance(space, t, s) == F(7, 8)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_sets_of_different_kinds_are_a_space_mismatch(x3, monkeypatch, flip):
+    def no_projection(*args):
+        raise AssertionError("a projection ran")
+
+    monkeypatch.setattr(lifting, "nearest_point", no_projection)
+    over_labels = ConvexSet(x3, [dirac(x3, "a")])
+    over_sets = monad_unit(x3, over_labels)
+    left, right = (over_sets, over_labels) if flip else (over_labels, over_sets)
+    with pytest.raises(SpaceMismatch):
+        hk_distance(x3, left, right)
+    with pytest.raises(SpaceMismatch):
+        hk_directed(x3, left, right)

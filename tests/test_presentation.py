@@ -34,7 +34,7 @@ from hkconvex import (
     roundtrip_GF,
 )
 from hkconvex import sampling
-from hkconvex.presentation import carrier_hk, check_homomorphism, rand_carrier_set
+from hkconvex.presentation import check_homomorphism, rand_carrier_set
 
 F = Fraction
 
@@ -197,7 +197,7 @@ def test_free_algebra_carrier_hk(x3):
     assert carrier.metric(s, t) == F(1, 2)
 
 
-def test_carrier_hk_projects_onto_the_whole_set():
+def test_hk_projects_onto_the_whole_set():
     # m = (a + c)/2 lies outside the segment T between a and b; its nearest
     # point in T is (a + b)/2 at cost d(b, c)/2 = 1/8, while the nearest
     # base point of T is a at cost d(a, c)/2 = 1/4
@@ -209,11 +209,4 @@ def test_carrier_hk_projects_onto_the_whole_set():
     s = ConvexSet(space, [dirac(space, "a"), dirac(space, "b"), m])
     t = ConvexSet(space, [dirac(space, "a"), dirac(space, "b")])
     assert hausdorff(kantorovich_metric(space.d), s.base, t.base) == F(1, 4)
-    assert carrier_hk(SpaceCarrier(space), s, t) == F(1, 8) == hk_distance(space, s, t)
-
-
-@given(sts.space_with_sets(2))
-@settings(max_examples=30)
-def test_carrier_hk_over_points_is_hk_distance(bundle):
-    space, s, t = bundle
-    assert carrier_hk(SpaceCarrier(space), s, t) == hk_distance(space, s, t)
+    assert hk_distance(space, s, t) == F(1, 8)

@@ -35,7 +35,7 @@ def test_prove_dist_reorders_scrambled_chain(x3):
     d = prove_dist(x3, t)
     assert d.conclusion.eps == 0
     assert print_term(d.conclusion.right) == "(p+ 1/3 a b)"
-    assert check_derivation(x3, (), d).ok
+    assert check_derivation((), d).ok
 
 
 def test_canon_proof_golden(x3):
@@ -45,7 +45,7 @@ def test_canon_proof_golden(x3):
     assert d.conclusion.left == t
     assert d.conclusion.right == nu(x3, s)
     assert d.conclusion.eps == 0
-    assert check_derivation(x3, (), d).ok
+    assert check_derivation((), d).ok
 
 
 def test_canon_proof_derives_convexity_absorption(x3):
@@ -53,7 +53,7 @@ def test_canon_proof_derives_convexity_absorption(x3):
     t = parse_term("(oplus (oplus a b) (p+ 1/4 a b))")
     d, s = canon_proof(x3, t)
     assert print_term(d.conclusion.right) == "(oplus a b)"
-    assert check_derivation(x3, (), d).ok
+    assert check_derivation((), d).ok
 
 
 def test_derive_kantorovich_golden(x3):
@@ -61,7 +61,7 @@ def test_derive_kantorovich_golden(x3):
     d = derive_kantorovich(x3, mid, dirac(x3, "a"))
     assert d.conclusion.eps == F(1, 4)
     assert d.hypotheses == (QuantEquation(Gen("b"), Gen("a"), F(1, 2)),)
-    assert check_derivation(x3, d.hypotheses, d).ok
+    assert check_derivation(d.hypotheses, d).ok
 
 
 def test_derive_hk_golden(x3):
@@ -71,7 +71,7 @@ def test_derive_hk_golden(x3):
     assert d.conclusion.eps == hk_distance(x3, s, t) == F(1)
     assert d.conclusion.left == nu(x3, s)
     assert d.conclusion.right == nu(x3, t)
-    assert check_derivation(x3, d.hypotheses, d).ok
+    assert check_derivation(d.hypotheses, d).ok
 
 
 def test_derive_hk_projects_each_base_point_once(x3, monkeypatch):
@@ -91,7 +91,7 @@ def test_derive_hk_projects_each_base_point_once(x3, monkeypatch):
     assert calls == [(g, t) for g in s.base] + [(g, s) for g in t.base]
     monkeypatch.undo()
     assert d.conclusion.eps == hk_distance(x3, s, t)
-    assert check_derivation(x3, d.hypotheses, d).ok
+    assert check_derivation(d.hypotheses, d).ok
 
 
 def test_derive_hk_builds_no_set_and_runs_no_hull_lp(x3, monkeypatch):
@@ -115,16 +115,16 @@ def test_derive_hk_builds_no_set_and_runs_no_hull_lp(x3, monkeypatch):
     d = derive_hk(x3, s, t)
     assert calls == {"unique_base": 0, "is_feasible": 0}
     monkeypatch.undo()
-    assert check_derivation(x3, d.hypotheses, d).ok
+    assert check_derivation(d.hypotheses, d).ok
 
 
 def test_tightest_derivable_matches_term_distance(x3):
     t = parse_term("(p+ 1/2 (oplus a b) (oplus b c))")
     s = parse_term("a")
-    value, d = tightest_derivable(x3, None, t, s)
+    value, d = tightest_derivable(x3, t, s)
     assert value == term_distance(x3, t, s) == F(3, 4)
     assert d.conclusion.left == t and d.conclusion.right == s
-    assert check_derivation(x3, metric_hypotheses(x3), d).ok
+    assert check_derivation(metric_hypotheses(x3), d).ok
 
 
 def test_derivation_hypotheses_restricted_to_support(x3):
@@ -143,7 +143,7 @@ def test_canon_proof_checker_valid(bundle):
     d, s = canon_proof(space, t)
     assert s == normalize(space, t)
     assert d.conclusion.eps == 0
-    assert check_derivation(space, (), d).ok
+    assert check_derivation((), d).ok
 
 
 @given(sts.space_with_dists(2))
@@ -152,7 +152,7 @@ def test_derive_kantorovich_exact_and_valid(bundle):
     space, left, right = bundle
     d = derive_kantorovich(space, left, right)
     assert d.conclusion.eps == kantorovich(space, left, right).value
-    assert check_derivation(space, d.hypotheses, d).ok
+    assert check_derivation(d.hypotheses, d).ok
 
 
 @given(sts.space_with_sets(2))
@@ -161,13 +161,23 @@ def test_derive_hk_exact_and_valid(bundle):
     space, s, t = bundle
     d = derive_hk(space, s, t)
     assert d.conclusion.eps == hk_distance(space, s, t)
-    assert check_derivation(space, d.hypotheses, d).ok
+    assert check_derivation(d.hypotheses, d).ok
 
 
 @given(sts.space_with_terms(2))
 @settings(max_examples=25)
 def test_tightest_derivable_equals_term_distance(bundle):
     space, t, s = bundle
-    value, d = tightest_derivable(space, None, t, s)
+    value, d = tightest_derivable(space, t, s)
     assert value == term_distance(space, t, s)
-    assert check_derivation(space, metric_hypotheses(space), d).ok
+    assert check_derivation(metric_hypotheses(space), d).ok
+
+
+@given(sts.space_with_terms(2, max_depth=2))
+@settings(max_examples=15)
+def test_tightest_derivable_carries_the_metric_hypotheses(bundle):
+    # the proof's hypotheses are the whole metric gamma, which accepts it
+    space, t, s = bundle
+    _, d = tightest_derivable(space, t, s)
+    assert d.hypotheses == metric_hypotheses(space)
+    assert check_derivation(metric_hypotheses(space), d).ok

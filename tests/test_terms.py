@@ -379,7 +379,7 @@ def test_a_derived_document_is_read_without_the_token_parser(monkeypatch):
     for d, gamma, doc in cases:
         assert derivation_from_json_dict(doc) == d
         table = {}
-        equations_from_json_list(gamma, "hypotheses", table)
+        equations_from_json_list(gamma, table)
         assert derivation_from_json_dict(doc, table) == d
 
 
