@@ -71,10 +71,8 @@ from .lifting import (
 )
 from .presentation import (
     EMAlgebra,
-    FreeAlgebraCarrier,
     LawReport,
     QuantConvexSemilattice,
-    SpaceCarrier,
     check_monad_laws,
     corrupt_alpha,
     eval_canonical,

@@ -245,6 +245,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    # The laws draw their own spaces, but a malformed space file is still an error.
+    _load_space(args.space)
     _emit(check_monad_laws(args.seed, args.trials).to_json_dict())
     return 0
 

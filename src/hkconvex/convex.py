@@ -337,11 +337,15 @@ def nearest_point(space: FiniteMetricSpace, target: Dist, s: ConvexSet, metric=N
 
     Minimizes transport cost jointly over a plan and a convex combination
     of the base, as one LP whose rows share the common denominator of
-    `_int_vectors`. Returns (value, nearest mixture, base weights).
+    `_int_vectors`. Returns (value, nearest mixture, base weights). With
+    no `metric` the cost is `space.d`, so items that are not labels raise
+    SpaceMismatch before the LP runs.
     """
     for other in (target.space, s.space):
         if other is not space and other != space:
             raise SpaceMismatch()
+    if metric is None and not (target.is_ground() and s.is_ground()):
+        raise SpaceMismatch("projection over the space metric needs label-supported inputs")
     base = list(s.base)
     vecs, index = _int_vectors([*base, target])
     tvec = vecs.pop()

@@ -1,9 +1,11 @@
 """Round-trips between convex-set algebras and quantitative convex semilattices.
 
-An Eilenberg-Moore algebra here is a carrier with a structure map
-``alpha: ConvexSet over the carrier -> carrier point``.  A quantitative
-convex semilattice is a carrier with binary operations ``op_oplus`` and
-``op_plusp(p, -, -)``.  Both directions of the correspondence are
+Every algebra here lives on the finitely generated convex sets over one
+finite metric space, metrized by `lifting.hk_distance`. An
+Eilenberg-Moore algebra is that space with a structure map
+``alpha: ConvexSet over convex sets -> ConvexSet``; a quantitative
+convex semilattice is that space with binary operations ``op_oplus``
+and ``op_plusp(p, -, -)``. Both directions of the correspondence are
 function-backed:
 
 * ``functor_F`` reads the two operations off a structure map,
@@ -12,16 +14,14 @@ function-backed:
 * ``functor_G`` rebuilds a structure map by interpreting the canonical
   term `terms.nu(S)` of a set inside the algebra.
 
-Carriers are never tabulated: even over a finite space the convex sets
-form an infinite carrier, so all laws and both round-trips are checked
-pointwise on seeded pseudo-random samples, each into a `LawReport`;
-`check_monad_laws` checks the monad laws of the convex-set monad
-itself the same way.  The flagship instance is
-``free_em_algebra``, whose carrier is the convex sets themselves and
-whose structure map is one level of `monad_mult`; there every check is
-exactly computable.  Sets over either carrier are compared by
-`lifting.hk_distance`, which reads the carrier metric off the support
-items: `space.d` on labels, and itself one level down on sets.
+The convex sets form an infinite carrier even over a finite space, so
+all laws and both round-trips are checked pointwise on seeded
+pseudo-random samples: one driver, `_sampled`, runs every check and
+collects its failures into a `LawReport`, and `rand_point` draws every
+carrier point. `check_monad_laws` checks the monad laws of the
+convex-set monad itself the same way. The flagship instance is
+``free_em_algebra``, whose structure map is one level of `monad_mult`;
+there every check is exactly computable.
 
 On morphisms both constructions act as the identity, so a function is a
 homomorphism of algebras iff it is one of semilattices; the sampled
@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .convex import ConvexSet, functor_map, monad_mult, monad_unit, plus_p
 from .core import Dist, FiniteMetricSpace, convex_combine, dirac
-from .errors import EmptyInput, OutOfRange
+from .errors import OutOfRange
 from .lifting import hk_distance
 from .sampling import (
     rand_convex_set,
@@ -69,63 +69,61 @@ class LawReport:
         return {"trials": self.trials, "failures": self.failures, "ok": self.ok}
 
 
-def check_monad_laws(seed: int, trials: int) -> LawReport:
-    """Left/right unit and associativity on pseudo-random towers."""
+def _sampled(
+    seed: int,
+    trials: int,
+    label: str,
+    trial: Callable[[random.Random], Iterable[tuple[str, bool]]],
+) -> LawReport:
+    """Run `trial` `trials` times on one rng seeded by `seed`.
+
+    Each trial draws what it needs and returns (law, holds) pairs; a law
+    that fails in trial t is reported as "<label> <t>: <law>".
+    """
     rng = random.Random(seed)
-    failures: list[str] = []
-    for t in range(trials):
-        space = rand_space(rng, max_points=4)
-        s = rand_convex_set(rng, space, max_base=3, max_support=3)
-        unit_outer = monad_unit(space, s)
-        if monad_mult(unit_outer) != s:
-            failures.append(f"trial {t}: mult after outer unit")
-        via_inner = functor_map(lambda x: monad_unit(space, x), s)
-        if monad_mult(via_inner) != s:
-            failures.append(f"trial {t}: mult after mapped unit")
-        u = rand_set_of_sets_of_sets(rng, space)
-        flat_inner = monad_mult(functor_map(monad_mult, u))
-        flat_outer = monad_mult(monad_mult(u))
-        if flat_inner != flat_outer:
-            failures.append(f"trial {t}: associativity")
+    failures = [
+        f"{label} {t}: {law}"
+        for t in range(trials)
+        for law, holds in trial(rng)
+        if not holds
+    ]
     return LawReport(trials, failures)
 
 
-class SpaceCarrier:
-    """The points of a finite metric space, as an algebra carrier."""
+def check_monad_laws(seed: int, trials: int) -> LawReport:
+    """Left/right unit and associativity on pseudo-random towers."""
 
-    def __init__(self, space: FiniteMetricSpace):
-        self.space = space
-        self.points = space.points
+    def trial(rng):
+        space = rand_space(rng, max_points=4)
+        s = rand_convex_set(rng, space, max_base=3, max_support=3)
+        u = rand_set_of_sets_of_sets(rng, space)
+        via_inner = functor_map(lambda x: monad_unit(space, x), s)
+        return [
+            ("mult after outer unit", monad_mult(monad_unit(space, s)) == s),
+            ("mult after mapped unit", monad_mult(via_inner) == s),
+            (
+                "associativity",
+                monad_mult(functor_map(monad_mult, u)) == monad_mult(monad_mult(u)),
+            ),
+        ]
 
-    def metric(self, x, y) -> Fraction:
-        return self.space.d(x, y)
-
-    def rand_point(self, rng: random.Random):
-        if not self.space.points:
-            raise EmptyInput("cannot draw from a space with no points")
-        return rng.choice(self.space.points)
-
-
-class FreeAlgebraCarrier:
-    """Finitely generated convex sets over a space, metrized by HK."""
-
-    def __init__(self, space: FiniteMetricSpace):
-        self.space = space
-        self.points = None
-
-    def metric(self, s: ConvexSet, t: ConvexSet) -> Fraction:
-        return hk_distance(self.space, s, t)
-
-    def rand_point(self, rng: random.Random) -> ConvexSet:
-        return rand_convex_set(rng, self.space, max_base=2, max_support=2)
+    return _sampled(seed, trials, "trial", trial)
 
 
-def _rand_set(rng: random.Random, space: FiniteMetricSpace, draw) -> ConvexSet:
-    """A random convex set of 1-2 distributions over 1-2 items `draw(rng)`."""
+def rand_point(rng: random.Random, space: FiniteMetricSpace) -> ConvexSet:
+    """A random carrier point: a convex set of 1-2 distributions over 1-2 labels."""
+    return rand_convex_set(rng, space, max_base=2, max_support=2)
+
+
+def rand_carrier_set(
+    rng: random.Random, space: FiniteMetricSpace, draw: Callable = rand_point
+) -> ConvexSet:
+    """A random convex set of 1-2 distributions over 1-2 items `draw(rng, space)`:
+    carrier points by default, and sets of them with `draw=rand_carrier_set`."""
     gens = []
     for _ in range(rng.randint(1, 2)):
         k = rng.randint(1, 2)
-        items = [draw(rng) for _ in range(k)]
+        items = [draw(rng, space) for _ in range(k)]
         acc: dict = {}
         for item, w in zip(items, rand_weights(rng, k)):
             acc[item] = acc.get(item, ZERO) + w
@@ -133,128 +131,96 @@ def _rand_set(rng: random.Random, space: FiniteMetricSpace, draw) -> ConvexSet:
     return ConvexSet(space, gens)
 
 
-def rand_carrier_set(rng: random.Random, carrier) -> ConvexSet:
-    """A random convex set of 1-2 distributions over 1-2 carrier points."""
-    return _rand_set(rng, carrier.space, carrier.rand_point)
-
-
-def _rand_tower(rng: random.Random, carrier) -> ConvexSet:
-    """A random set of distributions over sets over carrier points."""
-    return _rand_set(rng, carrier.space, lambda r: rand_carrier_set(r, carrier))
-
-
 class EMAlgebra:
-    """A carrier together with a structure map on convex sets over it."""
+    """The convex sets over a space together with a structure map."""
 
-    def __init__(self, carrier, alpha: Callable[[ConvexSet], object]):
-        self.carrier = carrier
+    def __init__(self, space: FiniteMetricSpace, alpha: Callable[[ConvexSet], ConvexSet]):
+        self.space = space
         self.alpha = alpha
 
-    @property
-    def space(self) -> FiniteMetricSpace:
-        return self.carrier.space
-
     def check_unit(self, seed: int = 0, trials: int = 50) -> LawReport:
-        """alpha({dirac x}) = x, exhaustive on finite carriers."""
-        if self.carrier.points is not None:
-            points = list(self.carrier.points)
-        else:
-            rng = random.Random(seed)
-            points = [self.carrier.rand_point(rng) for _ in range(trials)]
-        failures = []
-        for i, x in enumerate(points):
-            if self.alpha(ConvexSet(self.space, [dirac(self.space, x)])) != x:
-                failures.append(f"point {i}: unit law")
-        return LawReport(len(points), failures)
+        """alpha({dirac x}) = x at sampled carrier points."""
+
+        def trial(rng):
+            x = rand_point(rng, self.space)
+            return [("unit law", self.alpha(monad_unit(self.space, x)) == x)]
+
+        return _sampled(seed, trials, "point", trial)
 
     def check_mult(self, seed: int = 0, trials: int = 30) -> LawReport:
         """alpha . map(alpha) = alpha . mult on sampled two-level sets."""
-        rng = random.Random(seed)
-        failures = []
-        for t in range(trials):
-            u = _rand_tower(rng, self.carrier)
+
+        def trial(rng):
+            u = rand_carrier_set(rng, self.space, rand_carrier_set)
             via_map = self.alpha(functor_map(self.alpha, u))
-            via_mult = self.alpha(monad_mult(u))
-            if via_map != via_mult:
-                failures.append(f"trial {t}: multiplication law")
-        return LawReport(trials, failures)
+            return [("multiplication law", via_map == self.alpha(monad_mult(u)))]
+
+        return _sampled(seed, trials, "trial", trial)
 
     def check_nonexpansive(self, seed: int = 0, trials: int = 30) -> LawReport:
         """d(alpha S, alpha T) bounded by `hk_distance(S, T)`."""
-        rng = random.Random(seed)
-        failures = []
-        for t in range(trials):
-            s = rand_carrier_set(rng, self.carrier)
-            u = rand_carrier_set(rng, self.carrier)
-            lhs = self.carrier.metric(self.alpha(s), self.alpha(u))
+
+        def trial(rng):
+            s = rand_carrier_set(rng, self.space)
+            u = rand_carrier_set(rng, self.space)
+            lhs = hk_distance(self.space, self.alpha(s), self.alpha(u))
             rhs = hk_distance(self.space, s, u)
-            if lhs > rhs:
-                failures.append(f"trial {t}: {lhs} > {rhs}")
-        return LawReport(trials, failures)
+            return [(f"{lhs} > {rhs}", lhs <= rhs)]
+
+        return _sampled(seed, trials, "trial", trial)
 
 
 class QuantConvexSemilattice:
-    """A carrier with convex-semilattice operations, checked by sampling."""
+    """The convex sets over a space with convex-semilattice operations."""
 
-    def __init__(self, carrier, op_oplus: Callable, op_plusp: Callable):
-        self.carrier = carrier
+    def __init__(self, space: FiniteMetricSpace, op_oplus: Callable, op_plusp: Callable):
+        self.space = space
         self.op_oplus = op_oplus
         self.op_plusp = op_plusp
 
-    @property
-    def space(self) -> FiniteMetricSpace:
-        return self.carrier.space
-
     def check_axioms(self, seed: int = 0, trials: int = 50) -> LawReport:
         """All seven convex-semilattice equations at sampled points."""
-        rng = random.Random(seed)
         j = self.op_oplus
         m = self.op_plusp
-        failures = []
-        for t in range(trials):
-            x = self.carrier.rand_point(rng)
-            y = self.carrier.rand_point(rng)
-            z = self.carrier.rand_point(rng)
+
+        def trial(rng):
+            x, y, z = (rand_point(rng, self.space) for _ in range(3))
             p = rand_prob(rng)
             q = rand_prob(rng)
-            checks = [
-                ("A", j(j(x, y), z) == j(x, j(y, z))),
-                ("C", j(x, y) == j(y, x)),
-                ("I", j(x, x) == x),
+            return [
+                ("axiom A", j(j(x, y), z) == j(x, j(y, z))),
+                ("axiom C", j(x, y) == j(y, x)),
+                ("axiom I", j(x, x) == x),
                 (
-                    "A_p",
+                    "axiom A_p",
                     m(p, m(q, x, y), z)
                     == m(p * q, x, m(p * (1 - q) / (1 - p * q), y, z)),
                 ),
-                ("C_p", m(p, x, y) == m(1 - p, y, x)),
-                ("I_p", m(p, x, x) == x),
-                ("D", m(p, x, j(y, z)) == j(m(p, x, y), m(p, x, z))),
+                ("axiom C_p", m(p, x, y) == m(1 - p, y, x)),
+                ("axiom I_p", m(p, x, x) == x),
+                ("axiom D", m(p, x, j(y, z)) == j(m(p, x, y), m(p, x, z))),
             ]
-            for name, holds in checks:
-                if not holds:
-                    failures.append(f"trial {t}: axiom {name}")
-        return LawReport(trials, failures)
+
+        return _sampled(seed, trials, "trial", trial)
 
     def check_nonexpansive(self, seed: int = 0, trials: int = 50) -> LawReport:
         """Join bounded by max of distances, mixture by the p-average."""
-        rng = random.Random(seed)
-        d = self.carrier.metric
-        failures = []
-        for t in range(trials):
-            x1 = self.carrier.rand_point(rng)
-            x2 = self.carrier.rand_point(rng)
-            y1 = self.carrier.rand_point(rng)
-            y2 = self.carrier.rand_point(rng)
+
+        def d(a, b):
+            return hk_distance(self.space, a, b)
+
+        def trial(rng):
+            x1, x2, y1, y2 = (rand_point(rng, self.space) for _ in range(4))
             p = rand_prob(rng)
-            if d(self.op_oplus(x1, x2), self.op_oplus(y1, y2)) > max(
-                d(x1, y1), d(x2, y2)
-            ):
-                failures.append(f"trial {t}: join bound")
-            if d(self.op_plusp(p, x1, x2), self.op_plusp(p, y1, y2)) > p * d(
-                x1, y1
-            ) + (1 - p) * d(x2, y2):
-                failures.append(f"trial {t}: mixture bound")
-        return LawReport(trials, failures)
+            d1, d2 = d(x1, y1), d(x2, y2)
+            joined = d(self.op_oplus(x1, x2), self.op_oplus(y1, y2))
+            mixed = d(self.op_plusp(p, x1, x2), self.op_plusp(p, y1, y2))
+            return [
+                ("join bound", joined <= max(d1, d2)),
+                ("mixture bound", mixed <= p * d1 + (1 - p) * d2),
+            ]
+
+        return _sampled(seed, trials, "trial", trial)
 
 
 def functor_F(em: EMAlgebra) -> QuantConvexSemilattice:
@@ -268,7 +234,7 @@ def functor_F(em: EMAlgebra) -> QuantConvexSemilattice:
         mixture = convex_combine([(p, dirac(space, x)), (ONE - p, dirac(space, y))])
         return em.alpha(ConvexSet(space, [mixture]))
 
-    return QuantConvexSemilattice(em.carrier, op_oplus, op_plusp)
+    return QuantConvexSemilattice(space, op_oplus, op_plusp)
 
 
 def eval_canonical(qa: QuantConvexSemilattice, s: ConvexSet):
@@ -276,8 +242,8 @@ def eval_canonical(qa: QuantConvexSemilattice, s: ConvexSet):
 
     `Gen` gives its label, `Oplus` gives `op_oplus` and `PlusP` gives
     `op_plusp(p, ...)`. The labels of `nu(s)` are the support items of
-    `s`'s base, so they are carrier points (for the free algebra,
-    `ConvexSet`s) and the term is interpreted over any carrier.
+    `s`'s base, so for a set over carrier points they are `ConvexSet`s
+    and the term is interpreted in the algebra.
     """
 
     def value(term: Term):
@@ -292,20 +258,18 @@ def eval_canonical(qa: QuantConvexSemilattice, s: ConvexSet):
 
 def functor_G(qa: QuantConvexSemilattice) -> EMAlgebra:
     """Rebuild a structure map by evaluating canonical terms."""
-    return EMAlgebra(qa.carrier, lambda s: eval_canonical(qa, s))
+    return EMAlgebra(qa.space, lambda s: eval_canonical(qa, s))
 
 
 def free_em_algebra(space: FiniteMetricSpace) -> EMAlgebra:
     """The convex sets over `space` with one level of flattening."""
-    return EMAlgebra(FreeAlgebraCarrier(space), monad_mult)
+    return EMAlgebra(space, monad_mult)
 
 
 def corrupt_alpha(em: EMAlgebra) -> EMAlgebra:
-    """Negative control: break the unit law on dirac singletons.
-
-    Only meaningful for set-valued carriers (the free algebra and its
-    relatives), where the replacement value is provably distinct.
-    """
+    """Negative control: break the unit law on dirac singletons, whose
+    replacement, a half mixture with another point mass, is provably
+    distinct."""
     space = em.space
     if len(space.points) < 2:
         raise OutOfRange("corruptible space size", len(space.points))
@@ -320,47 +284,44 @@ def corrupt_alpha(em: EMAlgebra) -> EMAlgebra:
             return plus_p(Fraction(1, 2), x, other)
         return em.alpha(s)
 
-    return EMAlgebra(em.carrier, bad)
+    return EMAlgebra(space, bad)
 
 
 def roundtrip_GF(em: EMAlgebra, samples: int, seed: int = 0) -> LawReport:
     """Compare a structure map with the one recovered via F then G."""
     recovered = functor_G(functor_F(em))
-    rng = random.Random(seed)
-    failures = []
-    for t in range(samples):
-        s = rand_carrier_set(rng, em.carrier)
-        if em.alpha(s) != recovered.alpha(s):
-            failures.append(f"sample {t}: alpha mismatch")
-    return LawReport(samples, failures)
+
+    def trial(rng):
+        s = rand_carrier_set(rng, em.space)
+        return [("alpha mismatch", em.alpha(s) == recovered.alpha(s))]
+
+    return _sampled(seed, samples, "sample", trial)
 
 
 def roundtrip_FG(qa: QuantConvexSemilattice, samples: int, seed: int = 0) -> LawReport:
     """Compare operations with the ones recovered via G then F."""
     recovered = functor_F(functor_G(qa))
-    rng = random.Random(seed)
-    failures = []
-    for t in range(samples):
-        x = qa.carrier.rand_point(rng)
-        y = qa.carrier.rand_point(rng)
+
+    def trial(rng):
+        x = rand_point(rng, qa.space)
+        y = rand_point(rng, qa.space)
         p = rand_prob(rng)
-        if qa.op_oplus(x, y) != recovered.op_oplus(x, y):
-            failures.append(f"sample {t}: join mismatch")
-        if qa.op_plusp(p, x, y) != recovered.op_plusp(p, x, y):
-            failures.append(f"sample {t}: mixture mismatch")
-    return LawReport(samples, failures)
+        return [
+            ("join mismatch", qa.op_oplus(x, y) == recovered.op_oplus(x, y)),
+            ("mixture mismatch", qa.op_plusp(p, x, y) == recovered.op_plusp(p, x, y)),
+        ]
+
+    return _sampled(seed, samples, "sample", trial)
 
 
 def check_homomorphism(
     f: Callable, src: EMAlgebra, dst: EMAlgebra, samples: int = 30, seed: int = 0
 ) -> LawReport:
     """f . alpha_src = alpha_dst . map(f) on sampled sets over the source."""
-    rng = random.Random(seed)
-    failures = []
-    for t in range(samples):
-        s = rand_carrier_set(rng, src.carrier)
-        lhs = f(src.alpha(s))
+
+    def trial(rng):
+        s = rand_carrier_set(rng, src.space)
         rhs = dst.alpha(functor_map(f, s, target=dst.space))
-        if lhs != rhs:
-            failures.append(f"sample {t}: homomorphism square")
-    return LawReport(samples, failures)
+        return [("homomorphism square", f(src.alpha(s)) == rhs)]
+
+    return _sampled(seed, samples, "sample", trial)

@@ -208,6 +208,16 @@ def test_laws_and_roundtrip(capsys, space_file):
     assert out["gf"]["ok"] is True and out["fg"]["ok"] is True
 
 
+def test_laws_loads_its_space(capsys, space_file, files):
+    # The laws draw their own spaces, yet a missing or malformed --space
+    # file gets the same error reply as in every other subcommand.
+    bad = files("bad.json", {"points": ["a", "a"], "dist": []})
+    for path, error in (("no.json", "FileNotFound"), (bad, "DuplicateLabel")):
+        replies = [run(capsys, command, "--space", path) for command in ("laws", "validate-space")]
+        assert replies[0] == replies[1]
+        assert replies[0][0] == 1 and replies[0][1]["error"] == error
+
+
 @pytest.mark.parametrize(
     "argv",
     [["laws", "--trials", "-1"], ["roundtrip", "--samples", "-3"]],

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -26,6 +27,7 @@ from hkconvex import (
     nearest_point,
     oplus,
     plus_p,
+    sampling,
     unique_base,
     wms,
 )
@@ -186,6 +188,22 @@ def test_nearest_point_rejects_another_space():
         hk_distance(b_space, over_a, over_b)
     with pytest.raises(SpaceMismatch):
         hk_distance(b_space, over_b, over_a)
+
+
+def _no_lp(*args):
+    raise AssertionError("an LP ran")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nearest_point_over_the_space_metric_refuses_sets_of_sets(x3, seed, monkeypatch):
+    # With no metric the cost is space.d, defined on labels only: a set
+    # over sets on either side is a SpaceMismatch, raised before any LP.
+    tower = sampling.rand_set_of_sets(random.Random(seed), x3)
+    flat = ConvexSet(x3, [dirac(x3, "a"), dirac(x3, "b")])
+    monkeypatch.setattr(linprog, "solve_lp", _no_lp)
+    for target, s in ((tower.base[0], tower), (tower.base[0], flat), (dirac(x3, "c"), tower)):
+        with pytest.raises(SpaceMismatch, match="label-supported"):
+            nearest_point(x3, target, s)
 
 
 def _fraction_hull_lp(target, generators):

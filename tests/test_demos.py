@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script runs to completion against the library in src/, and
+the output of those in `STDOUT` is as pinned there."""
 
 import os
 import subprocess
@@ -9,6 +10,21 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Demos whose standard output is pinned line by line: an exit code of 0
+# alone would pass a law that printed False.
+STDOUT = {
+    "06_presentation_roundtrip.py": [
+        "unit law: True",
+        "mult law: True",
+        "axioms: True",
+        "non-expansive: True",
+        "G(F(alpha)) == alpha on samples: True",
+        "F(G(ops)) == ops on samples: True",
+        "eval_canonical(tower) == mu(tower): True",
+        "HK between two towers: 1/2",
+        "corruption detected: True (11 mismatches)",
+    ],
+}
 
 
 def test_demos_exist():
@@ -27,3 +43,5 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    if demo.name in STDOUT:
+        assert proc.stdout.splitlines() == STDOUT[demo.name]

@@ -13,9 +13,7 @@ from hkconvex import (
     functor_map,
     EMAlgebra,
     FiniteMetricSpace,
-    FreeAlgebraCarrier,
     OutOfRange,
-    SpaceCarrier,
     check_monad_laws,
     corrupt_alpha,
     dirac,
@@ -34,7 +32,7 @@ from hkconvex import (
     roundtrip_GF,
 )
 from hkconvex import sampling
-from hkconvex.presentation import check_homomorphism, rand_carrier_set
+from hkconvex.presentation import check_homomorphism, rand_carrier_set, rand_point
 
 F = Fraction
 
@@ -50,8 +48,8 @@ def test_functor_f_ops_on_free_algebra_are_union_and_mixture(x3):
     qa = functor_F(free_em_algebra(x3))
     rng = random.Random(5)
     for _ in range(8):
-        x = qa.carrier.rand_point(rng)
-        y = qa.carrier.rand_point(rng)
+        x = rand_point(rng, x3)
+        y = rand_point(rng, x3)
         assert qa.op_oplus(x, y) == oplus(x, y)
         assert qa.op_plusp(F(1, 3), x, y) == plus_p(F(1, 3), x, y)
 
@@ -83,7 +81,7 @@ def test_eval_canonical_matches_mult_on_free_instance(x3):
     qa = functor_F(em)
     rng = random.Random(7)
     for _ in range(10):
-        s = rand_carrier_set(rng, em.carrier)
+        s = rand_carrier_set(rng, x3)
         assert eval_canonical(qa, s) == monad_mult(s)
 
 
@@ -153,14 +151,11 @@ def test_corrupt_alpha_needs_two_points():
         corrupt_alpha(free_em_algebra(space))
 
 
-def test_space_carrier_runs_checks(x3):
-    carrier = SpaceCarrier(x3)
-    assert carrier.points == ("a", "b", "c")
-    assert carrier.metric("a", "b") == F(1, 2)
-    # alpha that ignores set structure fails the unit law
-    broken = EMAlgebra(carrier, lambda s: "a")
+def test_alpha_ignoring_set_structure_fails_the_unit_law(x3):
+    broken = EMAlgebra(x3, lambda s: monad_unit(x3, "a"))
     report = broken.check_unit()
-    assert not report.ok
+    assert not report.ok and report.trials == 50
+    assert report.failures[0].endswith(": unit law")
 
 
 def test_identity_is_a_homomorphism(x3):
@@ -182,19 +177,33 @@ def test_non_homomorphism_detected(x3):
     assert not check_homomorphism(graft, em, em, samples=20, seed=5).ok
 
 
+def test_relabeling_between_two_spaces_is_a_homomorphism(x3):
+    # F f for any map f: X -> Y is a homomorphism of free algebras
+    # (naturality of the multiplication), whether or not f is injective.
+    y = FiniteMetricSpace(
+        ["p", "q", "r"], {("p", "q"): F(1, 4), ("q", "r"): F(1, 2), ("p", "r"): F(3, 4)}
+    )
+    two = FiniteMetricSpace(["p", "q"], {("p", "q"): F(1, 3)})
+    src = free_em_algebra(x3)
+    for target, names in (
+        (y, {"a": "r", "b": "p", "c": "q"}),
+        (two, {"a": "p", "b": "q", "c": "p"}),
+    ):
+        relabel = lambda s: functor_map(lambda x: names[x], s, target=target)
+        report = check_homomorphism(relabel, src, free_em_algebra(target), samples=20, seed=6)
+        assert report.ok and report.trials == 20
+    # joining a fixed set over Y after relabelling is not one
+    names = {"a": "r", "b": "p", "c": "q"}
+    graft = lambda s: oplus(functor_map(lambda x: names[x], s, target=y), monad_unit(y, "p"))
+    assert not check_homomorphism(graft, src, free_em_algebra(y), samples=20, seed=7).ok
+
+
 @given(sts.spaces(max_points=3))
 @settings(max_examples=8)
 def test_free_roundtrips_on_generated_spaces(space):
     em = free_em_algebra(space)
     assert roundtrip_GF(em, 12, seed=21).ok
     assert roundtrip_FG(functor_F(em), 12, seed=22).ok
-
-
-def test_free_algebra_carrier_hk(x3):
-    carrier = FreeAlgebraCarrier(x3)
-    s = monad_unit(x3, "a")
-    t = monad_unit(x3, "b")
-    assert carrier.metric(s, t) == F(1, 2)
 
 
 def test_hk_projects_onto_the_whole_set():

@@ -1,6 +1,8 @@
+import random
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 
 import strategies as sts
@@ -8,11 +10,13 @@ from hkconvex import (
     ConvexSet,
     Dist,
     QuantEquation,
+    SpaceMismatch,
     check_derivation,
     dirac,
     hk_distance,
     kantorovich,
     metric_hypotheses,
+    sampling,
     term_distance,
 )
 from hkconvex import convex, linprog
@@ -181,3 +185,20 @@ def test_tightest_derivable_carries_the_metric_hypotheses(bundle):
     _, d = tightest_derivable(space, t, s)
     assert d.hypotheses == metric_hypotheses(space)
     assert check_derivation(metric_hypotheses(space), d).ok
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_derive_hk_refuses_sets_of_sets(x3, seed, monkeypatch):
+    # Proofs are over the space metric: towers are a SpaceMismatch, raised
+    # before any projection LP, whichever side they are on.
+    rng = random.Random(seed)
+    left, right = sampling.rand_set_of_sets(rng, x3), sampling.rand_set_of_sets(rng, x3)
+    flat = ConvexSet(x3, [dirac(x3, "a")])
+
+    def no_lp(*args):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(linprog, "solve_lp", no_lp)
+    for pair in ((left, right), (left, flat), (flat, right)):
+        with pytest.raises(SpaceMismatch, match="label-supported"):
+            derive_hk(x3, *pair)
