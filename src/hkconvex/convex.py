@@ -332,19 +332,19 @@ def monad_mult(s: ConvexSet) -> ConvexSet:
     return ConvexSet(s.space, gens)
 
 
-def nearest_point(space: FiniteMetricSpace, target: Dist, s: ConvexSet, metric=None):
+def nearest_point(space: FiniteMetricSpace, target: Dist, s: ConvexSet):
     """Exact projection: the Kantorovich distance from `target` to the set.
 
-    Minimizes transport cost jointly over a plan and a convex combination
-    of the base, as one LP whose rows share the common denominator of
-    `_int_vectors`. Returns (value, nearest mixture, base weights). With
-    no `metric` the cost is `space.d`, so items that are not labels raise
-    SpaceMismatch before the LP runs.
+    Minimizes transport cost, read off the space's int distance table,
+    jointly over a plan and a convex combination of the base, as one LP
+    whose rows share the common denominator of `_int_vectors`. Returns
+    (value, nearest mixture, base weights). Items that are not labels
+    raise SpaceMismatch before the LP runs (`lifting` relabels towers).
     """
     for other in (target.space, s.space):
         if other is not space and other != space:
             raise SpaceMismatch()
-    if metric is None and not (target.is_ground() and s.is_ground()):
+    if not (target.is_ground() and s.is_ground()):
         raise SpaceMismatch("projection over the space metric needs label-supported inputs")
     base = list(s.base)
     vecs, index = _int_vectors([*base, target])
@@ -369,14 +369,10 @@ def nearest_point(space: FiniteMetricSpace, target: Dist, s: ConvexSet, metric=N
         rhs.append(0)
     rows.append([0] * (nx * ny) + [den] * nb)
     rhs.append(den)
-    if metric is None:
-        table = [space._rows[space.index(x)] for x in xs]
-        at = [space.index(y) for y in ys]
-        cost, scale = [r[j] for r in table for j in at], space._den
-    else:
-        cost, scale = [metric(x, y) for x in xs for y in ys], 1
+    at = [space.index(y) for y in ys]
+    cost = [r[j] for r in (space._rows[space.index(x)] for x in xs) for j in at]
     result = linprog.solve_lp(cost + [0] * nb, rows, rhs)
     assert result.status == linprog.OPTIMAL, "projection LP is always feasible"
     lambdas = tuple(result.solution[nx * ny + k] for k in range(nb))
     mixture = convex_combine(list(zip(lambdas, base)))
-    return result.value / scale, mixture, lambdas
+    return result.value / space._den, mixture, lambdas

@@ -6,17 +6,17 @@ metric between distributions, then Hausdorff between two finitely
 generated convex sets. The directed sup over a convex set is attained at
 a base point because the distance to a convex set is a convex function,
 so one exact projection program per base point computes the distance
-over the full sets, not merely between the bases. On sets of sets the
-ground metric is `hk_distance` itself, one level down.
+over the full sets, not merely between the bases. Sets of sets are
+compared as sets over a label space whose points are their inner sets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from itertools import combinations
 from typing import Callable, Iterable
 
-from .convex import ConvexSet, nearest_point
+from .convex import ConvexSet, functor_map, nearest_point
 from .core import FiniteMetricSpace
 from .errors import EmptySet, SpaceMismatch
 
@@ -39,19 +39,31 @@ def hausdorff(metric: Callable, left: Iterable, right: Iterable) -> Fraction:
     )
 
 
+def _over_labels(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet):
+    """(space, left, right) over labels. On sets over sets, the distinct
+    inner sets of both sides, in `sort_key` order so supports keep their
+    order, are the points s0, s1, ... of one space at their `hk_distance`,
+    and both sides move onto it. Sets of two kinds raise SpaceMismatch."""
+    if left.is_ground() != right.is_ground():
+        raise SpaceMismatch("one set is over labels, the other over sets")
+    if left.is_ground():
+        return space, left, right
+    inner = sorted(
+        {x for s in (left, right) for g in s.base for x in g.support}, key=ConvexSet.sort_key
+    )
+    name = {x: f"s{i}" for i, x in enumerate(inner)}
+    dist = {(name[x], name[y]): hk_distance(space, x, y) for x, y in combinations(inner, 2)}
+    labels = FiniteMetricSpace(list(name.values()), dist)
+    return labels, functor_map(name.get, left, labels), functor_map(name.get, right, labels)
+
+
 def hk_directed(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> Fraction:
     """Directed Hausdorff-Kantorovich term: worst base point's exact
-    projection distance onto the right convex set.
-
-    The support items fix the ground metric: `space.d` on labels, and on
-    sets over sets `hk_distance` one level down. Sets of different kinds
-    raise SpaceMismatch before any projection runs.
-    """
-    ground = left.is_ground()
-    if ground != right.is_ground():
-        raise SpaceMismatch("one set is over labels, the other over sets")
-    metric = None if ground else partial(hk_distance, space)
-    return max(nearest_point(space, g, right, metric)[0] for g in left.base)
+    projection distance onto the right convex set, over labels, or over
+    the label space of `_over_labels` on sets over sets (sets of different
+    kinds raise SpaceMismatch before any projection runs)."""
+    space, left, right = _over_labels(space, left, right)
+    return max(nearest_point(space, g, right)[0] for g in left.base)
 
 
 def hk_distance(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> Fraction:
@@ -59,8 +71,9 @@ def hk_distance(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> 
 
     Exact over the full sets: restricting the nearest-point search to the
     other base can overshoot whenever the nearest point is an interior
-    mixture, so each direction projects onto the whole hull instead. The
-    ground metric is `space.d` on labels; on sets over sets, this
-    distance one level down, so towers of any depth are compared.
+    mixture, so each direction projects onto the whole hull instead. On
+    sets over sets both directions share one label space, whose distance
+    is this one a level down, so towers of any depth are compared.
     """
+    space, left, right = _over_labels(space, left, right)
     return max(hk_directed(space, left, right), hk_directed(space, right, left))

@@ -4,6 +4,8 @@ This is the Fraction-tableau kernel that `solve_lp` ran on before it
 moved to integer (Bareiss) pivots, kept verbatim below this docstring.
 The tests compare the integer kernel against it: both use Bland's rule,
 so they must return the same status, value and solution on every LP.
+`projection`, after the kernel, writes `convex.nearest_point`'s LP as
+Fraction rows over any callable ground metric, and solves it here.
 """
 
 from __future__ import annotations
@@ -140,3 +142,27 @@ def solve_lp(
         solution[basis[i]] = r[-1]
     value = sum((c * x for c, x in zip(objective, solution)), ZERO)
     return LPResult(OPTIMAL, value, solution)
+
+
+def projection(metric, target, s):
+    """(value, base weights) of the nearest point of the convex set `s` to
+    `target`: the transport plan and the base weights as one LP, every
+    row in Fractions, the cost of moving x to y being metric(x, y)."""
+    base = list(s.base)
+    xs = list(target.support)
+    ys = list(dict.fromkeys(y for g in base for y in g.support))
+    nx, ny, nb = len(xs), len(ys), len(base)
+    rows, rhs = [], []
+    for i, x in enumerate(xs):
+        rows.append([Fraction(int(k // ny == i)) for k in range(nx * ny)] + [ZERO] * nb)
+        rhs.append(target.weight(x))
+    for j, y in enumerate(ys):
+        rows.append(
+            [Fraction(int(k % ny == j)) for k in range(nx * ny)] + [-g.weight(y) for g in base]
+        )
+        rhs.append(ZERO)
+    rows.append([ZERO] * (nx * ny) + [ONE] * nb)
+    rhs.append(ONE)
+    objective = [metric(x, y) for x in xs for y in ys] + [ZERO] * nb
+    ref = solve_lp(objective, rows, rhs)
+    return ref.value, tuple(ref.solution[nx * ny :])

@@ -217,23 +217,8 @@ def _fraction_hull_lp(target, generators):
 
 def _fraction_projection(space, target, s):
     # nearest_point's LP as Fraction rows, solved by the rational reference.
-    base = list(s.base)
-    xs = list(target.support)
-    ys = list(dict.fromkeys(y for g in base for y in g.support))
-    nx, ny, nb = len(xs), len(ys), len(base)
-    rows, rhs = [], []
-    for i, x in enumerate(xs):
-        rows.append([F(int(k // ny == i)) for k in range(nx * ny)] + [F(0)] * nb)
-        rhs.append(target.weight(x))
-    for j, y in enumerate(ys):
-        rows.append([F(int(k % ny == j)) for k in range(nx * ny)] + [-g.weight(y) for g in base])
-        rhs.append(F(0))
-    rows.append([F(0)] * (nx * ny) + [F(1)] * nb)
-    rhs.append(F(1))
-    objective = [space.d(x, y) for x in xs for y in ys] + [F(0)] * nb
-    ref = lp_reference.solve_lp(objective, rows, rhs)
-    lambdas = tuple(ref.solution[nx * ny :])
-    return ref.value, convex_combine(list(zip(lambdas, base))), lambdas
+    value, lambdas = lp_reference.projection(space.d, target, s)
+    return value, convex_combine(list(zip(lambdas, s.base))), lambdas
 
 
 @st.composite

@@ -789,6 +789,12 @@ _REJECTIONS = [
         "NExpOplus eps must be the max of premise eps",
     ),
     (
+        "oplus-eps-second-premise-larger",
+        _node("NExpOplus", eq("(oplus b a)", "(oplus c b)", "1/4"), _BC, _AB),
+        (),
+        "NExpOplus eps must be the max of premise eps",
+    ),
+    (
         "plusp-left-side",
         _node("NExpPlusP", eq("(oplus a b)", "(p+ 1/3 b c)", "1/3"), _AB, _BC),
         (),
@@ -915,6 +921,38 @@ _REJECTIONS = [
         _under_symm(_node("AxiomCS", eq("(oplus a b)", "(oplus a b)", 0), axiom="C")),
         (0,),
         "conclusion is not an instance of axiom C",
+    ),
+    (
+        "axiom-A-instance",
+        _node("AxiomCS", eq("(oplus a b)", "c", 0), axiom="A"),
+        (),
+        "conclusion is not an instance of axiom A",
+    ),
+    (
+        "axiom-Cp-instance",
+        _node("AxiomCS", eq("(p+ 1/3 a b)", "(p+ 1/3 b a)", 0), axiom="C_p"),
+        (),
+        "conclusion is not an instance of axiom C_p",
+    ),
+    (
+        "axiom-D-shape",
+        _node(
+            "AxiomCS",
+            eq("(p+ 1/2 a (p+ 1/3 b c))", "(oplus (p+ 1/2 a b) (p+ 1/2 a c))", 0),
+            axiom="D",
+        ),
+        (),
+        "conclusion is not an instance of axiom D",
+    ),
+    (
+        "axiom-D-probability",
+        _node(
+            "AxiomCS",
+            eq("(p+ 1/2 a (oplus b c))", "(oplus (p+ 1/2 a b) (p+ 1/3 a c))", 0),
+            axiom="D",
+        ),
+        (),
+        "conclusion is not an instance of axiom D",
     ),
 ]
 

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lp_reference
 import strategies as sts
 from hkconvex import (
     ConvexSet,
@@ -201,6 +203,53 @@ def test_hk_on_sets_of_sets_golden():
     space, s, t = _towers(5)
     assert hk_distance(space, s, t) == F(7, 8)
     assert hk_distance(space, t, s) == F(7, 8)
+
+
+def _reference_directed(space, left, right):
+    # The directed term as projected before towers became label spaces: the
+    # ground metric of sets over sets is this reference one level down, a
+    # callable that each Fraction projection LP evaluates per cost cell.
+    metric = space.d if left.is_ground() else partial(_reference_hk, space)
+    return max(lp_reference.projection(metric, g, right)[0] for g in left.base)
+
+
+def _reference_hk(space, left, right):
+    return max(_reference_directed(space, left, right), _reference_directed(space, right, left))
+
+
+@given(
+    st.integers(0, 2**16),
+    st.sampled_from([sampling.rand_set_of_sets, sampling.rand_set_of_sets_of_sets]),
+)
+@settings(max_examples=20, deadline=None)
+def test_tower_hk_matches_the_callable_metric_reference(seed, tower):
+    rng = random.Random(seed)
+    space = sampling.rand_space(rng, max_points=3)
+    s, t = tower(rng, space), tower(rng, space)
+    ltr, rtl = _reference_directed(space, s, t), _reference_directed(space, t, s)
+    assert hk_directed(space, s, t) == ltr
+    assert hk_directed(space, t, s) == rtl
+    assert hk_distance(space, s, t) == max(ltr, rtl)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_tower_distance_measures_each_inner_pair_once(seed, monkeypatch):
+    # The label space measures each pair of distinct inner sets of both
+    # sides once, for both directions; no projection re-measures a pair.
+    space, s, t = _towers(seed)
+    hk = lifting.hk_distance
+    measured = []
+
+    def counting(space, a, b):
+        measured.append(frozenset((a, b)))
+        return hk(space, a, b)
+
+    monkeypatch.setattr(lifting, "hk_distance", counting)
+    value = lifting.hk_distance(space, s, t)
+    inner = measured[1:]
+    assert all(len(pair) == 2 for pair in inner)
+    assert len(inner) == len(set(inner))
+    assert value == hk(space, s, t)
 
 
 @pytest.mark.parametrize("flip", [False, True])
