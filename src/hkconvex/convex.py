@@ -134,16 +134,16 @@ def unique_base(generators: Sequence[Dist]) -> tuple[Dist, ...]:
     """Minimal generating set: distinct generators extreme in the hull.
 
     Lexicographic extremes of the distinct integer weight vectors are kept
-    with no hull test: for each coordinate j and sign s, the generators
-    largest (s = +1) or smallest (s = -1) on j, narrowed to one over j+1,
-    ..., d-1, 0, ..., j-1 once by largest and once by smallest values
-    (t = +1, -1). Were such a g = sum_i l_i h_i, all l_i > 0, h_i != g, no
-    h_i would pass g on the first coordinate of the order, so all tie with
-    g there, and so on: h_i = g. Entries lie in [0, D], D the common denominator, so
-    f(x) = sum_r s_r (D+1)^(d-1-r) x[c_r] over that order c_0 = j, ...,
-    with s_0 = s and s_r = t after, is strictly largest at g. Generators
-    left over run a hull test. No generators raise EmptyInput, for
-    `ConvexSet` too.
+    with no hull test. For each coordinate j, sort the vectors by their
+    entries in the order c_0 = j, j+1, ..., d-1, 0, ..., j-1 (d
+    coordinates). Four are kept: the first and the last (signs s = t = -1
+    and s = t = +1), the last of the run of smallest values on j (s = -1,
+    t = +1) and the first of the run of largest (s = +1, t = -1). Entries
+    lie in [0, D], D the common denominator, so each of them, g, is the
+    one strict maximum of f(x) = sum_r s_r (D+1)^(d-1-r) x[c_r], with
+    s_0 = s and s_r = t after: g is no convex combination of other
+    generators. Generators left over run a hull test. No generators raise
+    EmptyInput, for `ConvexSet` too.
     """
     distinct = list(dict.fromkeys(generators))
     n = len(distinct)
@@ -155,23 +155,12 @@ def unique_base(generators: Sequence[Dist]) -> tuple[Dist, ...]:
     if any(g.space != space for g in distinct):
         raise SpaceMismatch()
     vecs, index = _int_vectors(distinct)
-    columns = list(zip(*vecs))
     certified: set[int] = set()
-    for j, column in enumerate(columns):
-        order = columns[j + 1 :] + columns[:j]
-        for top in (max(column), min(column)):
-            if column.count(top) == 1:
-                certified.add(column.index(top))
-                continue
-            tied = [k for k, v in enumerate(column) if v == top]
-            for t in (max, min):
-                left = tied
-                for other in order:
-                    best = t([other[k] for k in left])
-                    left = [k for k in left if other[k] == best]
-                    if len(left) == 1:
-                        break
-                certified.add(left[0])
+    for j in range(len(index)):
+        ranked = sorted(range(n), key=lambda k: vecs[k][j:] + vecs[k][:j])
+        column = [vecs[k][j] for k in ranked]
+        low, high = column.count(column[0]), column.count(column[-1])
+        certified.update((ranked[0], ranked[low - 1], ranked[n - high], ranked[-1]))
         if len(certified) == n:
             break
     interior: set[int] = set()

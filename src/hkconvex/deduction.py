@@ -393,7 +393,10 @@ def check_derivation(gamma, d: Derivation) -> CheckResult:
     `metric_hypotheses`). A node object met again under the same
     hypotheses is checked once; the first failing node in pre-order is
     reported either way. A derivation nested deeper than the recursion
-    limit raises TooDeep.
+    limit raises TooDeep. The equations of `gamma` and of each Cut's
+    `theta` are hashed, through `frozenset`, and so are their terms: see
+    `syntax._Node` for the cost on terms built in Python with shared
+    children.
     """
     return guard_depth(_check_node, frozenset(gamma), d, (), set())
 

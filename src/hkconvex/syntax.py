@@ -45,7 +45,10 @@ class _Node:
     of another class or a plain tuple (only a tuple of an unrelated tuple
     subclass, on the left of `==`, compares by its own rule), and nodes
     are not ordered. The hash is the tuple's: the hash of the tuple of
-    fields.
+    fields. It is not cached and walks the tree, not the distinct node
+    objects, so hashing a term built in Python with shared children takes
+    time exponential in its depth. A parsed term is not affected: its tree
+    is no larger than its text.
     """
 
     __slots__ = ()

@@ -29,10 +29,11 @@ from hkconvex import (
     metric_hypotheses,
     term_distance,
 )
-from hkconvex.deduction import equations_from_json_list
+from hkconvex.deduction import _match_axiom, equations_from_json_list
 from hkconvex.proofs import derive_hk
 from hkconvex.sampling import rand_convex_set, rand_space
 from hkconvex.syntax import Gen, Oplus, PlusP, parse_term
+from hkconvex.terms import normalize
 
 F = Fraction
 
@@ -963,3 +964,126 @@ _REJECTIONS = [
 def test_every_rejection_reason_is_reported_at_its_node(x3, node, path, reason):
     res = check_derivation(_GAMMA, node)
     assert (res.ok, res.path, res.reason) == (False, path, reason)
+
+
+# True instances of each axiom over subterms x, y, z and probabilities
+# p, q, left to right as the axiom is written.
+_AXIOM_INSTANCES = {
+    "A": lambda p, q, x, y, z: (Oplus(Oplus(x, y), z), Oplus(x, Oplus(y, z))),
+    "C": lambda p, q, x, y, z: (Oplus(x, y), Oplus(y, x)),
+    "I": lambda p, q, x, y, z: (Oplus(x, x), x),
+    "A_p": lambda p, q, x, y, z: (
+        PlusP(p, PlusP(q, x, y), z),
+        PlusP(p * q, x, PlusP(p * (1 - q) / (1 - p * q), y, z)),
+    ),
+    "C_p": lambda p, q, x, y, z: (PlusP(p, x, y), PlusP(1 - p, y, x)),
+    "I_p": lambda p, q, x, y, z: (PlusP(p, x, x), x),
+    "D": lambda p, q, x, y, z: (
+        PlusP(p, x, Oplus(y, z)),
+        Oplus(PlusP(p, x, y), PlusP(p, x, z)),
+    ),
+}
+
+
+def _moved(p, up):
+    """p moved one unit of its denominator, or half a unit where a whole
+    one leaves (0, 1)."""
+    step = F(1 if up else -1, p.denominator)
+    return p + step if 0 < p + step < 1 else p + step / 2
+
+
+def _changed(node, draw, pool):
+    """The p+ or oplus `node` with its children swapped, one child replaced
+    by a term of `pool`, or, at a p+, its p moved."""
+    args = [node.p] if isinstance(node, PlusP) else []
+    children = [node.left, node.right]
+    change = draw(st.sampled_from(["swap", "replace", "move"] if args else ["swap", "replace"]))
+    if change == "swap":
+        children.reverse()
+    elif change == "replace":
+        children[draw(st.integers(0, 1))] = draw(st.sampled_from(pool))
+    else:
+        args = [_moved(node.p, draw(st.booleans()))]
+    return type(node)(*args, *children)
+
+
+def _inner_nodes(term):
+    """(field, node) of each p+ or oplus node of `term` at depth 0 (field
+    None) or 1 (field "left" or "right")."""
+    if isinstance(term, Gen):
+        return []
+    children = [(field, getattr(term, field)) for field in ("left", "right")]
+    return [(None, term)] + [(f, c) for f, c in children if not isinstance(c, Gen)]
+
+
+@st.composite
+def _axiom_near_misses(draw, name):
+    """A space, a true instance (left, right) of the axiom, and the same
+    instance with one change at a p+ or oplus node of depth 0 or 1 of
+    either side (see `_changed`)."""
+    space = draw(sts.spaces(max_points=3))
+    x, y, z, fresh = (draw(sts.terms(space, max_depth=1)) for _ in range(4))
+    p, q = draw(sts.probabilities()), draw(sts.probabilities())
+    sides = _AXIOM_INSTANCES[name](p, q, x, y, z)
+    spots = [(k, *spot) for k, term in enumerate(sides) for spot in _inner_nodes(term)]
+    k, field, node = draw(st.sampled_from(spots))
+    node = _changed(node, draw, [x, y, z, fresh])
+    miss = list(sides)
+    miss[k] = node if field is None else sides[k]._replace(**{field: node})
+    return space, sides, tuple(miss)
+
+
+@pytest.mark.parametrize("name", AXIOMS)
+@given(data=st.data())
+@settings(max_examples=15)
+def test_axiom_near_misses_match_only_when_the_sides_normalize_equal(name, data):
+    space, instance, miss = data.draw(_axiom_near_misses(name))
+    assert _match_axiom(name, *instance)
+    for left, right in (miss, miss[::-1]):
+        if _match_axiom(name, left, right):
+            assert normalize(space, left) == normalize(space, right)
+
+
+# Each rule's premises, as pairs of indices into drawn terms t, and its
+# conclusion (left, right, eps) from t, a probability p and the premises'
+# eps e, as the rule states it.
+_RULE_INSTANCES = {
+    "Refl": ((), lambda t, p, e: (t[0], t[1], 0)),
+    "Symm": (((0, 1),), lambda t, p, e: (t[1], t[0], e[0])),
+    "Triang": (((0, 1), (1, 2)), lambda t, p, e: (t[0], t[2], min(1, e[0] + e[1]))),
+    "Max": (((0, 1),), lambda t, p, e: (t[0], t[1], e[0])),
+    "NExpOplus": (
+        ((0, 1), (2, 3)),
+        lambda t, p, e: (Oplus(t[0], t[2]), Oplus(t[1], t[3]), max(e)),
+    ),
+    "NExpPlusP": (
+        ((0, 1), (2, 3)),
+        lambda t, p, e: (PlusP(p, t[0], t[2]), PlusP(p, t[1], t[3]), p * e[0] + (1 - p) * e[1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(_RULE_INSTANCES))
+@given(data=st.data())
+@settings(max_examples=10)
+def test_rule_steps_accepted_over_true_premises_are_sound(rule, data):
+    # premises are Assum nodes at the true distance of their sides; the
+    # conclusion claims the rule's eps, one unit of its denominator less,
+    # or one more
+    space = data.draw(sts.spaces(max_points=3))
+    t = [data.draw(sts.terms(space, max_depth=1)) for _ in range(4)]
+    pairs, conclude = _RULE_INSTANCES[rule]
+    gamma = [QuantEquation(t[i], t[j], term_distance(space, t[i], t[j])) for i, j in pairs]
+    p = data.draw(sts.probabilities())
+    left, right, exact = conclude(t, p, [g.eps for g in gamma])
+    exact = F(exact)
+    unit = F(1, exact.denominator)
+    claims = [e for e in (exact - unit, exact, exact + unit) if 0 <= e <= 1]
+    eps = data.draw(st.sampled_from(claims))
+    premises = tuple(Derivation("Assum", g) for g in gamma)
+    node = Derivation(rule, QuantEquation(left, right, eps), premises)
+    ok = check_derivation(gamma, node).ok
+    if ok:
+        assert term_distance(space, left, right) <= eps
+    if eps == exact and (rule != "Refl" or left == right):
+        assert ok
