@@ -17,9 +17,10 @@ function-backed:
 The convex sets form an infinite carrier even over a finite space, so
 all laws and both round-trips are checked pointwise on seeded
 pseudo-random samples: one driver, `_sampled`, runs every check and
-collects its failures into a `LawReport`, and `rand_point` draws every
-carrier point. `check_monad_laws` checks the monad laws of the
-convex-set monad itself the same way. The flagship instance is
+collects its failures into a `LawReport`, and every carrier point and
+tower is drawn through `sampling` (`rand_point` and its tower
+samplers). `check_monad_laws` checks the monad laws of the convex-set
+monad itself the same way. The flagship instance is
 ``free_em_algebra``, whose structure map is one level of `monad_mult`;
 there every check is exactly computable.
 
@@ -35,20 +36,20 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .convex import ConvexSet, functor_map, monad_mult, monad_unit, plus_p
-from .core import Dist, FiniteMetricSpace, convex_combine, dirac
+from .core import FiniteMetricSpace, convex_combine, dirac
 from .errors import OutOfRange
 from .lifting import hk_distance
 from .sampling import (
     rand_convex_set,
+    rand_point,
     rand_prob,
+    rand_set_of_sets,
     rand_set_of_sets_of_sets,
     rand_space,
-    rand_weights,
 )
 from .syntax import Gen, Oplus, Term
 from .terms import nu
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -110,27 +111,6 @@ def check_monad_laws(seed: int, trials: int) -> LawReport:
     return _sampled(seed, trials, "trial", trial)
 
 
-def rand_point(rng: random.Random, space: FiniteMetricSpace) -> ConvexSet:
-    """A random carrier point: a convex set of 1-2 distributions over 1-2 labels."""
-    return rand_convex_set(rng, space, max_base=2, max_support=2)
-
-
-def rand_carrier_set(
-    rng: random.Random, space: FiniteMetricSpace, draw: Callable = rand_point
-) -> ConvexSet:
-    """A random convex set of 1-2 distributions over 1-2 items `draw(rng, space)`:
-    carrier points by default, and sets of them with `draw=rand_carrier_set`."""
-    gens = []
-    for _ in range(rng.randint(1, 2)):
-        k = rng.randint(1, 2)
-        items = [draw(rng, space) for _ in range(k)]
-        acc: dict = {}
-        for item, w in zip(items, rand_weights(rng, k)):
-            acc[item] = acc.get(item, ZERO) + w
-        gens.append(Dist(space, acc))
-    return ConvexSet(space, gens)
-
-
 class EMAlgebra:
     """The convex sets over a space together with a structure map."""
 
@@ -151,7 +131,7 @@ class EMAlgebra:
         """alpha . map(alpha) = alpha . mult on sampled two-level sets."""
 
         def trial(rng):
-            u = rand_carrier_set(rng, self.space, rand_carrier_set)
+            u = rand_set_of_sets_of_sets(rng, self.space)
             via_map = self.alpha(functor_map(self.alpha, u))
             return [("multiplication law", via_map == self.alpha(monad_mult(u)))]
 
@@ -161,8 +141,8 @@ class EMAlgebra:
         """d(alpha S, alpha T) bounded by `hk_distance(S, T)`."""
 
         def trial(rng):
-            s = rand_carrier_set(rng, self.space)
-            u = rand_carrier_set(rng, self.space)
+            s = rand_set_of_sets(rng, self.space)
+            u = rand_set_of_sets(rng, self.space)
             lhs = hk_distance(self.space, self.alpha(s), self.alpha(u))
             rhs = hk_distance(self.space, s, u)
             return [(f"{lhs} > {rhs}", lhs <= rhs)]
@@ -292,7 +272,7 @@ def roundtrip_GF(em: EMAlgebra, samples: int, seed: int = 0) -> LawReport:
     recovered = functor_G(functor_F(em))
 
     def trial(rng):
-        s = rand_carrier_set(rng, em.space)
+        s = rand_set_of_sets(rng, em.space)
         return [("alpha mismatch", em.alpha(s) == recovered.alpha(s))]
 
     return _sampled(seed, samples, "sample", trial)
@@ -320,7 +300,7 @@ def check_homomorphism(
     """f . alpha_src = alpha_dst . map(f) on sampled sets over the source."""
 
     def trial(rng):
-        s = rand_carrier_set(rng, src.space)
+        s = rand_set_of_sets(rng, src.space)
         rhs = dst.alpha(functor_map(f, s, target=dst.space))
         return [("homomorphism square", f(src.alpha(s)) == rhs)]
 

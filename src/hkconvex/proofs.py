@@ -14,10 +14,12 @@ Two rewriting engines produce the eps-0 glue:
   pairwise convexity law.
 
 `_sort_proof` is the one bubble sort both engines use (merge equal
-keys, swap an inversion, rescan from 0). `_under_fold` and `_under_comb`
-lift a proof about a prefix under the untouched suffix of a fold or a
-comb, and `chain` joins eps-0 steps with Triang, left to right, skipping
-absent ones.
+keys, swap an inversion, rescan from 0). `_under_comb` lifts a proof
+about a prefix under the untouched suffix of a comb; `_under_fold` folds
+weighted step proofs onto a proof, which both lifts it under a fold's
+suffix (Refl steps) and builds derive_kantorovich's parallel fold.
+`chain` joins eps-0 steps with Triang, left to right, skipping absent
+ones.
 
 On top of these, derive_kantorovich mirrors an optimal coupling as a
 parallel fold of hypothesis steps under the p+ congruence rule, and
@@ -194,10 +196,11 @@ def _flatten_mix(t: Term):
     return out, triang(d0, dj)
 
 
-def _under_fold(pf: Derivation, total: int, suffix) -> Derivation:
-    """Lift pf about a fold of weight `total` under the suffix items."""
-    for y, v in suffix:
-        pf = congr_plusp(Fraction(total, total + v), pf, refl(Gen(y)))
+def _under_fold(pf: Derivation, total: int, steps) -> Derivation:
+    """Fold pf, about a fold of weight `total`, with the (proof, weight)
+    steps under the p+ congruence, p = S_{j-1}/S_j."""
+    for step, v in steps:
+        pf = congr_plusp(Fraction(total, total + v), pf, step)
         total += v
     return pf
 
@@ -227,7 +230,8 @@ def _mix_pair(items, i, merge: bool) -> Derivation:
             congr_plusp(w, refl(x), pf),
             None if merge else ax("A_p", PlusP(w, x, new), _fold_items(swapped)),
         )
-    return _under_fold(pf, total + u + v, items[i + 2 :])
+    suffix = [(refl(Gen(y)), w) for y, w in items[i + 2 :]]
+    return _under_fold(pf, total + u + v, suffix)
 
 
 def _sort_mix(space: FiniteMetricSpace, items) -> Derivation | None:
@@ -595,13 +599,8 @@ def _fold_pair(space: FiniteMetricSpace, cells) -> Derivation:
             return refl(Gen(x))
         return assum(QuantEquation(Gen(x), Gen(y), space.d(x, y)))
 
-    x, y, total = cells[0]
-    proof = step(x, y)
-    for x, y, w in cells[1:]:
-        grown = total + w
-        proof = congr_plusp(Fraction(total, grown), proof, step(x, y))
-        total = grown
-    return proof
+    steps = [(step(x, y), w) for x, y, w in cells]
+    return _under_fold(*steps[0], steps[1:])
 
 
 def _support_hypotheses(space, left_points, right_points):

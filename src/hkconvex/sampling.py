@@ -4,13 +4,18 @@ Everything is exact: probabilities and distances are Fractions with
 small denominators. Metric tables are made triangle-valid by shortest
 paths over random positive edge lengths, which keeps distances in the
 positive range (0, 1].
+
+A carrier point (`rand_point`) is a convex set of 1-2 distributions over
+1-2 labels. The towers above it (`rand_dist_over_sets`,
+`rand_set_of_sets`, `rand_set_of_sets_of_sets`) draw 1-2 items per
+distribution, and equal draws merge their weights, so a one-point space
+gives its one tower of each depth.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
 from string import ascii_lowercase
 from typing import Callable
 
@@ -72,22 +77,22 @@ def rand_convex_set(
     return ConvexSet(space, [rand_dist(rng, space, max_support) for _ in range(k)])
 
 
-def _rand_distinct_dist(
-    rng: random.Random, space: FiniteMetricSpace, max_support: int, draw: Callable
-) -> Dist:
-    """A distribution over 1 to `max_support` distinct items `draw()`."""
-    k = rng.randint(1, max_support)
-    items = []
-    while len(items) < k:
-        candidate = draw()
-        if candidate not in items:
-            items.append(candidate)
-    return Dist(space, dict(zip(items, rand_weights(rng, k))))
+def rand_point(rng: random.Random, space: FiniteMetricSpace) -> ConvexSet:
+    """A random carrier point: a convex set of 1-2 distributions over 1-2 labels."""
+    return rand_convex_set(rng, space, max_base=2, max_support=2)
+
+
+def _rand_mixture(rng: random.Random, space: FiniteMetricSpace, draw: Callable) -> Dist:
+    """A distribution over 1-2 items `draw(rng, space)`; equal draws merge their weights."""
+    k = rng.randint(1, 2)
+    acc: dict = {}
+    for item, w in zip([draw(rng, space) for _ in range(k)], rand_weights(rng, k)):
+        acc[item] = acc.get(item, 0) + w
+    return Dist(space, acc)
 
 
 def rand_dist_over_sets(rng: random.Random, space: FiniteMetricSpace) -> Dist:
-    draw = partial(rand_convex_set, rng, space, max_base=2, max_support=2)
-    return _rand_distinct_dist(rng, space, 2, draw)
+    return _rand_mixture(rng, space, rand_point)
 
 
 def rand_set_of_sets(rng: random.Random, space: FiniteMetricSpace) -> ConvexSet:
@@ -96,9 +101,8 @@ def rand_set_of_sets(rng: random.Random, space: FiniteMetricSpace) -> ConvexSet:
 
 
 def rand_set_of_sets_of_sets(rng: random.Random, space: FiniteMetricSpace) -> ConvexSet:
-    draw = partial(rand_set_of_sets, rng, space)
     k = rng.randint(1, 2)
-    return ConvexSet(space, [_rand_distinct_dist(rng, space, 2, draw) for _ in range(k)])
+    return ConvexSet(space, [_rand_mixture(rng, space, rand_set_of_sets) for _ in range(k)])
 
 
 def rand_term(rng: random.Random, space: FiniteMetricSpace, max_depth: int = 4) -> Term:

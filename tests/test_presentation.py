@@ -32,7 +32,8 @@ from hkconvex import (
     roundtrip_GF,
 )
 from hkconvex import sampling
-from hkconvex.presentation import check_homomorphism, rand_carrier_set, rand_point
+from hkconvex.presentation import check_homomorphism
+from hkconvex.sampling import rand_point, rand_set_of_sets as rand_carrier_set
 
 F = Fraction
 
@@ -121,6 +122,19 @@ def test_tower_samplers_are_pinned(x3):
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
         "a76dcc96b4b89919e8ff448005df533e5ba264b0a1244aeb2a52a35651312935"
     )
+
+
+def test_tower_samplers_return_on_a_one_point_space():
+    # Over one point every draw of a depth is the same item: two equal
+    # draws merge into weight 1, so each sampler gives the one tower.
+    space = FiniteMetricSpace(["a"], {})
+    point = monad_unit(space, "a")
+    sets = monad_unit(space, point)
+    for seed in range(20):
+        rng = random.Random(seed)
+        assert sampling.rand_dist_over_sets(rng, space) == dirac(space, point)
+        assert sampling.rand_set_of_sets(rng, space) == sets
+        assert sampling.rand_set_of_sets_of_sets(rng, space) == monad_unit(space, sets)
 
 
 def test_roundtrips_clean_on_free_instance(x3):
