@@ -6,19 +6,25 @@ metric between distributions, then Hausdorff between two finitely
 generated convex sets. The directed sup over a convex set is attained at
 a base point because the distance to a convex set is a convex function,
 so one exact projection program per base point computes the distance
-over the full sets, not merely between the bases. Sets of sets are
-compared as sets over a label space whose points are their inner sets.
+over the full sets, not merely between the bases. A base point whose
+distance to the other base bounds it below the maximum so far is not
+projected. Sets of sets are compared as sets over a label space whose
+points are their inner sets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .convex import ConvexSet, functor_map, nearest_point
 from .core import FiniteMetricSpace
 from .errors import EmptySet, SpaceMismatch
+from .transport import kantorovich
+
+ZERO = Fraction(0)
 
 
 def directed_hausdorff(metric: Callable, left: Iterable, right: Iterable) -> Fraction:
@@ -63,7 +69,7 @@ def hk_directed(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> 
     the label space of `_over_labels` on sets over sets (sets of different
     kinds raise SpaceMismatch before any projection runs)."""
     space, left, right = _over_labels(space, left, right)
-    return max(nearest_point(space, g, right)[0] for g in left.base)
+    return _directed(space, left, right, map(min, _vertex_distances(space, left, right)))
 
 
 def hk_distance(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> Fraction:
@@ -73,7 +79,31 @@ def hk_distance(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> 
     other base can overshoot whenever the nearest point is an interior
     mixture, so each direction projects onto the whole hull instead. On
     sets over sets both directions share one label space, whose distance
-    is this one a level down, so towers of any depth are compared.
+    is this one a level down, so towers of any depth are compared. Both
+    directions bound their projections by one table of base distances.
     """
     space, left, right = _over_labels(space, left, right)
-    return max(hk_directed(space, left, right), hk_directed(space, right, left))
+    k = _vertex_distances(space, left, right)
+    return max(
+        _directed(space, left, right, map(min, k)),
+        _directed(space, right, left, map(min, zip(*k))),
+    )
+
+
+def _vertex_distances(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet):
+    """Kantorovich distances between the base points, one row per left one."""
+    return [[kantorovich(space, g, r).value for r in right.base] for g in left.base]
+
+
+def _directed(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet, bounds) -> Fraction:
+    """The directed term over labels, given for each left base point the
+    least distance to a right base point: an upper bound on its distance
+    to the right set. Points are projected in order of descending bound,
+    and once a bound is at most the maximum so far no later point can
+    raise it, so the rest are not projected."""
+    h = ZERO
+    for u, g in sorted(zip(bounds, left.base), key=itemgetter(0), reverse=True):
+        if u <= h:
+            break
+        h = max(h, nearest_point(space, g, right)[0])
+    return h

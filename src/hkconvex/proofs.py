@@ -26,6 +26,13 @@ parallel fold of hypothesis steps under the p+ congruence rule, and
 derive_hk pads both sides with nearest-base witnesses, lifts each pair
 to the Hausdorff value with Max, and joins them under the oplus
 congruence rule.
+
+Every public builder runs in one `syntax._sharing_terms` scope, so the
+terms of the proof it returns are hash-consed: equal terms are one
+object, which the writer then prints once. A builder called inside
+another joins the caller's scope, and the scope's table is dropped when
+the outermost builder returns or raises, so no table outlives a build
+and terms built outside one are never shared.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .deduction import (
     metric_hypotheses,
 )
 from .errors import SpaceMismatch
-from .syntax import Gen, Oplus, PlusP, Term, _fold_items, oc_term
+from .syntax import Gen, Oplus, PlusP, Term, _fold_items, _sharing_terms, oc_term
 from .terms import dist_term, nu
 from .transport import kantorovich
 
@@ -187,7 +194,8 @@ def _join_fold(p, fa: Term, fb: Term, weights: list[int], total: int) -> Derivat
 def _flatten_mix(t: Term):
     """(items, proof) with proof: t = fold(items), at eps 0."""
     if isinstance(t, Gen):
-        return [(t.label, 1)], refl(t)
+        # Rebuilt, so that a leaf of the caller's term is shared too.
+        return [(t.label, 1)], refl(Gen(t.label))
     assert isinstance(t, PlusP)
     items_a, da = _flatten_mix(t.left)
     items_b, db = _flatten_mix(t.right)
@@ -244,6 +252,7 @@ def _sort_mix(space: FiniteMetricSpace, items) -> Derivation | None:
     )[1]
 
 
+@_sharing_terms()
 def prove_dist(space: FiniteMetricSpace, t: Term) -> Derivation:
     """t = dist_term(value of t), at eps 0, for oplus-free t."""
     items, d0 = _flatten_mix(t)
@@ -543,12 +552,17 @@ def _distribute(p: Fraction, left: list[Term], right: list[Term]):
     return flat, proof
 
 
+@_sharing_terms()
 def canon_proof(space: FiniteMetricSpace, t: Term):
     """(derivation, set): t = nu(set) at eps 0, set = normalize(t)."""
+    return _canon_proof(space, t)
+
+
+def _canon_proof(space: FiniteMetricSpace, t: Term):
     if isinstance(t, Gen):
-        return refl(t), monad_unit(space, t.label)
-    dl, sl = canon_proof(space, t.left)
-    dr, sr = canon_proof(space, t.right)
+        return refl(Gen(t.label)), monad_unit(space, t.label)
+    dl, sl = _canon_proof(space, t.left)
+    dr, sr = _canon_proof(space, t.right)
     leaves_l = [dist_term(x) for x in sl.base]
     leaves_r = [dist_term(x) for x in sr.base]
     if isinstance(t, Oplus):
@@ -576,6 +590,7 @@ def canon_proof(space: FiniteMetricSpace, t: Term):
     return out, s
 
 
+@_sharing_terms()
 def prove_equal(space: FiniteMetricSpace, left: Term, right: Term) -> Derivation:
     """Derivation of left =_0 right for theory-equal terms."""
     dl, sl = canon_proof(space, left)
@@ -612,6 +627,7 @@ def _support_hypotheses(space, left_points, right_points):
     return tuple(dict.fromkeys(eqs))
 
 
+@_sharing_terms()
 def derive_kantorovich(space: FiniteMetricSpace, left: Dist, right: Dist) -> Derivation:
     """nu({left}) =_eps nu({right}) with eps the Kantorovich distance.
 
@@ -635,6 +651,7 @@ def derive_kantorovich(space: FiniteMetricSpace, left: Dist, right: Dist) -> Der
     )
 
 
+@_sharing_terms()
 def derive_hk(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> Derivation:
     """nu(left) =_h nu(right) with h the Hausdorff-Kantorovich distance.
 
@@ -670,6 +687,7 @@ def derive_hk(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> De
     return d._replace(hypotheses=_support_hypotheses(space, supp_left, supp_right))
 
 
+@_sharing_terms()
 def tightest_derivable(space: FiniteMetricSpace, left: Term, right: Term):
     """(value, derivation): the least derivable eps between two terms.
 

@@ -24,8 +24,6 @@ from .core import Dist, FiniteMetricSpace
 from .errors import EmptyInput
 from .syntax import Gen, Oplus, PlusP, Term
 
-ONE = Fraction(1)
-
 
 def rand_prob(rng: random.Random) -> Fraction:
     den = rng.randint(2, 8)

@@ -19,11 +19,18 @@ right)` and `PlusP(p, left, right)`, each a `typing.NamedTuple` under the
 hashed as the tuple of fields, not ordered). `PlusP` checks its
 probability in `__new__`. `deduction` builds its equations and
 derivations the same way.
+
+Inside `_sharing_terms()` the three constructors hash-cons: a call that
+asks for a term the scope already built returns that object, so equal
+terms built in one scope are one object. Outside a scope every call
+builds a new object.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -67,12 +74,44 @@ class _Node:
     __le__ = __gt__ = __ge__ = __lt__
 
 
+# The terms built in the current `_sharing_terms` scope, or None outside
+# one. Keys are a label, (id(left), id(right)) for Oplus, and (numerator,
+# denominator, id(left), id(right)) for PlusP. The ids are sound while the
+# table lives: each value keeps the children its key names alive.
+_shared: ContextVar[dict | None] = ContextVar("hkconvex.syntax._shared", default=None)
+
+
+@contextmanager
+def _sharing_terms():
+    """A scope in which `Gen`, `Oplus` and `PlusP` return the one object
+    the scope already built for an equal term. A nested entry joins the
+    enclosing scope; the table is dropped when the outermost one exits,
+    by an exception too."""
+    if _shared.get() is not None:
+        yield
+        return
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
 class _GenFields(NamedTuple):
     label: str
 
 
 class Gen(_Node, _GenFields):
     __slots__ = ()
+
+    def __new__(cls, label: str):
+        table = _shared.get()
+        if table is None:
+            return _tuple_new(cls, (label,))
+        term = table.get(label)
+        if term is None:
+            term = table[label] = _tuple_new(cls, (label,))
+        return term
 
 
 class _OplusFields(NamedTuple):
@@ -82,6 +121,16 @@ class _OplusFields(NamedTuple):
 
 class Oplus(_Node, _OplusFields):
     __slots__ = ()
+
+    def __new__(cls, left: "Term", right: "Term"):
+        table = _shared.get()
+        if table is None:
+            return _tuple_new(cls, (left, right))
+        key = (id(left), id(right))
+        term = table.get(key)
+        if term is None:
+            term = table[key] = _tuple_new(cls, (left, right))
+        return term
 
 
 class _PlusPFields(NamedTuple):
@@ -100,7 +149,14 @@ class PlusP(_Node, _PlusPFields):
             )
         if not (0 < p.numerator < p.denominator):
             raise BadProbability(p)
-        return _tuple_new(cls, (p, left, right))
+        table = _shared.get()
+        if table is None:
+            return _tuple_new(cls, (p, left, right))
+        key = (p.numerator, p.denominator, id(left), id(right))
+        term = table.get(key)
+        if term is None:
+            term = table[key] = _tuple_new(cls, (p, left, right))
+        return term
 
 
 Term = Gen | Oplus | PlusP

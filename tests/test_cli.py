@@ -409,7 +409,11 @@ def test_hk_projects_each_base_point_once(capsys, space_file, files, monkeypatch
     code, out = run(capsys, "hk", "--space", space_file, "--left", left, "--right", right)
     assert code == 0
     assert out == {"left_to_right": "1/2", "right_to_left": "1/2", "value": "1/2"}
-    assert len(calls) == 2 + 2
+    # No base point is projected twice. From left to right, b's nearest
+    # right base point is at 1/2, no more than a's projection distance, so
+    # b is not projected at all.
+    assert len(calls) == len(set(calls)) == 3
+    assert {"b": 1} not in [dict(g.items()) for g in calls]
 
 
 def test_space_without_dist_is_a_domain_error(capsys, files):

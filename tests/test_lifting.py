@@ -232,6 +232,25 @@ def test_tower_hk_matches_the_callable_metric_reference(seed, tower):
     assert hk_distance(space, s, t) == max(ltr, rtl)
 
 
+@given(
+    st.integers(0, 2**16),
+    st.sampled_from([sampling.rand_convex_set, sampling.rand_set_of_sets]),
+)
+@settings(max_examples=40, deadline=None)
+def test_vertex_bounds_leave_the_directed_terms_unchanged(seed, draw):
+    # Projecting every base point, with no vertex bound skipping any, gives
+    # the same directed terms and distance, on flat sets and on towers.
+    rng = random.Random(seed)
+    space = sampling.rand_space(rng, max_points=3)
+    s, t = draw(rng, space), draw(rng, space)
+    labels, ls, lt = lifting._over_labels(space, s, t)
+    ltr = max(nearest_point(labels, g, lt)[0] for g in ls.base)
+    rtl = max(nearest_point(labels, g, ls)[0] for g in lt.base)
+    assert hk_directed(space, s, t) == ltr
+    assert hk_directed(space, t, s) == rtl
+    assert hk_distance(space, s, t) == max(ltr, rtl)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_one_tower_distance_measures_each_inner_pair_once(seed, monkeypatch):
     # The label space measures each pair of distinct inner sets of both

@@ -26,9 +26,10 @@ from hkconvex.proofs import (
     derive_hk,
     derive_kantorovich,
     prove_dist,
+    prove_equal,
     tightest_derivable,
 )
-from hkconvex.syntax import Gen, parse_term, print_term
+from hkconvex.syntax import Gen, Oplus, PlusP, parse_term, print_term
 from hkconvex.terms import normalize, nu
 
 F = Fraction
@@ -202,3 +203,69 @@ def test_derive_hk_refuses_sets_of_sets(x3, seed, monkeypatch):
     for pair in ((left, right), (left, flat), (flat, right)):
         with pytest.raises(SpaceMismatch, match="label-supported"):
             derive_hk(x3, *pair)
+
+
+def _conclusion_terms(d):
+    """Every term object reachable from a conclusion of d, by id."""
+    terms, nodes, stack = {}, set(), [d]
+    while stack:
+        node = stack.pop()
+        if id(node) in nodes:
+            continue
+        nodes.add(id(node))
+        stack.extend(node.premises)
+        todo = [node.conclusion.left, node.conclusion.right]
+        while todo:
+            t = todo.pop()
+            if id(t) not in terms:
+                terms[id(t)] = t
+                if not isinstance(t, Gen):
+                    todo += [t.left, t.right]
+    return terms.values()
+
+
+def _one_object_per_term(d):
+    texts = [print_term(t) for t in _conclusion_terms(d)]
+    assert len(texts) == len(set(texts))
+
+
+def _fresh_terms_are_distinct():
+    assert Oplus(Gen("a"), Gen("b")) is not Oplus(Gen("a"), Gen("b"))
+    assert PlusP(F(1, 2), Gen("a"), Gen("b")) is not PlusP(F(1, 2), Gen("a"), Gen("b"))
+
+
+@given(sts.space_with_sets(2), sts.space_with_terms(2))
+@settings(max_examples=20, deadline=None)
+def test_builders_build_each_distinct_term_once(sets, terms):
+    space, s, t = sets
+    _one_object_per_term(derive_hk(space, s, t))
+    space, t, u = terms
+    _one_object_per_term(canon_proof(space, t)[0])
+    _one_object_per_term(tightest_derivable(space, t, u)[1])
+    _fresh_terms_are_distinct()
+
+
+def test_terms_built_outside_a_builder_are_not_shared():
+    _fresh_terms_are_distinct()
+    assert Gen("a") is not Gen("a")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_no_sharing_survives_a_builder_that_raises(x3, seed):
+    rng = random.Random(seed)
+    left, right = sampling.rand_set_of_sets(rng, x3), sampling.rand_set_of_sets(rng, x3)
+    with pytest.raises(SpaceMismatch):
+        derive_hk(x3, left, right)
+    _fresh_terms_are_distinct()
+
+
+def test_no_sharing_survives_nested_builders(x3):
+    # tightest_derivable runs canon_proof and derive_hk, which runs
+    # derive_kantorovich, in its own scope; each builds in the caller's.
+    t, u = parse_term("(p+ 1/2 (oplus a b) (oplus b c))"), parse_term("(oplus a c)")
+    _, d = tightest_derivable(x3, t, u)
+    _one_object_per_term(d)
+    _fresh_terms_are_distinct()
+    d = prove_equal(x3, t, parse_term("(p+ 1/2 (oplus b c) (oplus a b))"))
+    _one_object_per_term(d)
+    _fresh_terms_are_distinct()
