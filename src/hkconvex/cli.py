@@ -29,7 +29,7 @@ from .deduction import (
     equations_from_json_list,
 )
 from .errors import DomainError, FileNotFound, MalformedInput, ParseError, TooDeep
-from .lifting import directed_hausdorff, hk_directed
+from .lifting import _hausdorff_directions, _hk_directions
 from .presentation import (
     check_monad_laws,
     free_em_algebra,
@@ -79,10 +79,6 @@ def _load_json(path: str):
         raise ParseError(message, at) from exc
 
 
-def _load_space(path: str) -> FiniteMetricSpace:
-    return FiniteMetricSpace.from_json_dict(_load_json(path))
-
-
 def _load_dist(space: FiniteMetricSpace, path: str) -> Dist:
     return Dist.from_json_dict(space, _load_json(path))
 
@@ -121,13 +117,12 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _cmd_validate_space(args) -> int:
-    _emit(_load_space(args.space).to_json_dict())
+def _cmd_validate_space(args, space) -> int:
+    _emit(space.to_json_dict())
     return 0
 
 
-def _cmd_kantorovich(args) -> int:
-    space = _load_space(args.space)
+def _cmd_kantorovich(args, space) -> int:
     result = kantorovich(space, _load_dist(space, args.left), _load_dist(space, args.right))
     _emit(
         {
@@ -138,16 +133,14 @@ def _cmd_kantorovich(args) -> int:
     return 0
 
 
-def _cmd_hausdorff(args) -> int:
-    space = _load_space(args.space)
+def _cmd_hausdorff(args, space) -> int:
     left = _load_dists(space, args.left)
     right = _load_dists(space, args.right)
 
     def metric(a, b):
         return kantorovich(space, a, b).value
 
-    ltr = directed_hausdorff(metric, left, right)
-    rtl = directed_hausdorff(metric, right, left)
+    ltr, rtl = _hausdorff_directions(metric, left, right)
     _emit(
         {
             "left_to_right": format_fraction(ltr),
@@ -158,13 +151,10 @@ def _cmd_hausdorff(args) -> int:
     return 0
 
 
-def _cmd_hk(args) -> int:
-    space = _load_space(args.space)
+def _cmd_hk(args, space) -> int:
     left = _load_set(space, args.left)
     right = _load_set(space, args.right)
-    # hk_distance is the larger direction; each is projected once.
-    ltr = hk_directed(space, left, right)
-    rtl = hk_directed(space, right, left)
+    ltr, rtl = _hk_directions(space, left, right)
     _emit(
         {
             "left_to_right": format_fraction(ltr),
@@ -175,63 +165,53 @@ def _cmd_hk(args) -> int:
     return 0
 
 
-def _cmd_base(args) -> int:
-    space = _load_space(args.space)
+def _cmd_base(args, space) -> int:
     _emit(_load_set(space, args.set).to_json_dict())
     return 0
 
 
-def _cmd_normalize(args) -> int:
-    space = _load_space(args.space)
+def _cmd_normalize(args, space) -> int:
     s = normalize(space, parse_term(args.term))
     _emit({"set": s.to_json_dict(), "term": print_term(nu(space, s))})
     return 0
 
 
-def _cmd_nu(args) -> int:
-    space = _load_space(args.space)
+def _cmd_nu(args, space) -> int:
     _emit({"term": print_term(nu(space, _load_set(space, args.set)))})
     return 0
 
 
-def _cmd_tdist(args) -> int:
-    space = _load_space(args.space)
+def _cmd_tdist(args, space) -> int:
     value = term_distance(space, parse_term(args.left), parse_term(args.right))
     _emit({"value": format_fraction(value)})
     return 0
 
 
-def _cmd_oplus(args) -> int:
-    space = _load_space(args.space)
+def _cmd_oplus(args, space) -> int:
     result = oplus(_load_set(space, args.left), _load_set(space, args.right))
     _emit(result.to_json_dict())
     return 0
 
 
-def _cmd_plusp(args) -> int:
-    space = _load_space(args.space)
+def _cmd_plusp(args, space) -> int:
     p = as_fraction(args.p)
     result = plus_p(p, _load_set(space, args.left), _load_set(space, args.right))
     _emit(result.to_json_dict())
     return 0
 
 
-def _cmd_mu(args) -> int:
-    space = _load_space(args.space)
+def _cmd_mu(args, space) -> int:
     _emit(monad_mult(_load_nested(space, args.set)).to_json_dict())
     return 0
 
 
-def _cmd_derive(args) -> int:
-    space = _load_space(args.space)
+def _cmd_derive(args, space) -> int:
     d = derive_hk(space, _load_set(space, args.left), _load_set(space, args.right))
     print(derivation_to_json_text(d))
     return 0
 
 
-def _cmd_check(args) -> int:
-    # No rule reads the space, but a malformed space file is still an error.
-    _load_space(args.space)
+def _cmd_check(args, space) -> int:
     # One table for both files: each distinct term text is read once.
     table: dict = {}
     gamma = equations_from_json_list(_load_json(args.gamma), table)
@@ -244,15 +224,12 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_laws(args) -> int:
-    # The laws draw their own spaces, but a malformed space file is still an error.
-    _load_space(args.space)
+def _cmd_laws(args, space) -> int:
     _emit(check_monad_laws(args.seed, args.trials).to_json_dict())
     return 0
 
 
-def _cmd_roundtrip(args) -> int:
-    space = _load_space(args.space)
+def _cmd_roundtrip(args, space) -> int:
     em = free_em_algebra(space)
     gf = roundtrip_GF(em, args.samples, args.seed)
     fg = roundtrip_FG(functor_F(em), args.samples, args.seed)
@@ -355,7 +332,10 @@ def _fail(exc: DomainError) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # Every subcommand takes a --space file, and a malformed one is an
+        # error even where the subcommand reads no space (check, laws).
+        space = FiniteMetricSpace.from_json_dict(_load_json(args.space))
+        return args.handler(args, space)
     except DomainError as exc:
         return _fail(exc)
     except RecursionError:

@@ -8,8 +8,14 @@ from the root.
 Rules: Refl, Symm, Triang (eps sums, capped at 1), Max (non-strict
 weakening), NExpOplus (eps = max), NExpPlusP (eps = p-weighted sum),
 Subst (on hypothesis-free premises), Cut (with an explicit finite
-intermediate set), Assum (cites a hypothesis verbatim), AxiomCS (theory
-axioms at eps 0, either orientation).
+intermediate set), Assum (cites a hypothesis verbatim), AxiomCS (an
+axiom read left to right, in either orientation, at eps 0).
+
+Each convex-semilattice axiom (A, C, I, A_p, C_p, I_p, D) is written
+once, as the rewrite `_axiom_right` from its left side to its right
+side. The checker accepts an AxiomCS node when the rewrite takes one
+side of its conclusion to the other; the builders in `proofs` make each
+instance with the same rewrite.
 
 `QuantEquation(left, right, eps)` and `Derivation(rule, conclusion,
 premises, axiom, subst, theta, hypotheses)` are immutable tuples of their
@@ -174,77 +180,41 @@ def _plusp_eps(p: Fraction, e1: Fraction, e2: Fraction) -> Fraction:
     return p * e1 + (1 - p) * e2
 
 
+def _axiom_right(name: str, t: Term) -> Term | None:
+    """The right side that the named axiom, read left to right, gives for
+    the left side `t`; None when `t` does not have the axiom's left shape.
+    Probabilities are built from ints: pq < 1 since p, q < 1."""
+    if isinstance(t, Oplus):
+        a, b = t
+        if name == "A" and isinstance(a, Oplus):
+            # (x oplus y) oplus z  =  x oplus (y oplus z)
+            return Oplus(a.left, Oplus(a.right, b))
+        if name == "C":
+            return Oplus(b, a)
+        if name == "I" and a == b:
+            return a
+    elif isinstance(t, PlusP):
+        p, a, b = t
+        pn, pd = p.numerator, p.denominator
+        if name == "A_p" and isinstance(a, PlusP):
+            # (x +_q y) +_p z  =  x +_{pq} (y +_{p(1-q)/(1-pq)} z)
+            qn, qd = a.p.numerator, a.p.denominator
+            s = Fraction(pn * (qd - qn), pd * qd - pn * qn)
+            return PlusP(Fraction(pn * qn, pd * qd), a.left, PlusP(s, a.right, b))
+        if name == "C_p":
+            return PlusP(Fraction(pd - pn, pd), b, a)
+        if name == "I_p" and a == b:
+            return a
+        if name == "D" and isinstance(b, Oplus):
+            # x +_p (y oplus z)  =  (x +_p y) oplus (x +_p z)
+            return Oplus(PlusP(p, a, b.left), PlusP(p, a, b.right))
+    return None
+
+
 def _match_axiom(name: str, left: Term, right: Term) -> bool:
-    """Does left = right instantiate the named axiom at eps 0?"""
-    if name == "A":
-        return (
-            isinstance(left, Oplus)
-            and isinstance(left.left, Oplus)
-            and isinstance(right, Oplus)
-            and isinstance(right.right, Oplus)
-            and left.left.left == right.left
-            and left.left.right == right.right.left
-            and left.right == right.right.right
-        )
-    if name == "C":
-        return (
-            isinstance(left, Oplus)
-            and isinstance(right, Oplus)
-            and left.left == right.right
-            and left.right == right.left
-        )
-    if name == "I":
-        return isinstance(left, Oplus) and left.left == left.right and left.left == right
-    if name == "A_p":
-        # (x +_q y) +_p z  =  x +_{pq} (y +_{p(1-q)/(1-pq)} z)
-        if not (
-            isinstance(left, PlusP)
-            and isinstance(left.left, PlusP)
-            and isinstance(right, PlusP)
-            and isinstance(right.right, PlusP)
-        ):
-            return False
-        # Both equalities are tested cross-multiplied, on ints; pq < 1.
-        pn, pd = left.p.numerator, left.p.denominator
-        qn, qd = left.left.p.numerator, left.left.p.denominator
-        r, s = right.p, right.right.p
-        return (
-            r.numerator * pd * qd == pn * qn * r.denominator
-            and s.numerator * (pd * qd - pn * qn) == pn * (qd - qn) * s.denominator
-            and left.left.left == right.left
-            and left.left.right == right.right.left
-            and left.right == right.right.right
-        )
-    if name == "C_p":
-        return (
-            isinstance(left, PlusP)
-            and isinstance(right, PlusP)
-            and right.p.numerator * left.p.denominator
-            == (left.p.denominator - left.p.numerator) * right.p.denominator
-            and left.left == right.right
-            and left.right == right.left
-        )
-    if name == "I_p":
-        return isinstance(left, PlusP) and left.left == left.right and left.left == right
-    if name == "D":
-        # x +_p (y oplus z)  =  (x +_p y) oplus (x +_p z)
-        if not (
-            isinstance(left, PlusP)
-            and isinstance(left.right, Oplus)
-            and isinstance(right, Oplus)
-            and isinstance(right.left, PlusP)
-            and isinstance(right.right, PlusP)
-        ):
-            return False
-        return (
-            right.left.p == left.p
-            and right.right.p == left.p
-            and right.left.left == left.left
-            and right.right.left == left.left
-            and right.left.right == left.right.left
-            and right.right.right == left.right.right
-        )
-    return False
+    """Does left = right instantiate the named axiom, read left to right?
+    A missing side (None) instantiates none."""
+    return right is not None and _axiom_right(name, left) == right
 
 
 def _uses_assumption(d: Derivation, seen: set[int]) -> bool:

@@ -29,20 +29,22 @@ ZERO = Fraction(0)
 
 def directed_hausdorff(metric: Callable, left: Iterable, right: Iterable) -> Fraction:
     """sup over left of the distance to the nearest element of right."""
+    return _hausdorff_directions(metric, left, right)[0]
+
+
+def hausdorff(metric: Callable, left: Iterable, right: Iterable) -> Fraction:
+    return max(_hausdorff_directions(metric, left, right))
+
+
+def _hausdorff_directions(metric: Callable, left: Iterable, right: Iterable):
+    """(left to right, right to left): the directed terms, read off one
+    table of the metric on every pair, each pair measured once."""
     left = list(left)
     right = list(right)
     if not left or not right:
         raise EmptySet("hausdorff distance needs nonempty sets")
-    return max(min(metric(a, b) for b in right) for a in left)
-
-
-def hausdorff(metric: Callable, left: Iterable, right: Iterable) -> Fraction:
-    left = list(left)
-    right = list(right)
-    return max(
-        directed_hausdorff(metric, left, right),
-        directed_hausdorff(metric, right, left),
-    )
+    table = [[metric(a, b) for b in right] for a in left]
+    return max(map(min, table)), max(map(min, zip(*table)))
 
 
 def _over_labels(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet):
@@ -79,12 +81,17 @@ def hk_distance(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> 
     other base can overshoot whenever the nearest point is an interior
     mixture, so each direction projects onto the whole hull instead. On
     sets over sets both directions share one label space, whose distance
-    is this one a level down, so towers of any depth are compared. Both
-    directions bound their projections by one table of base distances.
+    is this one a level down, so towers of any depth are compared.
     """
+    return max(_hk_directions(space, left, right))
+
+
+def _hk_directions(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet):
+    """(left to right, right to left): both directed terms, their
+    projections bounded by one table of base distances."""
     space, left, right = _over_labels(space, left, right)
     k = _vertex_distances(space, left, right)
-    return max(
+    return (
         _directed(space, left, right, map(min, k)),
         _directed(space, right, left, map(min, zip(*k))),
     )

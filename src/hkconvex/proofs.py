@@ -21,6 +21,13 @@ suffix (Refl steps) and builds derive_kantorovich's parallel fold.
 `chain` joins eps-0 steps with Triang, left to right, skipping absent
 ones.
 
+`ax(name, t)` makes the axiom instance whose left side is `t`. Its
+right side is what `deduction._axiom_right`, the checker's own statement
+of the axiom, gives for `t`, so no builder states one. A step that reads
+an axiom right to left passes its right side with `flip=True`: the
+forward instance with its conclusion flipped, one AxiomCS node and no
+Symm node, which the checker accepts since it tries both orientations.
+
 On top of these, derive_kantorovich mirrors an optimal coupling as a
 parallel fold of hypothesis steps under the p+ congruence rule, and
 derive_hk pads both sides with nearest-base witnesses, lifts each pair
@@ -52,7 +59,7 @@ from .core import Dist, FiniteMetricSpace, convex_combine
 from .deduction import (
     Derivation,
     QuantEquation,
-    _match_axiom,
+    _axiom_right,
     _oplus_eps,
     _plusp_eps,
     _triang_eps,
@@ -111,9 +118,14 @@ def assum(eq: QuantEquation) -> Derivation:
     return Derivation("Assum", eq)
 
 
-def ax(name: str, left: Term, right: Term) -> Derivation:
-    assert _match_axiom(name, left, right) or _match_axiom(name, right, left)
-    return Derivation("AxiomCS", QuantEquation(left, right, ZERO), axiom=name)
+def ax(name: str, t: Term, flip: bool = False) -> Derivation:
+    """The named axiom's instance t = right, read left to right (see
+    `deduction._axiom_right`); with `flip`, the same instance written
+    right = t. The checker accepts either orientation."""
+    right = _axiom_right(name, t)
+    assert right is not None
+    eq = QuantEquation(right, t, ZERO) if flip else QuantEquation(t, right, ZERO)
+    return Derivation("AxiomCS", eq, axiom=name)
 
 
 def chain(*steps: Derivation | None) -> Derivation | None:
@@ -186,7 +198,7 @@ def _join_fold(p, fa: Term, fb: Term, weights: list[int], total: int) -> Derivat
     rest = b * total - (b - a) * v
     phat = Fraction(rest, b * total)
     q = Fraction(a * total, rest)
-    n1 = ax("A_p", PlusP(p, fa, fb), PlusP(phat, PlusP(q, fa, fb.left), fb.right))
+    n1 = ax("A_p", PlusP(phat, PlusP(q, fa, fb.left), fb.right), flip=True)
     inner = _join_fold(q, fa, fb.left, weights[:-1], total - v)
     return triang(n1, congr_plusp(phat, inner, refl(fb.right)))
 
@@ -220,23 +232,19 @@ def _mix_pair(items, i, merge: bool) -> Derivation:
     """
     (a, u), (b, v) = items[i], items[i + 1]
     pair = PlusP(Fraction(u, u + v), Gen(a), Gen(b))
-    if merge:
-        assert a == b
-        new = Gen(a)
-        pf = ax("I_p", pair, new)
-    else:
-        new = PlusP(Fraction(v, u + v), Gen(b), Gen(a))
-        pf = ax("C_p", pair, new)
+    assert not merge or a == b
+    pf = ax("I_p" if merge else "C_p", pair)
     head = items[:i]
     total = _total(head)
     if head:
-        w = Fraction(total, total + u + v)
-        x = _fold_items(head)
+        # A_p regroups the fold to fold(head) +_w pair.
+        n1 = ax("A_p", _fold_items(items[: i + 2]))
+        w, x, _ = n1.conclusion.right
         swapped = head + [(b, v), (a, u)]
         pf = chain(
-            ax("A_p", _fold_items(items[: i + 2]), PlusP(w, x, pair)),
+            n1,
             congr_plusp(w, refl(x), pf),
-            None if merge else ax("A_p", PlusP(w, x, new), _fold_items(swapped)),
+            None if merge else ax("A_p", _fold_items(swapped), flip=True),
         )
     suffix = [(refl(Gen(y)), w) for y, w in items[i + 2 :]]
     return _under_fold(pf, total + u + v, suffix)
@@ -274,17 +282,14 @@ def _oc_pair(leaves, i, merge: bool) -> Derivation:
     A merge needs equal leaves and keeps one.
     """
     a, b = leaves[i], leaves[i + 1]
-    if merge:
-        assert a == b
-        pf = ax("I", Oplus(a, a), a)
-    else:
-        pf = ax("C", Oplus(a, b), Oplus(b, a))
+    assert not merge or a == b
+    pf = ax("I" if merge else "C", Oplus(a, b))
     if i:
         x = oc_term(leaves[:i])
         pf = chain(
-            ax("A", Oplus(Oplus(x, a), b), Oplus(x, Oplus(a, b))),
+            ax("A", Oplus(Oplus(x, a), b)),
             congr_oplus(refl(x), pf),
-            None if merge else ax("A", Oplus(x, Oplus(b, a)), Oplus(Oplus(x, b), a)),
+            None if merge else ax("A", Oplus(Oplus(x, b), a), flip=True),
         )
     return _under_comb(pf, leaves[i + 2 :])
 
@@ -294,11 +299,7 @@ def _ojoin(left: list[Term], right: list[Term]) -> Derivation:
     if len(right) == 1:
         return refl(oc_term(left + right))
     last = right[-1]
-    n1 = ax(
-        "A",
-        Oplus(oc_term(left), oc_term(right)),
-        Oplus(Oplus(oc_term(left), oc_term(right[:-1])), last),
-    )
+    n1 = ax("A", Oplus(Oplus(oc_term(left), oc_term(right[:-1])), last), flip=True)
     n2 = congr_oplus(_ojoin(left, right[:-1]), refl(last))
     return triang(n1, n2)
 
@@ -309,11 +310,7 @@ def _unflatten_head(head: Term, rest: list[Term]) -> Derivation:
         return refl(Oplus(head, rest[0]))
     last = rest[-1]
     n1 = congr_oplus(_unflatten_head(head, rest[:-1]), refl(last))
-    n2 = ax(
-        "A",
-        Oplus(Oplus(head, oc_term(rest[:-1])), last),
-        Oplus(head, oc_term(rest)),
-    )
+    n2 = ax("A", Oplus(Oplus(head, oc_term(rest[:-1])), last))
     return triang(n1, n2)
 
 
@@ -343,7 +340,7 @@ def _dup_front(leaves: list[Term], i: int) -> Derivation:
     """oc(leaves) = Oplus(leaves[i], oc(leaves)), at eps 0."""
     b = leaves[i]
     if len(leaves) == 1:
-        return symm(ax("I", Oplus(b, b), b))
+        return symm(ax("I", Oplus(b, b)))
     fronted, d1 = _bubble(leaves, i, 0)
     doubled = [b] + fronted
     d2 = symm(_oc_pair(doubled, 0, True))
@@ -361,20 +358,20 @@ def _pw_single(x: Term, y: Term, p: Fraction) -> Derivation:
 
     def star() -> Derivation:
         # e = ((e + m) + mq) as a comb [x, y, m, mq]
-        d1 = symm(ax("I_p", PlusP(p, e, e), e))
-        d2 = ax("D", PlusP(p, e, e), Oplus(PlusP(p, e, x), PlusP(p, e, y)))
+        d1 = symm(ax("I_p", PlusP(p, e, e)))
+        d2 = ax("D", PlusP(p, e, e))
         left_box = triang(
             _d_left(x, y, x, p),
-            congr_oplus(ax("I_p", PlusP(p, x, x), x), refl(PlusP(p, y, x))),
+            congr_oplus(ax("I_p", PlusP(p, x, x)), refl(PlusP(p, y, x))),
         )
         right_box = triang(
             _d_left(x, y, y, p),
-            congr_oplus(refl(PlusP(p, x, y)), ax("I_p", PlusP(p, y, y), y)),
+            congr_oplus(refl(PlusP(p, x, y)), ax("I_p", PlusP(p, y, y))),
         )
         d3 = congr_oplus(left_box, right_box)
         # now at Oplus(Oplus(x, y +_p x), Oplus(m, y)); rewrite y +_p x -> mq
         d4 = congr_oplus(
-            congr_oplus(refl(x), ax("C_p", PlusP(p, y, x), mq)),
+            congr_oplus(refl(x), ax("C_p", PlusP(p, y, x))),
             refl(Oplus(m, y)),
         )
         # flatten [[x, mq], [m, y]] and sort to [x, y, m, mq]
@@ -394,25 +391,17 @@ def _pw_single(x: Term, y: Term, p: Fraction) -> Derivation:
 
 def _d_left(v: Term, w: Term, u: Term, p: Fraction) -> Derivation:
     """(v oplus w) p+ u = (v p+ u) oplus (w p+ u), at eps 0."""
-    q = 1 - p
-    n1 = ax("C_p", PlusP(p, Oplus(v, w), u), PlusP(q, u, Oplus(v, w)))
-    n2 = ax(
-        "D",
-        PlusP(q, u, Oplus(v, w)),
-        Oplus(PlusP(q, u, v), PlusP(q, u, w)),
-    )
-    n3 = congr_oplus(
-        ax("C_p", PlusP(q, u, v), PlusP(p, v, u)),
-        ax("C_p", PlusP(q, u, w), PlusP(p, w, u)),
-    )
-    return chain(n1, n2, n3)
+    n1 = ax("C_p", PlusP(p, Oplus(v, w), u))
+    n2 = ax("D", n1.conclusion.right)
+    uv, uw = n2.conclusion.right
+    return chain(n1, n2, congr_oplus(ax("C_p", uv), ax("C_p", uw)))
 
 
 def _oc_swap_composite(x: Term, y: Term, r: Term) -> Derivation:
     """Oplus(x, Oplus(y, r)) = Oplus(y, Oplus(x, r)), at eps 0."""
-    n1 = ax("A", Oplus(x, Oplus(y, r)), Oplus(Oplus(x, y), r))
-    n2 = congr_oplus(ax("C", Oplus(x, y), Oplus(y, x)), refl(r))
-    n3 = ax("A", Oplus(Oplus(y, x), r), Oplus(y, Oplus(x, r)))
+    n1 = ax("A", Oplus(Oplus(x, y), r), flip=True)
+    n2 = congr_oplus(ax("C", Oplus(x, y)), refl(r))
+    n3 = ax("A", Oplus(Oplus(y, x), r))
     return chain(n1, n2, n3)
 
 
@@ -455,20 +444,11 @@ def _absorb(
     d1 = _absorb(space, leaves, values, bprime, rest_value, rest_cert)
     dup = _dup_front(leaves, i1)
     d2 = congr_oplus(refl(bprime), dup)
-    d3 = ax("A", Oplus(Oplus(bprime, a1), c), Oplus(bprime, Oplus(a1, c)))
-    d3 = symm(d3)
+    d3 = symm(ax("A", Oplus(Oplus(bprime, a1), c)))
     d4 = congr_oplus(_pw_single(bprime, a1, 1 - lam1), refl(c))
     d5 = congr_oplus(congr_oplus(refl(Oplus(bprime, a1)), pd), refl(c))
-    d6 = ax(
-        "A",
-        Oplus(Oplus(Oplus(bprime, a1), target_term), c),
-        Oplus(Oplus(bprime, a1), Oplus(target_term, c)),
-    )
-    d7 = ax(
-        "A",
-        Oplus(Oplus(bprime, a1), Oplus(target_term, c)),
-        Oplus(bprime, Oplus(a1, Oplus(target_term, c))),
-    )
+    d6 = ax("A", Oplus(Oplus(Oplus(bprime, a1), target_term), c))
+    d7 = ax("A", d6.conclusion.right)
     d8 = congr_oplus(refl(bprime), _oc_swap_composite(a1, target_term, c))
     d9 = congr_oplus(
         refl(bprime), congr_oplus(refl(target_term), symm(dup))
@@ -500,7 +480,7 @@ def _canon_oplus(
         moved, d_bubble = _bubble(leaves, idx, len(leaves) - 1)
         del values[idx]
         leaves, last = moved[:-1], moved[-1]
-        d_comm = ax("C", Oplus(oc_term(leaves), last), Oplus(last, oc_term(leaves)))
+        d_comm = ax("C", Oplus(oc_term(leaves), last))
         ok, cert = in_hull(extra, values)
         assert ok
         d_drop = symm(_absorb(space, leaves, values, last, extra, list(cert)))
@@ -531,7 +511,7 @@ def _distribute(p: Fraction, left: list[Term], right: list[Term]):
         return PlusP(p, ocl, b)
 
     def split(x: Term, y: Term) -> Derivation:
-        return ax("D", wrap(Oplus(x, y)), Oplus(wrap(x), wrap(y)))
+        return ax("D", wrap(Oplus(x, y)))
 
     proof = _spread(right, wrap, split)
     cur: list[Term] = [wrap(b) for b in right]

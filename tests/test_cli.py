@@ -82,12 +82,22 @@ def test_kantorovich_golden(capsys, space_file, files):
     assert out == {"value": "1/2", "witness": [["a", "b", "1"]]}
 
 
-def test_hausdorff_uses_raw_families(capsys, space_file, files):
+def test_hausdorff_uses_raw_families(capsys, space_file, files, monkeypatch):
+    calls = []
+    measure = cli.kantorovich
+
+    def counting(*args):
+        calls.append(args[1:])
+        return measure(*args)
+
+    monkeypatch.setattr(cli, "kantorovich", counting)
     left = files("l.json", [{"a": "1"}, {"b": "1"}])
     right = files("r.json", [{"c": "1"}])
     code, out = run(capsys, "hausdorff", "--space", space_file, "--left", left, "--right", right)
     assert code == 0
     assert out == {"left_to_right": "1", "right_to_left": "1/2", "value": "1"}
+    # both directions read one table: each pair is measured once
+    assert len(calls) == len(set(calls)) == 2
 
 
 def test_hk_accepts_both_set_encodings(capsys, space_file, files):
@@ -404,11 +414,22 @@ def test_hk_projects_each_base_point_once(capsys, space_file, files, monkeypatch
         return project(*args, **kwargs)
 
     monkeypatch.setattr(lifting, "nearest_point", counting)
+    measured = []
+    measure = lifting.kantorovich
+
+    def counting_pairs(*args):
+        measured.append(args[1:])
+        return measure(*args)
+
+    monkeypatch.setattr(lifting, "kantorovich", counting_pairs)
     left = files("l.json", [{"a": "1"}, {"b": "1"}])
     right = files("r.json", [{"c": "1"}, {"a": "1/2", "c": "1/2"}])
     code, out = run(capsys, "hk", "--space", space_file, "--left", left, "--right", right)
     assert code == 0
     assert out == {"left_to_right": "1/2", "right_to_left": "1/2", "value": "1/2"}
+    # Both directions read one table of base-to-base distances, so each
+    # of the 2 x 2 pairs is measured once.
+    assert len(measured) == len(set(measured)) == 4
     # No base point is projected twice. From left to right, b's nearest
     # right base point is at 1/2, no more than a's projection distance, so
     # b is not projected at all.

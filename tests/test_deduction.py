@@ -29,7 +29,7 @@ from hkconvex import (
     metric_hypotheses,
     term_distance,
 )
-from hkconvex.deduction import _match_axiom, equations_from_json_list
+from hkconvex.deduction import _axiom_right, _match_axiom, equations_from_json_list
 from hkconvex.proofs import derive_hk
 from hkconvex.sampling import rand_convex_set, rand_space
 from hkconvex.syntax import Gen, Oplus, PlusP, parse_term
@@ -983,6 +983,26 @@ _AXIOM_INSTANCES = {
         Oplus(PlusP(p, x, y), PlusP(p, x, z)),
     ),
 }
+
+
+@pytest.mark.parametrize("name", AXIOMS)
+@given(data=st.data())
+@settings(max_examples=15)
+def test_axiom_rewrite_gives_the_right_side_of_each_instance(name, data):
+    space = data.draw(sts.spaces(max_points=3))
+    x, y, z = (data.draw(sts.terms(space, max_depth=1)) for _ in range(3))
+    p, q = data.draw(sts.probabilities()), data.draw(sts.probabilities())
+    left, right = _AXIOM_INSTANCES[name](p, q, x, y, z)
+    assert _axiom_right(name, left) == right
+
+
+@pytest.mark.parametrize("name", AXIOMS)
+@given(data=st.data())
+@settings(max_examples=30)
+def test_axiom_rewrite_keeps_what_every_term_denotes(name, data):
+    space, t = data.draw(sts.space_with_terms(1))
+    right = _axiom_right(name, t)
+    assert right is None or normalize(space, right) == normalize(space, t)
 
 
 def _moved(p, up):

@@ -47,6 +47,20 @@ def test_directed_hausdorff_rejects_empty(x3):
         directed_hausdorff(_k(x3), [], [dirac(x3, "a")])
 
 
+def test_hausdorff_measures_each_pair_once(x3):
+    left = [dirac(x3, "a"), dirac(x3, "b")]
+    right = [dirac(x3, "c"), dirac(x3, "a"), Dist(x3, {"a": "1/2", "c": "1/2"})]
+    calls = []
+
+    def metric(a, b):
+        calls.append((left.index(a), right.index(b)))
+        return _k(x3)(a, b)
+
+    assert hausdorff(metric, left, right) == F(1, 2)
+    # one table serves both directions: |L||R| calls, not 2|L||R|
+    assert sorted(calls) == [(i, j) for i in range(2) for j in range(3)]
+
+
 def test_hk_golden(x3):
     mid = Dist(x3, {"a": "1/2", "b": "1/2"})
     s = ConvexSet(x3, [dirac(x3, "a"), dirac(x3, "b")])

@@ -30,6 +30,7 @@ CHECKED = (
     "_triang_eps",
     "_oplus_eps",
     "_plusp_eps",
+    "_axiom_right",
     "_match_axiom",
     "_uses_assumption",
     "_check_node",
