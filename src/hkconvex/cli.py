@@ -113,24 +113,24 @@ def _load_nested(space: FiniteMetricSpace, path: str) -> ConvexSet:
     return ConvexSet(space, gens)
 
 
-def _emit(obj) -> None:
+def _emit(obj) -> int:
+    """Print one reply document; returns 0, the exit status of success."""
     print(json.dumps(obj, sort_keys=True))
+    return 0
 
 
 def _cmd_validate_space(args, space) -> int:
-    _emit(space.to_json_dict())
-    return 0
+    return _emit(space.to_json_dict())
 
 
 def _cmd_kantorovich(args, space) -> int:
     result = kantorovich(space, _load_dist(space, args.left), _load_dist(space, args.right))
-    _emit(
+    return _emit(
         {
             "value": format_fraction(result.value),
             "witness": result.witness.to_json_list(),
         }
     )
-    return 0
 
 
 def _cmd_hausdorff(args, space) -> int:
@@ -140,69 +140,57 @@ def _cmd_hausdorff(args, space) -> int:
     def metric(a, b):
         return kantorovich(space, a, b).value
 
-    ltr, rtl = _hausdorff_directions(metric, left, right)
-    _emit(
-        {
-            "left_to_right": format_fraction(ltr),
-            "right_to_left": format_fraction(rtl),
-            "value": format_fraction(max(ltr, rtl)),
-        }
-    )
-    return 0
+    return _emit_directions(*_hausdorff_directions(metric, left, right))
 
 
 def _cmd_hk(args, space) -> int:
     left = _load_set(space, args.left)
     right = _load_set(space, args.right)
-    ltr, rtl = _hk_directions(space, left, right)
-    _emit(
+    return _emit_directions(*_hk_directions(space, left, right))
+
+
+def _emit_directions(ltr, rtl) -> int:
+    """Print both directed distances and their maximum, the distance."""
+    return _emit(
         {
             "left_to_right": format_fraction(ltr),
             "right_to_left": format_fraction(rtl),
             "value": format_fraction(max(ltr, rtl)),
         }
     )
-    return 0
 
 
 def _cmd_base(args, space) -> int:
-    _emit(_load_set(space, args.set).to_json_dict())
-    return 0
+    return _emit(_load_set(space, args.set).to_json_dict())
 
 
 def _cmd_normalize(args, space) -> int:
     s = normalize(space, parse_term(args.term))
-    _emit({"set": s.to_json_dict(), "term": print_term(nu(space, s))})
-    return 0
+    return _emit({"set": s.to_json_dict(), "term": print_term(nu(space, s))})
 
 
 def _cmd_nu(args, space) -> int:
-    _emit({"term": print_term(nu(space, _load_set(space, args.set)))})
-    return 0
+    return _emit({"term": print_term(nu(space, _load_set(space, args.set)))})
 
 
 def _cmd_tdist(args, space) -> int:
     value = term_distance(space, parse_term(args.left), parse_term(args.right))
-    _emit({"value": format_fraction(value)})
-    return 0
+    return _emit({"value": format_fraction(value)})
 
 
 def _cmd_oplus(args, space) -> int:
     result = oplus(_load_set(space, args.left), _load_set(space, args.right))
-    _emit(result.to_json_dict())
-    return 0
+    return _emit(result.to_json_dict())
 
 
 def _cmd_plusp(args, space) -> int:
     p = as_fraction(args.p)
     result = plus_p(p, _load_set(space, args.left), _load_set(space, args.right))
-    _emit(result.to_json_dict())
-    return 0
+    return _emit(result.to_json_dict())
 
 
 def _cmd_mu(args, space) -> int:
-    _emit(monad_mult(_load_nested(space, args.set)).to_json_dict())
-    return 0
+    return _emit(monad_mult(_load_nested(space, args.set)).to_json_dict())
 
 
 def _cmd_derive(args, space) -> int:
@@ -225,16 +213,14 @@ def _cmd_check(args, space) -> int:
 
 
 def _cmd_laws(args, space) -> int:
-    _emit(check_monad_laws(args.seed, args.trials).to_json_dict())
-    return 0
+    return _emit(check_monad_laws(args.seed, args.trials).to_json_dict())
 
 
 def _cmd_roundtrip(args, space) -> int:
     em = free_em_algebra(space)
     gf = roundtrip_GF(em, args.samples, args.seed)
     fg = roundtrip_FG(functor_F(em), args.samples, args.seed)
-    _emit({"fg": fg.to_json_dict(), "gf": gf.to_json_dict()})
-    return 0
+    return _emit({"fg": fg.to_json_dict(), "gf": gf.to_json_dict()})
 
 
 def _count(text: str) -> int:

@@ -50,11 +50,16 @@ def parse_rational(text: str) -> Fraction:
     """Fraction(text) for a rational written without an exponent.
 
     `Fraction("1e10000000")` builds a ten-million-digit integer before any
-    range check could refuse it, so an `e` or `E` is refused first. Raises
-    ValueError or ZeroDivisionError, as `Fraction` does.
+    range check could refuse it, so an `e` or `E` is refused first. So are
+    an underscore and whitespace inside the text, since `Fraction` reads
+    "1_0" from Python 3.11 on and "1 / 2" from 3.12 on: a text means the
+    same on every supported Python. Raises ValueError or
+    ZeroDivisionError, as `Fraction` does.
     """
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation in {text!r}")
+    if "_" in text or len(text.split()) > 1:
+        raise ValueError(f"underscore or inner whitespace in {text!r}")
     return Fraction(text)
 
 
@@ -231,11 +236,6 @@ def validate_space(points: Sequence[str], dist: Mapping) -> FiniteMetricSpace:
     return FiniteMetricSpace(points, dist)
 
 
-def _item_space(item):
-    # Support items are labels or set-like objects carrying .space.
-    return None if isinstance(item, str) else getattr(item, "space", None)
-
-
 def item_sort_key(space: FiniteMetricSpace, item):
     """Total order on support items; labels sort by canonical space order."""
     if isinstance(item, str):
@@ -365,12 +365,13 @@ class Dist:
 
 
 def _item_kind(space: FiniteMetricSpace, item) -> str:
-    """'label' or 'set', after checking that the item lives over `space`."""
+    """'label' or 'set', after checking that the item lives over `space`:
+    a label is one of its points, a set-like item carries it as `.space`."""
     if isinstance(item, str):
         if item not in space:
             raise UnknownPoint(item)
         return "label"
-    if _item_space(item) != space:
+    if getattr(item, "space", None) != space:
         raise SpaceMismatch("support item over a different space")
     return "set"
 

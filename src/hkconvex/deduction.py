@@ -15,7 +15,7 @@ Each convex-semilattice axiom (A, C, I, A_p, C_p, I_p, D) is written
 once, as the rewrite `_axiom_right` from its left side to its right
 side. The checker accepts an AxiomCS node when the rewrite takes one
 side of its conclusion to the other; the builders in `proofs` make each
-instance with the same rewrite.
+instance with the same rewrite, and `presentation` checks models by it.
 
 `QuantEquation(left, right, eps)` and `Derivation(rule, conclusion,
 premises, axiom, subst, theta, hypotheses)` are immutable tuples of their

@@ -20,7 +20,9 @@ pseudo-random samples: one driver, `_sampled`, runs every check and
 collects its failures into a `LawReport`, and every carrier point and
 tower is drawn through `sampling` (`rand_point` and its tower
 samplers). `check_monad_laws` checks the monad laws of the convex-set
-monad itself the same way. The flagship instance is
+monad itself the same way. A semilattice's axiom and bound checks read
+`deduction`'s statements: `_axiom_right` gives each axiom's right side,
+and the NExp rules' eps give the bounds. The flagship instance is
 ``free_em_algebra``, whose structure map is one level of `monad_mult`;
 there every check is exactly computable.
 
@@ -37,6 +39,7 @@ from typing import Callable, Iterable
 
 from .convex import ConvexSet, functor_map, monad_mult, monad_unit, plus_p
 from .core import FiniteMetricSpace, convex_combine, dirac
+from .deduction import AXIOMS, _axiom_right, _oplus_eps, _plusp_eps
 from .errors import OutOfRange
 from .lifting import hk_distance
 from .sampling import (
@@ -47,7 +50,7 @@ from .sampling import (
     rand_set_of_sets_of_sets,
     rand_space,
 )
-from .syntax import Gen, Oplus, Term
+from .syntax import Gen, Oplus, PlusP, Term
 from .terms import nu
 
 ONE = Fraction(1)
@@ -159,32 +162,34 @@ class QuantConvexSemilattice:
         self.op_plusp = op_plusp
 
     def check_axioms(self, seed: int = 0, trials: int = 50) -> LawReport:
-        """All seven convex-semilattice equations at sampled points."""
-        j = self.op_oplus
-        m = self.op_plusp
+        """The axioms of `deduction.AXIOMS` at sampled points: each left side,
+        over `Gen` leaves, against the right side `deduction._axiom_right`
+        gives it, both as the algebra's operations evaluate them."""
 
         def trial(rng):
-            x, y, z = (rand_point(rng, self.space) for _ in range(3))
+            x, y, z = (Gen(rand_point(rng, self.space)) for _ in range(3))
             p = rand_prob(rng)
             q = rand_prob(rng)
-            return [
-                ("axiom A", j(j(x, y), z) == j(x, j(y, z))),
-                ("axiom C", j(x, y) == j(y, x)),
-                ("axiom I", j(x, x) == x),
-                (
-                    "axiom A_p",
-                    m(p, m(q, x, y), z)
-                    == m(p * q, x, m(p * (1 - q) / (1 - p * q), y, z)),
-                ),
-                ("axiom C_p", m(p, x, y) == m(1 - p, y, x)),
-                ("axiom I_p", m(p, x, x) == x),
-                ("axiom D", m(p, x, j(y, z)) == j(m(p, x, y), m(p, x, z))),
-            ]
+            left = {
+                "A": Oplus(Oplus(x, y), z),
+                "C": Oplus(x, y),
+                "I": Oplus(x, x),
+                "A_p": PlusP(p, PlusP(q, x, y), z),
+                "C_p": PlusP(p, x, y),
+                "I_p": PlusP(p, x, x),
+                "D": PlusP(p, x, Oplus(y, z)),
+            }
+
+            def agree(name):
+                t = left[name]
+                return _interpret(self, t) == _interpret(self, _axiom_right(name, t))
+
+            return [(f"axiom {name}", agree(name)) for name in AXIOMS]
 
         return _sampled(seed, trials, "trial", trial)
 
     def check_nonexpansive(self, seed: int = 0, trials: int = 50) -> LawReport:
-        """Join bounded by max of distances, mixture by the p-average."""
+        """Join and mixture within the eps of `deduction`'s NExp rules."""
 
         def d(a, b):
             return hk_distance(self.space, a, b)
@@ -196,11 +201,23 @@ class QuantConvexSemilattice:
             joined = d(self.op_oplus(x1, x2), self.op_oplus(y1, y2))
             mixed = d(self.op_plusp(p, x1, x2), self.op_plusp(p, y1, y2))
             return [
-                ("join bound", joined <= max(d1, d2)),
-                ("mixture bound", mixed <= p * d1 + (1 - p) * d2),
+                ("join bound", joined <= _oplus_eps(d1, d2)),
+                ("mixture bound", mixed <= _plusp_eps(p, d1, d2)),
             ]
 
         return _sampled(seed, trials, "trial", trial)
+
+
+def _interpret(qa: QuantConvexSemilattice, term: Term):
+    """The value of `term` in `qa`: a `Gen` gives its label, `Oplus` gives
+    `op_oplus` and `PlusP` gives `op_plusp(p, ...)`, left side first."""
+    if isinstance(term, Gen):
+        return term.label
+    left = _interpret(qa, term.left)
+    right = _interpret(qa, term.right)
+    if isinstance(term, Oplus):
+        return qa.op_oplus(left, right)
+    return qa.op_plusp(term.p, left, right)
 
 
 def functor_F(em: EMAlgebra) -> QuantConvexSemilattice:
@@ -220,20 +237,11 @@ def functor_F(em: EMAlgebra) -> QuantConvexSemilattice:
 def eval_canonical(qa: QuantConvexSemilattice, s: ConvexSet):
     """Interpret the canonical term `terms.nu(s)` with the algebra's operations.
 
-    `Gen` gives its label, `Oplus` gives `op_oplus` and `PlusP` gives
-    `op_plusp(p, ...)`. The labels of `nu(s)` are the support items of
-    `s`'s base, so for a set over carrier points they are `ConvexSet`s
-    and the term is interpreted in the algebra.
+    The labels of `nu(s)` are the support items of `s`'s base, so for a
+    set over carrier points they are `ConvexSet`s and the term is
+    interpreted in the algebra.
     """
-
-    def value(term: Term):
-        if isinstance(term, Gen):
-            return term.label
-        if isinstance(term, Oplus):
-            return qa.op_oplus(value(term.left), value(term.right))
-        return qa.op_plusp(term.p, value(term.left), value(term.right))
-
-    return value(nu(qa.space, s))
+    return _interpret(qa, nu(qa.space, s))
 
 
 def functor_G(qa: QuantConvexSemilattice) -> EMAlgebra:

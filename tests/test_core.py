@@ -41,6 +41,15 @@ def test_fraction_round_trip():
     assert format_fraction(Fraction(0)) == "0"
 
 
+@pytest.mark.parametrize("text", ["1_0", "1 / 2", "1/ 2"])
+def test_underscores_and_inner_whitespace_are_not_rationals(text):
+    # Fraction reads "1_0" from Python 3.11 on and "1 / 2" from 3.12 on;
+    # refusing both gives a text one meaning on every supported Python.
+    with pytest.raises(MalformedInput):
+        as_fraction(text)
+    assert as_fraction(" 1/2 ") == Fraction(1, 2)
+
+
 def test_scaled_ints_keeps_ints_over_one():
     ints = [3, -2, 0]
     assert scaled_ints(iter(ints)) == (ints, 1)

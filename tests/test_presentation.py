@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -14,6 +15,7 @@ from hkconvex import (
     EMAlgebra,
     FiniteMetricSpace,
     OutOfRange,
+    QuantConvexSemilattice,
     check_monad_laws,
     corrupt_alpha,
     dirac,
@@ -66,6 +68,34 @@ def test_functor_f_output_satisfies_axioms_and_bounds(x3):
     qa = functor_F(free_em_algebra(x3))
     assert qa.check_axioms(seed=4, trials=25).ok
     assert qa.check_nonexpansive(seed=5, trials=25).ok
+
+
+def _failed_laws(report):
+    return collections.Counter(failure.split(": ", 1)[1] for failure in report.failures)
+
+
+def test_an_operation_that_breaks_one_axiom_fails_that_axiom_only(x3):
+    # Each axiom's left side is paired with its own name: a join that keeps
+    # its left argument breaks only commutativity, and a mixture that swaps
+    # its weights breaks only A_p, in every trial.
+    qa = functor_F(free_em_algebra(x3))
+    left_join = QuantConvexSemilattice(x3, lambda x, y: x, qa.op_plusp)
+    mirrored = QuantConvexSemilattice(
+        x3, qa.op_oplus, lambda p, x, y: qa.op_plusp(1 - p, x, y)
+    )
+    assert _failed_laws(left_join.check_axioms(seed=4, trials=25)) == {"axiom C": 25}
+    assert _failed_laws(mirrored.check_axioms(seed=4, trials=25)) == {"axiom A_p": 25}
+
+
+def test_a_mixture_fixed_at_one_half_breaks_the_mixture_bound(x3):
+    # Negative control for the NExp bounds: the join is the free one, so
+    # only the mixture bound can fail, and it does on these trials.
+    qa = functor_F(free_em_algebra(x3))
+    half = QuantConvexSemilattice(
+        x3, qa.op_oplus, lambda p, x, y: qa.op_plusp(F(1, 2), x, y)
+    )
+    report = half.check_nonexpansive(seed=5, trials=25)
+    assert report.failures == [f"trial {t}: mixture bound" for t in (1, 2, 13, 23)]
 
 
 def test_functor_g_unit_and_join(x3):

@@ -491,6 +491,13 @@ def test_malformed_terms_keep_their_errors(text, kind, message, position, shared
         assert all(table[k] is v for k, v in before.items())
 
 
+def test_a_probability_with_underscores_is_not_a_rational():
+    # Python 3.11's Fraction alone would read this p as 1/3.
+    with pytest.raises(ParseError) as exc:
+        parse_term("(p+ 1_0/3_0 a b)")
+    assert str(exc.value) == "expected a rational, got '1_0/3_0' (at offset 4)"
+
+
 @given(sts.space_with_terms(1))
 def test_nu_normalize_round_trip(bundle):
     space, t = bundle
