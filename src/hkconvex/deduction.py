@@ -21,7 +21,9 @@ instance with the same rewrite, and `presentation` checks models by it.
 premises, axiom, subst, theta, hypotheses)` are immutable tuples of their
 fields, like the terms (see `syntax._Node`): a node is equal only to a
 node of its class with equal fields and hashes as the tuple of its
-fields; `_replace` returns a copy with some fields changed.
+fields; `_replace` returns a copy with some fields changed. The
+checker's reply `CheckResult(ok, path=(), reason="")` is a plain
+NamedTuple, compared by its fields.
 `QuantEquation` checks its eps in `__new__`. A derivation may hold one
 node object at several places: the JSON writers build its dict or its
 text once (`derivation_to_json_text` copies the text's pieces where the
@@ -38,7 +40,6 @@ The checker reads syntax only: this module imports `syntax`, `core` and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -145,8 +146,7 @@ def _size(d: Derivation, counted: dict[int, int]) -> int:
     return n
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     path: tuple[int, ...] = ()
     reason: str = ""

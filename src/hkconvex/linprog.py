@@ -34,14 +34,16 @@ caller, `convex._in_int_hull`, asks it only about targets on 4 or more
 coordinates (fewer take an integer orientation test there). `solve_lp`
 starts from the same tableau and inserts the identity artificial
 columns, as its whole Bland sequence picks its vertex; a boolean does
-not depend on the pivots. Both share `_iterate`, `_pivot`.
+not depend on the pivots. Both share `_iterate`, `_pivot`. `solve_lp`
+returns an `LPResult(status, value, solution)`, a NamedTuple compared by
+its fields.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import scaled_ints
 
@@ -52,16 +54,10 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class LPResult:
-    __slots__ = ("status", "value", "solution")
-
-    def __init__(self, status: str, value: Fraction | None, solution: list | None):
-        self.status = status
-        self.value = value
-        self.solution = solution
-
-    def __repr__(self) -> str:
-        return f"LPResult({self.status}, value={self.value})"
+class LPResult(NamedTuple):
+    status: str
+    value: Fraction | None
+    solution: list | None
 
 
 def _pivot(tab: list[list[int]], r: int, c: int, d: int) -> int:

@@ -29,13 +29,17 @@ there every check is exactly computable.
 On morphisms both constructions act as the identity, so a function is a
 homomorphism of algebras iff it is one of semilattices; the sampled
 `check_homomorphism` covers the algebra side.
+
+`LawReport(trials, failures)`, `EMAlgebra(space, alpha)` and
+`QuantConvexSemilattice(space, op_oplus, op_plusp)` are NamedTuples,
+compared by their fields.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .convex import ConvexSet, functor_map, monad_mult, monad_unit, plus_p
 from .core import FiniteMetricSpace, convex_combine, dirac
@@ -56,14 +60,11 @@ from .terms import nu
 ONE = Fraction(1)
 
 
-class LawReport:
+class LawReport(NamedTuple):
     """Outcome of randomized law checking."""
 
-    __slots__ = ("trials", "failures")
-
-    def __init__(self, trials: int, failures: list[str]):
-        self.trials = trials
-        self.failures = failures
+    trials: int
+    failures: list[str]
 
     @property
     def ok(self) -> bool:
@@ -114,12 +115,11 @@ def check_monad_laws(seed: int, trials: int) -> LawReport:
     return _sampled(seed, trials, "trial", trial)
 
 
-class EMAlgebra:
+class EMAlgebra(NamedTuple):
     """The convex sets over a space together with a structure map."""
 
-    def __init__(self, space: FiniteMetricSpace, alpha: Callable[[ConvexSet], ConvexSet]):
-        self.space = space
-        self.alpha = alpha
+    space: FiniteMetricSpace
+    alpha: Callable[[ConvexSet], ConvexSet]
 
     def check_unit(self, seed: int = 0, trials: int = 50) -> LawReport:
         """alpha({dirac x}) = x at sampled carrier points."""
@@ -153,13 +153,12 @@ class EMAlgebra:
         return _sampled(seed, trials, "trial", trial)
 
 
-class QuantConvexSemilattice:
+class QuantConvexSemilattice(NamedTuple):
     """The convex sets over a space with convex-semilattice operations."""
 
-    def __init__(self, space: FiniteMetricSpace, op_oplus: Callable, op_plusp: Callable):
-        self.space = space
-        self.op_oplus = op_oplus
-        self.op_plusp = op_plusp
+    space: FiniteMetricSpace
+    op_oplus: Callable
+    op_plusp: Callable
 
     def check_axioms(self, seed: int = 0, trials: int = 50) -> LawReport:
         """The axioms of `deduction.AXIOMS` at sampled points: each left side,

@@ -339,8 +339,6 @@ def _bubble(leaves: list[Term], src: int, dst: int):
 def _dup_front(leaves: list[Term], i: int) -> Derivation:
     """oc(leaves) = Oplus(leaves[i], oc(leaves)), at eps 0."""
     b = leaves[i]
-    if len(leaves) == 1:
-        return symm(ax("I", Oplus(b, b)))
     fronted, d1 = _bubble(leaves, i, 0)
     doubled = [b] + fronted
     d2 = symm(_oc_pair(doubled, 0, True))

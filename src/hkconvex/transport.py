@@ -31,7 +31,8 @@ Fraction masses and costs scaled to ints by the LCMs of their
 denominators, run the same simplex and get the result divided back.
 Scaling masses and costs by positive constants keeps every pivot, so
 `kantorovich` and `optimal_transport(left, right, space.d)` return the
-same value and plan.
+same value and plan. `kantorovich` returns a `TransportResult(value,
+witness)`, a NamedTuple compared by its fields.
 
 `kantorovich_bruteforce` is an independent oracle: every vertex of the
 transportation polytope is the basic solution of a spanning tree of the
@@ -44,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .core import Coupling, Dist, FiniteMetricSpace, scaled_ints
 from .errors import EmptyInput, MalformedInput, OutOfRange, SpaceMismatch, TooLarge
@@ -54,15 +55,9 @@ ZERO = Fraction(0)
 BRUTEFORCE_SUPPORT_CAP = 8
 
 
-class TransportResult:
-    __slots__ = ("value", "witness")
-
-    def __init__(self, value: Fraction, witness: Coupling):
-        self.value = value
-        self.witness = witness
-
-    def __repr__(self) -> str:
-        return f"TransportResult(value={self.value})"
+class TransportResult(NamedTuple):
+    value: Fraction
+    witness: Coupling
 
 
 def _northwest_corner(supply: list[int], demand: list[int]) -> dict:

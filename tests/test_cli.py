@@ -616,6 +616,41 @@ def test_unreadable_file_gets_a_json_reply(tmp_path, option, unreadable):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("option", ["--space", "--set", "--proof"])
+def test_truncated_json_gets_a_parse_error_reply(tmp_path, option):
+    name = option.lstrip("-")
+    paths = _write(str(tmp_path), space=X3, set=SET, gamma=PROOF["hypotheses"], proof=PROOF)
+    text = json.dumps({"space": X3, "set": SET, "proof": PROOF}[name])
+    truncated = text[: len(text) // 2]
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        json.loads(truncated)
+    paths[name] = str(tmp_path / "truncated.json")
+    with open(paths[name], "w", encoding="utf-8") as handle:
+        handle.write(truncated)
+    if option == "--proof":
+        argv = ["check", "--space", paths["space"], "--gamma", paths["gamma"],
+                "--proof", paths["proof"]]
+    else:
+        argv = ["base", "--space", paths["space"], "--set", paths["set"]]
+    code, out, err = _run_quietly(argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    reply = json.loads(out)
+    assert (reply["error"], reply["position"]) == ("ParseError", decoded.value.pos)
+    assert "Traceback" not in err
+
+
+def test_a_count_that_is_not_an_int_exits_2_without_a_traceback(space_file):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hkconvex.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "hkconvex.cli", "laws", "--space", space_file, "--trials", "x"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "expected an int" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_roundtrip_on_a_space_with_no_points(capsys, files):
     empty = files("empty.json", {"points": [], "dist": []})
     code = main(["roundtrip", "--space", empty, "--samples", "3"])

@@ -190,6 +190,35 @@ def test_nearest_point_rejects_another_space():
         hk_distance(b_space, over_b, over_a)
 
 
+def test_convex_set_rejects_bad_generators(x3, x2):
+    with pytest.raises(TypeError):
+        ConvexSet(x3, ["a"])
+    with pytest.raises(SpaceMismatch):
+        ConvexSet(x3, [dirac(x2, "a")])
+    over_sets = dirac(x3, ConvexSet(x3, [dirac(x3, "a")]))
+    with pytest.raises(SpaceMismatch, match="mix label and set"):
+        ConvexSet(x3, [dirac(x3, "a"), over_sets])
+
+
+def test_operations_reject_two_spaces(x3, x2):
+    s3, s2 = ConvexSet(x3, [dirac(x3, "a")]), ConvexSet(x2, [dirac(x2, "a")])
+    with pytest.raises(SpaceMismatch):
+        oplus(s3, s2)
+    with pytest.raises(SpaceMismatch):
+        plus_p(F(1, 2), s3, s2)
+    with pytest.raises(SpaceMismatch):
+        in_hull(dirac(x3, "a"), [dirac(x2, "a")])
+
+
+def test_wms_rejects_a_label_supported_dist(x3):
+    with pytest.raises(SpaceMismatch, match="set-valued support"):
+        wms(dirac(x3, "a"))
+
+
+def test_nothing_is_in_the_hull_of_no_generators(x3):
+    assert in_hull(dirac(x3, "a"), []) == (False, None)
+
+
 def _no_lp(*args):
     raise AssertionError("an LP ran")
 

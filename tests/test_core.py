@@ -16,6 +16,7 @@ from hkconvex import (
     MalformedInput,
     MarginalMismatch,
     OutOfRange,
+    SpaceMismatch,
     UnknownPoint,
     WeightsNotNormalized,
     as_fraction,
@@ -167,6 +168,33 @@ def test_space_rejects_distance_above_one():
         FiniteMetricSpace(["a", "b"], {("a", "b"): "9/8"})
 
 
+def test_space_rejects_one_pair_given_twice_with_two_values():
+    with pytest.raises(AxiomViolation) as err:
+        FiniteMetricSpace(["a", "b"], {("a", "b"): "1/2", ("b", "a"): "1/3"})
+    assert (err.value.kind, err.value.x, err.value.y) == ("symmetry", "b", "a")
+
+
+def test_space_rejects_a_nonzero_self_distance():
+    with pytest.raises(AxiomViolation) as err:
+        FiniteMetricSpace(["a", "b"], {("a", "a"): "1/2", ("a", "b"): "1/2"})
+    assert (err.value.kind, err.value.x, err.value.y) == ("identity", "a", "a")
+
+
+def test_space_rejects_an_unknown_first_label_in_a_distance():
+    with pytest.raises(UnknownPoint) as err:
+        FiniteMetricSpace(["a", "b"], {("z", "b"): "1/2"})
+    assert err.value.label == "z"
+
+
+@pytest.mark.parametrize(
+    "lookup", [lambda s: s.d("z", "a"), lambda s: s.d("a", "z"), lambda s: s.index("z")]
+)
+def test_space_lookups_reject_an_unknown_label(x3, lookup):
+    with pytest.raises(UnknownPoint) as err:
+        lookup(x3)
+    assert err.value.label == "z"
+
+
 def test_validate_space_returns_space():
     space = validate_space(["a", "b"], {("a", "b"): "1/2"})
     assert space.d("a", "b") == Fraction(1, 2)
@@ -223,6 +251,56 @@ def test_convex_combine_golden(x3):
 def test_convex_combine_rejects_bad_mass(x3):
     with pytest.raises(WeightsNotNormalized):
         convex_combine([(Fraction(1, 3), dirac(x3, "a"))])
+
+
+def test_convex_combine_rejects_no_pairs():
+    with pytest.raises(WeightsNotNormalized) as err:
+        convex_combine([])
+    assert err.value.total == 0
+
+
+def test_convex_combine_rejects_a_negative_weight(x3):
+    with pytest.raises(OutOfRange) as err:
+        convex_combine([(Fraction(-1, 2), dirac(x3, "a")), (Fraction(3, 2), dirac(x3, "b"))])
+    assert (err.value.what, err.value.value) == ("mixing weight", Fraction(-1, 2))
+
+
+def test_convex_combine_rejects_what_is_not_a_dist(x3):
+    with pytest.raises(TypeError):
+        convex_combine([(Fraction(1), "a")])
+
+
+def test_convex_combine_rejects_two_spaces(x3, x2):
+    with pytest.raises(SpaceMismatch):
+        convex_combine([(Fraction(1, 2), dirac(x3, "a")), (Fraction(1, 2), dirac(x2, "a"))])
+
+
+def _point_set(space):
+    """A set-valued support item of `space`."""
+    return ConvexSet(space, [dirac(space, "a")])
+
+
+def test_convex_combine_rejects_label_and_set_distributions_together(x3):
+    over_sets = dirac(x3, _point_set(x3))
+    with pytest.raises(SpaceMismatch, match="mixed label and set"):
+        convex_combine([(Fraction(1, 2), dirac(x3, "a")), (Fraction(1, 2), over_sets)])
+
+
+def test_pushforward_rejects_mixed_kinds(x3):
+    s = _point_set(x3)
+    mid = Dist(x3, {"a": "1/2", "b": "1/2"})
+    with pytest.raises(SpaceMismatch, match="mixed label and set"):
+        pushforward(lambda x: x if x == "a" else s, mid)
+
+
+def test_dist_rejects_mixed_kinds(x3):
+    with pytest.raises(SpaceMismatch, match="mixed label and set"):
+        Dist(x3, {"a": "1/2", _point_set(x3): "1/2"})
+
+
+def test_coupling_rejects_two_spaces(x3, x2):
+    with pytest.raises(SpaceMismatch):
+        Coupling({("a", "a"): 1}, dirac(x3, "a"), dirac(x2, "a"))
 
 
 def test_pushforward_merges(x3):
@@ -367,7 +445,9 @@ def test_convex_combine_keeps_no_memory_per_call():
         points, {(x, y): Fraction(1, 2) for i, x in enumerate(points) for y in points[i + 1 :]}
     )
     pairs = [(Fraction(1, 15), dirac(space, p)) for p in points]
-    convex_combine(pairs)
+    # one unmeasured batch first: the first batch also warms the allocator
+    for _ in range(5000):
+        convex_combine(pairs)
     before = sys.getallocatedblocks()
     for _ in range(5000):
         convex_combine(pairs)
@@ -384,7 +464,9 @@ def test_coupling_check_keeps_no_memory_per_call():
     )
     weights = {p: Fraction(1, 15) for p in points}
     joint = {(p, p): w for p, w in weights.items()}
-    Coupling(joint, Dist(space, weights), Dist(space, weights))
+    # one unmeasured batch first: the first batch also warms the allocator
+    for _ in range(5000):
+        Coupling(joint, Dist(space, weights), Dist(space, weights))
     before = sys.getallocatedblocks()
     for _ in range(5000):
         Coupling(joint, Dist(space, weights), Dist(space, weights))

@@ -46,19 +46,29 @@ def test_the_checker_reaches_syntax_only():
     assert _closure("deduction") <= {"core", "errors", "syntax"}
 
 
-def test_every_absolute_import_is_stdlib():
-    outside = set()
+def _absolute_imports() -> set[tuple[str, str]]:
+    """(file name, module) for every absolute import in the package."""
+    found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _imports(path.stem):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                found.update((path.name, alias.name) for alias in node.names)
             elif node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside.update(
-                (path.name, name)
-                for name in names
-                if name.split(".")[0] not in sys.stdlib_module_names
-            )
+                found.add((path.name, node.module))
+    return found
+
+
+def test_every_absolute_import_is_stdlib():
+    outside = {
+        (file, name)
+        for file, name in _absolute_imports()
+        if name.split(".")[0] not in sys.stdlib_module_names
+    }
     assert not outside
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    # A dataclass makes its process import `dataclasses`, and with it
+    # `inspect`, `ast`, `dis` and `tokenize`; records are NamedTuples.
+    heavy = {"dataclasses", "inspect"}
+    assert not {(f, name) for f, name in _absolute_imports() if name.split(".")[0] in heavy}

@@ -64,6 +64,12 @@ def test_space_mismatch_rejected(x3, x2):
         kantorovich(x3, dirac(x3, "a"), dirac(x2, "b"))
 
 
+def test_kantorovich_refuses_set_supported_distributions(x3):
+    over_sets = dirac(x3, ConvexSet(x3, [dirac(x3, "a")]))
+    with pytest.raises(SpaceMismatch, match="label-supported"):
+        kantorovich(x3, over_sets, over_sets)
+
+
 def test_bruteforce_cap():
     letters = [chr(ord("a") + i) for i in range(10)]
     space_big = sts.FiniteMetricSpace(
