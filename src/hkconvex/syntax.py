@@ -9,9 +9,10 @@ is what a term is, how it is written and read, and substitution.
 
 Concrete syntax is s-expressions: "(oplus a b)", "(p+ 1/2 a b)".
 `parse_term` can share one table of texts across many calls. Only
-`parse_term` and `_Skipper` look texts up in it: a new text is split
-around the subterms the table already holds, and only a text of unusual
-shape is tokenized by `_Parser`, which parses every slice and enters it.
+`parse_term` and its one reader, `_Reader`, look texts up in it: a text
+is read left to right, and a subterm whose text the table already holds,
+found by guessing where each child of a group lies, is taken from the
+table without being read. Every slice that is read is entered.
 
 Terms are immutable tuples of their fields: `Gen(label)`, `Oplus(left,
 right)` and `PlusP(p, left, right)`, each a `typing.NamedTuple` under the
@@ -31,6 +32,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import lru_cache
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -193,148 +195,132 @@ def _print_term(term: Term, printed: dict[int, str] | None) -> str:
 
 
 _TOKEN = re.compile(r"[()]|" + LABEL_TOKEN.pattern)
+# '(', the head and, for p+, the probability, each followed by whitespace.
+_HEAD = re.compile(r"\(\s*(?:oplus|p\+\s+([^\s()]+))\s+")
+# Proof documents repeat a few probability texts many times.
+_rational = lru_cache(maxsize=256)(parse_rational)
 
 
 def _parse_fraction(token: str, position: int) -> Fraction:
     try:
-        return parse_rational(token)
+        return _rational(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a rational, got {token!r}", position) from None
 
 
-class _Parser:
-    """Recursive descent over the tokens of one text: the grammar and its
+class _Reader:
+    """Recursive descent over one text, left to right: the grammar and its
     error messages.
 
-    Each generator token and each parenthesised subterm that parses is
+    Each generator token and each parenthesised subterm that is read is
     entered in `table` under its exact source slice with `setdefault`, so
-    a slice the table already holds returns the table's object. The
-    parser reads no entry before it has parsed a slice, so a subterm the
-    table holds still counts toward the recursion limit.
+    a slice the table already holds returns the table's object.
+
+    A group with a guess at its own ')' guesses its children's slices: the
+    right child is the last ')'-group or token before that ')', and the
+    left child ends just before it. A guessed slice that starts at the
+    token the read has reached is looked up, and a held one is taken from
+    the table without being read. Every key is the exact slice of a term
+    that was read or a whole text that parsed, so such a slice is the text
+    of a term, and reading it would stop at its end and return the table's
+    object: a wrong guess costs one lookup and changes no term, error or
+    table entry. On a well-formed text every guess is right. A subterm
+    taken from the table does not count toward the recursion limit.
     """
 
-    def __init__(self, text: str, table: dict):
-        self.text = text
-        self.table = table
-        matches = list(_TOKEN.finditer(text))
-        self.tokens = [m.group() for m in matches]
-        self.starts = [m.start() for m in matches]
-        self.pos = 0
-        self.end = len(text)
-
-    def take(self) -> tuple[str, int]:
-        pos = self.pos
-        if pos >= len(self.tokens):
-            raise ParseError("unexpected end of input", self.end)
-        self.pos = pos + 1
-        return self.tokens[pos], self.starts[pos]
-
-    def expect(self, text: str) -> int:
-        tok, at = self.take()
-        if tok != text:
-            raise ParseError(f"expected {text!r}, got {tok!r}", at)
-        return at
-
-    def term(self) -> Term:
-        tok, at = self.take()
-        if tok == ")":
-            raise ParseError("unexpected ')'", at)
-        if tok != "(":
-            return self.table.setdefault(tok, Gen(tok))
-        head, head_at = self.take()
-        if head == "oplus":
-            p = None
-        elif head == "p+":
-            ptok, pat = self.take()
-            p = _parse_fraction(ptok, pat)
-        else:
-            raise ParseError(f"expected 'oplus' or 'p+', got {head!r}", head_at)
-        left = self.term()
-        right = self.term()
-        close = self.expect(")")
-        term = Oplus(left, right) if p is None else PlusP(p, left, right)
-        return self.table.setdefault(self.text[at : close + 1], term)
-
-
-# '(', the head and, for p+, the probability, each followed by whitespace.
-_HEAD = re.compile(r"\(\s*(?:oplus|p\+\s+([^\s()]+))\s+")
-
-
-class _Unexpected(Exception):
-    """A text that `_Skipper` leaves to `_Parser`."""
-
-
-class _Skipper:
-    """Reads a text slice by slice, settling each known slice by one lookup.
-
-    A group `(head [p] A B)` not in the table is split without tokenizing
-    it: the header is matched from the left, B's extent is found from the
-    closing paren, and A is the slice between. A slice is read further
-    only if the table misses it, in `_Parser`'s order, and is entered
-    under its exact text, so the table gains the keys `_Parser` would
-    add. The backward scan records the '(' of each ')' it closes, so no
-    paren is scanned twice. Anything unusual (no whitespace between
-    children, a bad head or probability, unbalanced parens) raises
-    `_Unexpected`.
-    """
+    __slots__ = ("text", "table", "opener", "end")
 
     def __init__(self, text: str, table: dict):
         self.text = text
         self.table = table
         self.opener: dict[int, int] = {}
 
-    def read(self, lo: int, hi: int, key: str) -> Term:
-        """The term of `key`, the slice text[lo:hi], which the table does
-        not hold; enters it there."""
+    def token(self, at: int) -> re.Match:
+        """The first token at or after `at`."""
+        m = _TOKEN.search(self.text, at)
+        if m is None:
+            raise ParseError("unexpected end of input", len(self.text))
+        return m
+
+    def term(self, at: int, close: int) -> Term:
+        """The term whose first token is the first at or after `at`; sets
+        `end` to the end of its last token. `close` is the index of a ')'
+        guessed to close it, or -1."""
         text = self.text
         table = self.table
-        if key[0] != "(":
-            if LABEL_TOKEN.fullmatch(key) is None:
-                raise _Unexpected
-            table[key] = term = Gen(key)
-            return term
-        if text[hi - 1] != ")":
-            raise _Unexpected
-        head = _HEAD.match(text, lo, hi)
-        if head is None:
-            raise _Unexpected
-        p = head.group(1)
-        if p is not None:
-            try:
-                p = parse_rational(p)
-            except (ValueError, ZeroDivisionError):
-                raise _Unexpected from None
-            if not 0 < p.numerator < p.denominator:
-                raise _Unexpected
-        a = head.end()  # A's first character: the header ends in whitespace
-        b_end = hi - 1
-        while b_end - 1 > a and text[b_end - 1].isspace():
-            b_end -= 1
-        if text[b_end - 1] == ")":
-            b = self.open_of(b_end - 1, a)
-        else:  # a token, checked when it is read or looked up
-            b = b_end - 1
-            while b > a and not text[b - 1].isspace():
-                b -= 1
-        if b <= a or not text[b - 1].isspace():
-            raise _Unexpected
-        a_end = b - 1
-        while text[a_end - 1].isspace():
-            a_end -= 1
-        a_key = text[a:a_end]
-        left = table.get(a_key)
-        if left is None:
-            left = self.read(a, a_end, a_key)
-        b_key = text[b:b_end]
-        right = table.get(b_key)
-        if right is None:
-            right = self.read(b, b_end, b_key)
-        table[key] = term = Oplus(left, right) if p is None else PlusP(p, left, right)
-        return term
+        head = _HEAD.match(text, at)
+        if head is not None:
+            p = head.group(1)
+            if p is not None:
+                p = _parse_fraction(p, head.start(1))
+            a = head.end()  # the left child's first character
+        else:
+            m = self.token(at)
+            tok = m.group()
+            if tok != "(":
+                if tok == ")":
+                    raise ParseError("unexpected ')'", m.start())
+                self.end = m.end()
+                return table.setdefault(tok, Gen(tok))
+            at = m.start()
+            m = self.token(m.end())
+            tok = m.group()
+            if tok == "oplus":
+                p = None
+            elif tok == "p+":
+                m = self.token(m.end())
+                p = _parse_fraction(m.group(), m.start())
+            else:
+                raise ParseError(f"expected 'oplus' or 'p+', got {tok!r}", m.start())
+            a = self.token(m.end()).start()
+        b = b_end = -1
+        if close > a:
+            b_end = close
+            while text[b_end - 1].isspace():
+                b_end -= 1
+            if text[b_end - 1] == ")":
+                b = self.open_of(b_end - 1, a)
+            else:
+                b = b_end - 1
+                while b > a and text[b - 1] not in "()" and not text[b - 1].isspace():
+                    b -= 1
+        if b > a:  # the children are guessed to be text[a:a_end] and text[b:b_end]
+            a_end = b
+            while text[a_end - 1].isspace():
+                a_end -= 1
+            left = table.get(text[a:a_end])
+            if left is None:
+                left = self.term(a, a_end - 1 if text[a_end - 1] == ")" else -1)
+                end = self.end
+            else:
+                end = a_end
+            if end == a_end:  # the read has reached b
+                right = table.get(text[b:b_end])
+                if right is None:
+                    right = self.term(b, b_end - 1 if text[b_end - 1] == ")" else -1)
+                    end = self.end
+                else:
+                    end = b_end
+            else:
+                right = self.term(end, -1)
+                end = self.end
+        else:
+            left = self.term(a, -1)
+            right = self.term(self.end, -1)
+            end = self.end
+        if end != b_end:  # else the guessed ')' is the next token
+            m = self.token(end)
+            if m.group() != ")":
+                raise ParseError(f"expected ')', got {m.group()!r}", m.start())
+            close = m.start()
+        self.end = close + 1
+        term = Oplus(left, right) if p is None else PlusP(p, left, right)
+        return table.setdefault(text[at : close + 1], term)
 
     def open_of(self, close: int, lo: int) -> int:
         """The index of the '(' that closes at `close`, or -1 if none does
-        at or after `lo`."""
+        at or after `lo`. The backward scan records the '(' of each ')' it
+        closes, so no paren is scanned twice."""
         opener = self.opener
         found = opener.get(close)
         if found is not None:
@@ -363,11 +349,11 @@ def parse_term(text: str, table: dict[str, Term] | None = None) -> Term:
     parse (the whole text, each parenthesised subterm and each generator).
     Passing one table to many calls reads each distinct subterm once and
     shares it; without a table the sharing is confined to this text.
-    A new text is split around the subterms the table holds (`_Skipper`);
-    one of unusual shape, such as a hand-spaced one, is parsed in full by
-    `_Parser`, which raises ParseError or BadProbability on malformed
-    input. A term nested deeper than the recursion limit raises TooDeep;
-    on the full parse that counts the subterms the table already holds.
+    The text is read left to right, and a subterm whose text the table
+    holds is taken from it without being read (see `_Reader`), whatever
+    the spacing. Raises ParseError or BadProbability on malformed input,
+    and TooDeep on a term whose read nests deeper than the recursion
+    limit; a subterm the table holds does not count toward it.
     """
     if table is None:
         table = {}
@@ -375,17 +361,12 @@ def parse_term(text: str, table: dict[str, Term] | None = None) -> Term:
         term = table.get(text)
         if term is not None:
             return term
-    if text:
-        try:
-            return _Skipper(text, table).read(0, len(text), text)
-        except (_Unexpected, RecursionError):
-            pass
-    parser = _Parser(text, table)
-    term = guard_depth(parser.term)
-    if parser.pos < len(parser.tokens):
-        raise ParseError(
-            f"trailing input {parser.tokens[parser.pos]!r}", parser.starts[parser.pos]
-        )
+    end = len(text.rstrip())
+    reader = _Reader(text, table)
+    term = guard_depth(reader.term, 0, end - 1 if text[end - 1 : end] == ")" else -1)
+    if reader.end != end:
+        m = reader.token(reader.end)
+        raise ParseError(f"trailing input {m.group()!r}", m.start())
     table[text] = term
     return term
 

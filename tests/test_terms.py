@@ -5,13 +5,13 @@ import re
 import sys
 import time
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
+import term_reference
 from hkconvex import (
     BadProbability,
     ConvexSet,
@@ -293,25 +293,10 @@ def test_shared_table_parses_like_a_fresh_one(bundles, pads):
             assert parse_term(text, shared) is again
 
 
-class _TokensOnly:
-    """Stands in for `syntax._Skipper`: every text goes to `_Parser`."""
-
-    def __init__(self, text, table):
-        pass
-
-    def read(self, lo, hi, key):
-        raise syntax._Unexpected
-
-
-class _Refused:
-    def __init__(self, text, table):
-        raise AssertionError(f"_Parser reached on {text!r}")
-
-
-def _outcome(text, table):
-    """The term parse_term reads, or its exception's type, message and offset."""
+def _outcome(parse, text, table):
+    """The term `parse` reads, or its exception's type, message and offset."""
     try:
-        return parse_term(text, table)
+        return parse(text, table)
     except (ParseError, BadProbability) as exc:
         return type(exc), str(exc), getattr(exc, "position", None)
 
@@ -360,14 +345,32 @@ def test_skipping_reader_agrees_with_the_token_parser(pairs):
     # Both tables grow over the texts, so later texts hold known subterms.
     skipped, tokens = {}, {}
     for text in [text for pair in pairs for text in pair]:
-        got = _outcome(text, skipped)
-        with mock.patch.object(syntax, "_Skipper", _TokensOnly):
-            want = _outcome(text, tokens)
+        got = _outcome(parse_term, text, skipped)
+        want = _outcome(term_reference.parse_term, text, tokens)
         assert got == want, text
         assert skipped == tokens, text
 
 
-def test_a_derived_document_is_read_without_the_token_parser(monkeypatch):
+GROUP = re.compile(r"\s*\(")
+
+
+def _group_reads(monkeypatch) -> list:
+    """The start of each group `syntax._Reader` reads from now on."""
+    reads = []
+    term = syntax._Reader.term
+
+    def counted(self, at, close):
+        if GROUP.match(self.text, at):
+            reads.append(at)
+        return term(self, at, close)
+
+    monkeypatch.setattr(syntax._Reader, "term", counted)
+    return reads
+
+
+def test_a_derived_document_reads_each_group_once(monkeypatch):
+    # Each group read enters its slice in the table, so reading a group the
+    # table already holds would count a read the table does not gain.
     rng = random.Random(5)
     cases = []
     for _ in range(12):
@@ -375,12 +378,36 @@ def test_a_derived_document_is_read_without_the_token_parser(monkeypatch):
         d = derive_hk(space, rand_convex_set(rng, space), rand_convex_set(rng, space))
         gamma = [equation_to_json_dict(e) for e in metric_hypotheses(space)]
         cases.append((d, gamma, json.loads(derivation_to_json_text(d))))
-    monkeypatch.setattr(syntax, "_Parser", _Refused)
+    reads = _group_reads(monkeypatch)
     for d, gamma, doc in cases:
-        assert derivation_from_json_dict(doc) == d
-        table = {}
-        equations_from_json_list(gamma, table)
-        assert derivation_from_json_dict(doc, table) == d
+        for with_gamma in (False, True):
+            table = {}
+            if with_gamma:
+                equations_from_json_list(gamma, table)
+            before = sum(key.startswith("(") for key in table)
+            reads.clear()
+            assert derivation_from_json_dict(doc, table) == d
+            assert reads
+            assert len(reads) == sum(key.startswith("(") for key in table) - before
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(oplus (oplus a b) cd)",
+        "(oplus(oplus a b)cd)",
+        "(p+ 1/2 cd\t(oplus a b))",
+        " (oplus (oplus a b)(oplus cd a) )\n",
+    ],
+)
+def test_held_children_are_not_read_in_any_spacing(text, monkeypatch):
+    table: dict = {}
+    for held in ("(oplus a b)", "(oplus cd a)"):
+        parse_term(held, table)
+    reads = _group_reads(monkeypatch)
+    t = parse_term(text, table)
+    assert len(reads) == 1
+    assert any(child is table["(oplus a b)"] for child in (t.left, t.right))
 
 
 def test_right_nested_terms_parse_in_linear_time():
@@ -391,6 +418,13 @@ def test_right_nested_terms_parse_in_linear_time():
         text = f"(oplus (p+ 1/2 (oplus (oplus a b) (oplus b c)) (oplus c d)) {text})"
     start = time.perf_counter()
     t = parse_term(text)
+    assert time.perf_counter() - start < 1.0
+    assert print_term(t) == text
+    # The same term with no whitespace next to a paren: each group's head
+    # is read token by token.
+    unspaced = re.sub(r"\s+(?=\()|(?<=\))\s+", "", text)
+    start = time.perf_counter()
+    t = parse_term(unspaced)
     assert time.perf_counter() - start < 1.0
     assert print_term(t) == text
 
@@ -432,13 +466,11 @@ def test_subterm_texts_enter_the_table():
         "(p+ 1/3 (oplus c a)(p+ 1/2 a b))",
     ],
 )
-def test_the_token_parser_returns_the_subterms_the_table_holds(text):
+def test_a_spaced_text_returns_the_subterms_the_table_holds(text):
     table: dict = {}
     for held in ("(p+ 1/2 a b)", "(oplus c a)"):
         parse_term(held, table)
     before = dict(table)
-    with pytest.raises(syntax._Unexpected):
-        syntax._Skipper(text, dict(table)).read(0, len(text), text)
     t = parse_term(text, table)
     subterms = list(_subterms(t))
     for key, held in before.items():
@@ -469,6 +501,17 @@ MALFORMED = [
     ("(oplus a b)(", ParseError, "trailing input '(' (at offset 11)", 11),
     ("(oplus (p+ 1 a b) a)", BadProbability,
      "probability must lie strictly between 0 and 1, got 1", None),
+    # the guess of a child's slice from the closing paren is wrong
+    ("(oplus a b (oplus a b))", ParseError, "expected ')', got '(' (at offset 11)", 11),
+    ("(oplus c (oplus a b) (oplus a b))", ParseError,
+     "expected ')', got '(' (at offset 21)", 21),
+    ("(p+ 1/2 a b c)", ParseError, "expected ')', got 'c' (at offset 12)", 12),
+    ("(oplus (oplus a b) c (oplus a b))", ParseError,
+     "expected ')', got '(' (at offset 21)", 21),
+    ("(oplus (oplus a b)(oplus a b) c)", ParseError,
+     "expected ')', got 'c' (at offset 30)", 30),
+    ("(oplus (p+ 1/2 a b) (oplus a b c))", ParseError,
+     "expected ')', got 'c' (at offset 31)", 31),
 ]
 
 
@@ -481,11 +524,14 @@ def test_malformed_terms_keep_their_errors(text, kind, message, position, shared
         for good in ("(oplus a b)", "(p+ 1/2 a b)", "(oplus (oplus a b) c)"):
             parse_term(good, table)
     before = dict(table or {})
-    with pytest.raises(kind) as exc:
-        parse_term(text, table)
-    assert type(exc.value) is kind
-    assert str(exc.value) == message
-    assert getattr(exc.value, "position", None) == position
+    # The token parser, on a copy of the table, and then the reader.
+    copy = None if table is None else dict(table)
+    for parse, held in ((term_reference.parse_term, copy), (parse_term, table)):
+        with pytest.raises(kind) as exc:
+            parse(text, held)
+        assert type(exc.value) is kind
+        assert str(exc.value) == message
+        assert getattr(exc.value, "position", None) == position
     if shared:
         assert text not in table
         assert all(table[k] is v for k, v in before.items())
@@ -522,6 +568,19 @@ def test_canonical_form_is_deterministic(bundle):
     space, t = bundle
     s = normalize(space, t)
     assert print_term(nu(space, s)) == print_term(nu(space, normalize(space, nu(space, s))))
+
+
+def test_a_parse_does_not_depend_on_spacing():
+    # Every level's left child is held, so neither spelling of the last
+    # text reads more than its top group, however deep the term.
+    table: dict = {}
+    text = "a"
+    for _ in range(sys.getrecursionlimit() + 200):
+        held = parse_term(text, table)
+        text = f"(oplus {text} a)"
+    for spelling in (text, text.replace("(oplus ", "(oplus", 1)):
+        t = parse_term(spelling, dict(table))
+        assert type(t) is Oplus and t.left is held and t.right is table["a"]
 
 
 def test_too_deep_term_raises_too_deep():
