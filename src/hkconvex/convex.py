@@ -31,12 +31,12 @@ multiplication walks one level down this tower.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from . import linprog
 from .core import (
+    ONE,
     Dist,
     FiniteMetricSpace,
     as_fraction,
@@ -47,8 +47,6 @@ from .core import (
     pushforward,
 )
 from .errors import BadProbability, EmptyInput, SpaceMismatch, TooLarge
-
-ONE = Fraction(1)
 
 # Largest number of base choices one weighted Minkowski sum or one `plus_p`
 # may enumerate; each choice is a generator that re-basing may then run a

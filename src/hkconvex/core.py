@@ -40,6 +40,7 @@ from .errors import (
 )
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 # A point label: one generator token of the term syntax (`terms`), so that
 # every term over the space prints and parses back.

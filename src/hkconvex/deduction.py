@@ -24,14 +24,24 @@ node of its class with equal fields and hashes as the tuple of its
 fields; `_replace` returns a copy with some fields changed. The
 checker's reply `CheckResult(ok, path=(), reason="")` is a plain
 NamedTuple, compared by its fields.
-`QuantEquation` checks its eps in `__new__`. A derivation may hold one
-node object at several places: the JSON writers build its dict or its
-text once (`derivation_to_json_text` copies the text's pieces where the
-node occurs again), the reader reads every node down one checked path
-and turns equal nodes of a document into one object (see `_Reader`),
-and the checker proves each (node, hypotheses) pair once. `size` and the
-checker's scan for Assum under a Subst visit each node object once.
-Every recursive walk raises TooDeep through `errors.guard_depth`.
+`QuantEquation` checks its eps in `__new__`.
+
+Eps 0 is one object, `core.ZERO`: the builders in `proofs` conclude
+every eps-0 step at it, the eps rules below pass it on, and the reader
+reads the text "0" as it. So the eps-0 glue that makes up most of a
+derived proof is recognised by identity, `eps is ZERO`, with no Fraction
+method call, when it is built, written, read and checked. Any other
+zero (int 0, `Fraction(0)`, "0/1") is still a valid eps, and the checker
+compares it by value.
+
+A derivation may hold one node object at several places: the JSON
+writers build its dict or its text once (`derivation_to_json_text`
+copies the text's pieces where the node occurs again), the reader reads
+every node down one checked path and turns equal nodes of a document
+into one object (see `_Reader`), and the checker proves each (node,
+hypotheses) pair once. `size` and the checker's scan for Assum under a
+Subst visit each node object once. Every recursive walk raises TooDeep
+through `errors.guard_depth`.
 
 The checker reads syntax only: this module imports `syntax`, `core` and
 `errors`, and nothing that normalizes a term or solves an LP.
@@ -44,7 +54,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .core import FiniteMetricSpace, as_fraction, format_fraction
+from .core import ONE, ZERO, FiniteMetricSpace, as_fraction, format_fraction
 from .errors import MalformedInput, OutOfRange, ParseError, guard_depth
 from .syntax import (
     Gen,
@@ -57,9 +67,6 @@ from .syntax import (
     print_term,
     substitute,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 RULES = (
     "Refl",
@@ -98,15 +105,20 @@ class _QuantEquationFields(NamedTuple):
 
 
 class QuantEquation(_Node, _QuantEquationFields):
+    """left =_eps right, with eps an exact rational in [0, 1] (an int or a
+    Fraction). `core.ZERO` is taken without a check: it is the one zero
+    that `proofs` and the reader use (see the module docstring)."""
+
     __slots__ = ()
 
     def __new__(cls, left: Term, right: Term, eps: Fraction):
-        if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
-            raise MalformedInput(
-                f"equation distance must be an exact rational, got {type(eps).__name__}"
-            )
-        if not (0 <= eps.numerator <= eps.denominator):
-            raise OutOfRange("equation distance", eps)
+        if eps is not ZERO:
+            if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
+                raise MalformedInput(
+                    f"equation distance must be an exact rational, got {type(eps).__name__}"
+                )
+            if not (0 <= eps.numerator <= eps.denominator):
+                raise OutOfRange("equation distance", eps)
         return _tuple_new(cls, (left, right, eps))
 
     def flip(self) -> "QuantEquation":
@@ -157,22 +169,33 @@ def _fail(path: tuple[int, ...], reason: str) -> CheckResult:
 
 
 # The eps of a Triang, NExpOplus and NExpPlusP conclusion. Most premises
-# of a derived proof are eps-0 glue, which these pass through without
-# Fraction arithmetic.
+# of a derived proof are eps-0 glue, whose eps is `ZERO` itself: these
+# pass it through by identity, with no Fraction method call. Any other
+# zero goes through the value tests after it.
 
 
 def _triang_eps(e1: Fraction, e2: Fraction) -> Fraction:
     """The capped sum min(1, e1 + e2)."""
+    if e1 is ZERO:
+        return e2
+    if e2 is ZERO:
+        return e1
     return e2 if not e1 else e1 if not e2 else min(ONE, e1 + e2)
 
 
 def _oplus_eps(e1: Fraction, e2: Fraction) -> Fraction:
     """max(e1, e2)."""
+    if e2 is ZERO:
+        return e1
+    if e1 is ZERO:
+        return e2
     return e1 if not e2 else e2 if not e1 else max(e1, e2)
 
 
 def _plusp_eps(p: Fraction, e1: Fraction, e2: Fraction) -> Fraction:
     """The p-weighted sum p e1 + (1 - p) e2."""
+    if e1 is ZERO and e2 is ZERO:
+        return ZERO
     if not e2:
         return p * e1 if e1 else e1
     if not e1:
@@ -254,7 +277,7 @@ def _check_node(
     if rule == "Refl":
         if goal.left != goal.right:
             return _fail(path, "Refl needs syntactically equal sides")
-        if goal.eps != ZERO:
+        if goal.eps is not ZERO and goal.eps != ZERO:
             return _fail(path, "Refl needs eps 0")
     elif rule == "Symm":
         prem = d.premises[0].conclusion
@@ -267,7 +290,8 @@ def _check_node(
             return _fail(path, "Triang premises must share the middle term")
         if goal.left != p1.left or goal.right != p2.right:
             return _fail(path, "Triang conclusion endpoints do not match premises")
-        if goal.eps != _triang_eps(p1.eps, p2.eps):
+        eps = _triang_eps(p1.eps, p2.eps)
+        if goal.eps is not eps and goal.eps != eps:
             return _fail(path, "Triang eps must be the capped sum of premise eps")
     elif rule == "Max":
         prem = d.premises[0].conclusion
@@ -282,7 +306,8 @@ def _check_node(
         want_r = Oplus(p1.right, p2.right)
         if goal.left != want_l or goal.right != want_r:
             return _fail(path, "NExpOplus conclusion must pair the premises under oplus")
-        if goal.eps != _oplus_eps(p1.eps, p2.eps):
+        eps = _oplus_eps(p1.eps, p2.eps)
+        if goal.eps is not eps and goal.eps != eps:
             return _fail(path, "NExpOplus eps must be the max of premise eps")
     elif rule == "NExpPlusP":
         if not (isinstance(goal.left, PlusP) and isinstance(goal.right, PlusP)):
@@ -296,7 +321,8 @@ def _check_node(
             p, p1.right, p2.right
         ):
             return _fail(path, "NExpPlusP conclusion must pair the premises under p+")
-        if goal.eps != _plusp_eps(p, p1.eps, p2.eps):
+        eps = _plusp_eps(p, p1.eps, p2.eps)
+        if goal.eps is not eps and goal.eps != eps:
             return _fail(path, "NExpPlusP eps must be the p-weighted sum")
     elif rule == "Subst":
         if d.subst is None:
@@ -339,7 +365,7 @@ def _check_node(
     elif rule == "AxiomCS":
         if d.axiom not in AXIOMS:
             return _fail(path, f"unknown axiom {d.axiom!r}")
-        if goal.eps != ZERO:
+        if goal.eps is not ZERO and goal.eps != ZERO:
             return _fail(path, "axiom instances have eps 0")
         if not (
             _match_axiom(d.axiom, goal.left, goal.right)
@@ -418,18 +444,19 @@ class _Reader:
     """Reads equations and derivations of one document, sharing equal ones.
 
     Terms go through `table` (see `parse_term`). Three memos of its own
-    share the rest: eps text to one Fraction; the (l, r, eps) text triple
-    of an equation whose three fields are strings to one `QuantEquation`;
-    and a node whose rule and axiom are strings or absent, by (rule,
-    conclusion object, axiom, premise objects) and the objects of its
-    `subst`, `theta` and `hypotheses` if it has any, to one `Derivation`.
+    share the rest: eps text to one Fraction, and "0" to `ZERO`; the (l,
+    r, eps) text triple of an equation whose three fields are strings to
+    one `QuantEquation`; and a node whose rule and axiom are strings or
+    absent, by (rule, conclusion object, axiom, premise objects) and the
+    objects of its `subst`, `theta` and `hypotheses` if it has any, to one
+    `Derivation`.
     Every object a key names by id is held by these memos or by the tree
     being built, so no id is reused during the read.
     """
 
     def __init__(self, table: dict):
         self.table = table
-        self.eps: dict[str, Fraction] = {}
+        self.eps: dict[str, Fraction] = {"0": ZERO}
         self.equations: dict[tuple[str, str, str], QuantEquation] = {}
         self.nodes: dict[tuple, Derivation] = {}
 
@@ -575,7 +602,10 @@ def _write_node(d: Derivation, out: list, spans: dict, strings: dict, printed: d
         out.extend(out[span[0] : span[1]])
         return
     start = len(out)
-    left, right, eps = (_json_string(x, strings, printed) for x in d.conclusion)
+    left, right, eps = d.conclusion
+    left = strings.get(id(left)) or _json_string(left, strings, printed)
+    right = strings.get(id(right)) or _json_string(right, strings, printed)
+    eps = strings.get(id(eps)) or _json_string(eps, strings, printed)
     head = "{" if d.axiom is None else f'{{"axiom": {_json_value(d.axiom)}, '
     out.extend((head, '"conclusion": {"eps": ', eps, ', "l": ', left, ', "r": ', right, "}"))
     if d.hypotheses:
@@ -600,11 +630,10 @@ def _write_node(d: Derivation, out: list, spans: dict, strings: dict, printed: d
 
 
 def _json_string(x, strings: dict, printed: dict) -> str:
-    """The JSON text of a term or eps object, made once per object."""
-    text = strings.get(id(x))
-    if text is None:
-        raw = format_fraction(x) if isinstance(x, (int, Fraction)) else print_term(x, printed)
-        text = strings[id(x)] = _json_value(raw)
+    """The JSON text of a term or eps object that `strings` does not hold
+    yet, entered there under the object's id."""
+    raw = format_fraction(x) if isinstance(x, (int, Fraction)) else print_term(x, printed)
+    text = strings[id(x)] = _json_value(raw)
     return text
 
 

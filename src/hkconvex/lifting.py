@@ -20,11 +20,9 @@ from operator import itemgetter
 from typing import Callable, Iterable
 
 from .convex import ConvexSet, functor_map, nearest_point
-from .core import FiniteMetricSpace
+from .core import ZERO, FiniteMetricSpace
 from .errors import EmptySet, SpaceMismatch
 from .transport import kantorovich
-
-ZERO = Fraction(0)
 
 
 def directed_hausdorff(metric: Callable, left: Iterable, right: Iterable) -> Fraction:

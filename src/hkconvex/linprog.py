@@ -45,9 +45,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import NamedTuple, Sequence
 
-from .core import scaled_ints
-
-ZERO = Fraction(0)
+from .core import ZERO, scaled_ints
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from .convex import ConvexSet, functor_map, monad_mult, monad_unit, plus_p
-from .core import FiniteMetricSpace, convex_combine, dirac
+from .core import ONE, FiniteMetricSpace, convex_combine, dirac
 from .deduction import AXIOMS, _axiom_right, _oplus_eps, _plusp_eps
 from .errors import OutOfRange
 from .lifting import hk_distance
@@ -56,8 +56,6 @@ from .sampling import (
 )
 from .syntax import Gen, Oplus, PlusP, Term
 from .terms import nu
-
-ONE = Fraction(1)
 
 
 class LawReport(NamedTuple):

@@ -55,7 +55,7 @@ from .convex import (
     oplus as set_oplus,
     plus_p as set_plus_p,
 )
-from .core import Dist, FiniteMetricSpace, convex_combine
+from .core import ZERO, Dist, FiniteMetricSpace, convex_combine
 from .deduction import (
     Derivation,
     QuantEquation,
@@ -69,8 +69,6 @@ from .errors import SpaceMismatch
 from .syntax import Gen, Oplus, PlusP, Term, _fold_items, _sharing_terms, oc_term
 from .terms import dist_term, nu
 from .transport import kantorovich
-
-ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------- builders
@@ -641,7 +639,8 @@ def derive_hk(space: FiniteMetricSpace, left: ConvexSet, right: ConvexSet) -> De
     """
     to_right = [nearest_point(space, g, right)[:2] for g in left.base]
     to_left = [nearest_point(space, g, left)[:2] for g in right.base]
-    h = max(value for value, _ in to_right + to_left)
+    # At h = 0 every conclusion is eps-0 glue, so h is then `ZERO` itself.
+    h = max(value for value, _ in to_right + to_left) or ZERO
     pairs = [(s, mix) for s, (_, mix) in zip(left.base, to_right)] + [
         (mix, t) for (_, mix), t in zip(to_left, right.base)
     ]

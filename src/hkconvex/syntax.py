@@ -149,12 +149,13 @@ class PlusP(_Node, _PlusPFields):
             raise MalformedInput(
                 f"probability must be an exact rational, got {type(p).__name__}"
             )
-        if not (0 < p.numerator < p.denominator):
+        n, d = p.numerator, p.denominator
+        if not (0 < n < d):
             raise BadProbability(p)
         table = _shared.get()
         if table is None:
             return _tuple_new(cls, (p, left, right))
-        key = (p.numerator, p.denominator, id(left), id(right))
+        key = (n, d, id(left), id(right))
         term = table.get(key)
         if term is None:
             term = table[key] = _tuple_new(cls, (p, left, right))

@@ -47,10 +47,8 @@ from itertools import combinations
 from math import lcm
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .core import Coupling, Dist, FiniteMetricSpace, scaled_ints
+from .core import ZERO, Coupling, Dist, FiniteMetricSpace, scaled_ints
 from .errors import EmptyInput, MalformedInput, OutOfRange, SpaceMismatch, TooLarge
-
-ZERO = Fraction(0)
 
 BRUTEFORCE_SUPPORT_CAP = 8
 

@@ -29,8 +29,16 @@ from hkconvex import (
     metric_hypotheses,
     term_distance,
 )
-from hkconvex.deduction import _axiom_right, _match_axiom, equations_from_json_list
-from hkconvex.proofs import derive_hk
+from hkconvex.core import ZERO
+from hkconvex.deduction import (
+    _axiom_right,
+    _match_axiom,
+    _oplus_eps,
+    _plusp_eps,
+    _triang_eps,
+    equations_from_json_list,
+)
+from hkconvex.proofs import canon_proof, derive_hk
 from hkconvex.sampling import rand_convex_set, rand_space
 from hkconvex.syntax import Gen, Oplus, PlusP, parse_term
 from hkconvex.terms import normalize
@@ -1107,3 +1115,103 @@ def test_rule_steps_accepted_over_true_premises_are_sound(rule, data):
         assert term_distance(space, left, right) <= eps
     if eps == exact and (rule != "Refl" or left == right):
         assert ok
+
+
+# An eps as a rule step meets it: the one shared ZERO, another zero
+# Fraction, the int 0, or any value in [0, 1].
+_EPS = st.one_of(
+    st.just(ZERO),
+    st.builds(Fraction, st.just(0)),
+    st.just(0),
+    st.fractions(min_value=0, max_value=1),
+)
+
+
+@given(_EPS, _EPS, sts.probabilities())
+@settings(max_examples=200)
+def test_eps_rules_compute_their_values_for_every_form_of_zero(e1, e2, p):
+    assert _triang_eps(e1, e2) == min(1, e1 + e2)
+    assert _oplus_eps(e1, e2) == max(e1, e2)
+    assert _plusp_eps(p, e1, e2) == p * e1 + (1 - p) * e2
+    # ZERO passes through by identity
+    if e1 is ZERO:
+        assert _triang_eps(e1, e2) is e2 and _oplus_eps(e1, e2) is e2
+    if e2 is ZERO:
+        assert _triang_eps(e1, e2) is e1 and _oplus_eps(e1, e2) is e1
+    if e1 is ZERO and e2 is ZERO:
+        assert _plusp_eps(p, e1, e2) is ZERO
+
+
+@pytest.mark.parametrize("zero", [0, F(0)], ids=["int", "Fraction"])
+def test_every_rule_at_eps_0_accepts_a_zero_that_is_not_ZERO(zero):
+    a, b = parse_term("a"), parse_term("b")
+    ab, ba = Oplus(a, b), Oplus(b, a)
+    shared = Derivation("Refl", QuantEquation(a, a, ZERO))
+    other = Derivation("Refl", QuantEquation(a, a, zero))
+    nodes = [
+        other,
+        Derivation("AxiomCS", QuantEquation(ab, ba, zero), axiom="C"),
+        Derivation("Triang", QuantEquation(a, a, zero), (shared, shared)),
+        Derivation("Triang", QuantEquation(a, a, ZERO), (other, other)),
+        Derivation("NExpOplus", QuantEquation(Oplus(a, a), Oplus(a, a), zero), (shared, shared)),
+        Derivation("NExpOplus", QuantEquation(Oplus(a, a), Oplus(a, a), ZERO), (other, other)),
+    ]
+    half = F(1, 2)
+    aa = PlusP(half, a, a)
+    nodes.append(Derivation("NExpPlusP", QuantEquation(aa, aa, zero), (shared, shared)))
+    nodes.append(Derivation("NExpPlusP", QuantEquation(aa, aa, ZERO), (other, shared)))
+    for node in nodes:
+        assert check_derivation((), node).ok, node.rule
+
+
+def _eps_zero_conclusions(d: Derivation) -> list:
+    return [n.conclusion.eps for n in _distinct_nodes(d) if n.conclusion.eps == 0]
+
+
+@pytest.mark.parametrize("seed", [3, 19])
+def test_eps_0_conclusions_of_derived_and_read_back_proofs_are_ZERO(seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        space = rand_space(rng)
+        left = rand_convex_set(rng, space)
+        # the second pair is at distance 0, where the Max nodes are at eps 0 too
+        for right in (rand_convex_set(rng, space), left):
+            d = derive_hk(space, left, right)
+            back = derivation_from_json_dict(json.loads(derivation_to_json_text(d)))
+            for proof in (d, back):
+                zeros = _eps_zero_conclusions(proof)
+                assert zeros and all(eps is ZERO for eps in zeros)
+
+
+def test_a_zero_eps_written_as_0_over_1_reads_checks_and_equals_the_original():
+    rng = random.Random(5)
+    space = rand_space(rng)
+    d = derive_hk(space, rand_convex_set(rng, space), rand_convex_set(rng, space))
+    text = derivation_to_json_text(d)
+    assert '"eps": "0"' in text
+    back = derivation_from_json_dict(json.loads(text.replace('"eps": "0"', '"eps": "0/1"')))
+    assert back == d
+    zeros = _eps_zero_conclusions(back)
+    assert zeros and all(eps is not ZERO for eps in zeros)
+    assert check_derivation(metric_hypotheses(space), back) == (True, (), "")
+
+
+def test_checking_a_read_back_canon_proof_makes_no_fraction_eq_or_bool_call(x3, monkeypatch):
+    # An oplus-only term: its proof uses A, C and I and the eps-0 rules,
+    # so no term comparison meets a Fraction either.
+    d, _ = canon_proof(x3, parse_term("(oplus (oplus c a) (oplus b (oplus a (oplus c b))))"))
+    back = derivation_from_json_dict(json.loads(derivation_to_json_text(d)))
+    assert {n.rule for n in _distinct_nodes(back)} >= {"Refl", "AxiomCS", "Triang", "NExpOplus"}
+    calls = []
+    for name in ("__eq__", "__bool__"):
+        method = getattr(Fraction, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    result = check_derivation((), back)
+    monkeypatch.undo()
+    assert result.ok
+    assert calls == []

@@ -7,11 +7,11 @@ that read a term text, since a wrong skip would let the checker compare
 a term that the proof's text does not spell. The swaps are `==`/`!=`,
 `<`/`<=`, `>`/`>=`, `in`/`not in`, `and`/`or`, and a dropped `not`. Each
 mutant is written into a temporary copy of the repository, never into
-`src`, and the target's tests run against it with `-x`. A mutant that
-passes them all survives. The script exits 1 when a mutant survives that
-`EQUIVALENT` does not list with the reason it behaves as the original,
-and 2 when an unmutated copy fails its tests or an argument names no
-target.
+`src`, and the target's tests run against it with `-x` at hypothesis
+seed 0. A mutant that passes them all survives. The script exits 1 when
+a mutant survives that `EQUIVALENT` does not list with the reason it
+behaves as the original, and 2 when an unmutated copy fails its tests
+or an argument names no target.
 
 Run from anywhere:  python tools/mutate_checker.py [deduction] [syntax]
 With no argument every target runs; an argument picks one by its
@@ -75,22 +75,22 @@ BYTES_PER_RUN = 512 << 20
 # one lookup (see `syntax._Reader`); one that loses a right guess on a
 # derived document is killed by the test that counts group reads.
 EQUIVALENT: dict[str, str] = {
-    "_Reader.term:277 Gt -> GtE": (
+    "_Reader.term:+32 Gt -> GtE": (
         "with close == a the children's region is empty: the trim from close runs"
         " back into the head, so b <= a and nothing is guessed, as before"
     ),
-    "_Reader.term:285 Gt -> GtE": (
+    "_Reader.term:+40 Gt -> GtE": (
         "the scan may run on from a back into the head, and a b below a guesses"
         " nothing, as b == a does"
     ),
-    "_Reader.term:287 Gt -> GtE": (
+    "_Reader.term:+42 Gt -> GtE": (
         "with b == a the left guess is empty or reaches back into the head;"
         " no key is such a slice, so the read goes on as with no guess"
     ),
-    "_Reader.open_of:327 GtE -> Gt": (
+    "_Reader.open_of:+7 GtE -> Gt": (
         "a '(' found at lo itself gives b == a, which guesses nothing, as -1 does"
     ),
-    "_Reader.open_of:336 Lt -> LtE": (
+    "_Reader.open_of:+16 Lt -> LtE": (
         "lo is the left child's start, after '(' and the head, so rfind never returns 0"
     ),
 }
@@ -113,13 +113,25 @@ def mutants(tree: ast.Module, names):
     """(name, mutated module source) for each single swap in the functions
     of `names`.
 
-    A name is `<function>:<line> <old> -> <new>`, with the line of the
-    mutated node in its module and the operators' `ast` class names, or
-    `<function>:<line> drop not`; a comparison chain with several
-    operators gives one mutant per operator, numbered by position.
+    A name is `<function>:+<offset> <old> -> <new>`, with the line of the
+    mutated node counted from its function's `def` line and the operators'
+    `ast` class names, or `<function>:+<offset> drop not`, so an edit
+    outside the function renames no mutant; a comparison chain with
+    several operators gives one mutant per operator, numbered by position.
+    A name made again on one line gets ` [k]` for its k-th time.
     """
+    made: dict[str, int] = {}
+    for name, text in _swaps(tree, names):
+        k = made[name] = made.get(name, 0) + 1
+        yield (name if k == 1 else f"{name} [{k}]"), text
+
+
+def _swaps(tree: ast.Module, names):
     for qualname, function in _functions(tree, names):
         for node in ast.walk(function):
+            if not isinstance(node, (ast.Compare, ast.BoolOp, ast.UnaryOp)):
+                continue
+            at = f"{qualname}:+{node.lineno - function.lineno}"
             if isinstance(node, ast.Compare):
                 for k, op in enumerate(node.ops):
                     if type(op) not in SWAPS:
@@ -128,32 +140,33 @@ def mutants(tree: ast.Module, names):
                     suffix = f" #{k}" if len(node.ops) > 1 else ""
                     name = f"{type(op).__name__} -> {new.__name__}{suffix}"
                     node.ops[k] = new()
-                    yield f"{qualname}:{node.lineno} {name}", ast.unparse(tree)
+                    yield f"{at} {name}", ast.unparse(tree)
                     node.ops[k] = op
             elif isinstance(node, ast.BoolOp):
                 op = node.op
                 new = SWAPS[type(op)]
                 node.op = new()
                 name = f"{type(op).__name__} -> {new.__name__}"
-                yield f"{qualname}:{node.lineno} {name}", ast.unparse(tree)
+                yield f"{at} {name}", ast.unparse(tree)
                 node.op = op
-            elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-                yield from _dropped_not(tree, qualname, function, node)
+            elif isinstance(node.op, ast.Not):
+                yield from _dropped_not(tree, at, function, node)
 
 
-def _dropped_not(tree: ast.Module, qualname: str, function: ast.FunctionDef, node: ast.UnaryOp):
-    """The mutant with `not x` replaced by `x`, found through its parent."""
+def _dropped_not(tree: ast.Module, at: str, function: ast.FunctionDef, node: ast.UnaryOp):
+    """The mutant with `not x` replaced by `x`, found through its parent;
+    `at` is the start of its name (see `mutants`)."""
     for parent in ast.walk(function):
         for field, value in ast.iter_fields(parent):
             if value is node:
                 setattr(parent, field, node.operand)
-                yield f"{qualname}:{node.lineno} drop not", ast.unparse(tree)
+                yield f"{at} drop not", ast.unparse(tree)
                 setattr(parent, field, node)
                 return
             if isinstance(value, list) and any(v is node for v in value):
                 k = next(i for i, v in enumerate(value) if v is node)
                 value[k] = node.operand
-                yield f"{qualname}:{node.lineno} drop not", ast.unparse(tree)
+                yield f"{at} drop not", ast.unparse(tree)
                 value[k] = node
                 return
 
@@ -161,9 +174,11 @@ def _dropped_not(tree: ast.Module, qualname: str, function: ast.FunctionDef, nod
 def _passes(copy: Path, tests: list) -> bool:
     """Whether `tests` pass on the copy, stopping at the first failure.
     Byte code and the hypothesis database are not kept, so no run sees a
-    stale module or replays another mutant's failures."""
+    stale module or replays another mutant's failures, and hypothesis runs
+    at one fixed seed, so a mutant's verdict is the same on every run."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    command += ["--hypothesis-seed=0", *tests]
     try:
         result = subprocess.run(
             command,
